@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (
-    OFF,
     AccessPoint,
     AllocationState,
     PropagationModel,
     edge_gain,
+    power_demand,
     true_gain_matrix,
 )
 from .schedulers import SELFISH, RunResult, TimingModel, run_dynamics
@@ -32,20 +32,31 @@ def random_allocation(
     gains_true: np.ndarray | None = None,
 ) -> AllocationState:
     """Uniform channel draw per AP, then one sequential necessary-power pass."""
-    n = len(topology)
     gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
-    channels = np.empty(n, dtype=np.int64)
-    for i, ap in enumerate(topology):
-        ks = sorted(ap.channels)
-        channels[i] = ks[int(rng.integers(len(ks)))]
-    powers = np.zeros(n)
-    for i, ap in enumerate(topology):
-        co = (channels == channels[i]) & (powers > 0)
+    state = AllocationState.all_off(len(topology))
+    _draw_allocation(state, range(len(topology)), topology, model, rng, gt)
+    return state
+
+
+def _draw_allocation(
+    state: AllocationState,
+    ids: list[int] | range,
+    topology: list[AccessPoint],
+    model: PropagationModel,
+    rng: np.random.Generator,
+    gt: np.ndarray,
+) -> None:
+    """Switch on the silent APs ``ids``: uniform channel draws, then necessary powers in order."""
+    for i in ids:
+        ks = sorted(topology[i].channels)
+        state.channels[i] = ks[int(rng.integers(len(ks)))]
+    for i in ids:
+        ap = topology[i]
+        co = (state.channels == state.channels[i]) & (state.powers > 0)
         co[i] = False
-        interference = float(np.sum(powers[co] * gt[co, i]))
-        demand = ap.sinr_target * (model.noise_power + interference) / edge_gain(ap, model)
-        powers[i] = min(demand, ap.max_power)
-    return AllocationState(channels, powers)
+        interference = float(np.sum(state.powers[co] * gt[co, i]))
+        demand = power_demand(ap, model.noise_power, interference, edge_gain(ap, model))
+        state.powers[i] = min(demand, ap.max_power)
 
 
 def run_selfish(
@@ -119,7 +130,7 @@ def greedy_admission_bound(
         for k in sorted(ap.channels):
             co = (state.channels == k) & (state.powers > 0)
             interference = float(np.sum(state.powers[co] * gt[co, i]))
-            demand = ap.sinr_target * (model.noise_power + interference) / edge_gain(ap, model)
+            demand = power_demand(ap, model.noise_power, interference, edge_gain(ap, model))
             if demand < best_demand:
                 best_k, best_demand = k, demand
         members = [j for j in range(n) if state.channels[j] == best_k and state.powers[j] > 0]

@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import game
-from .baselines import run_selfish
+from .baselines import random_allocation
 from .harness import (
-    MetricsSeries,
     ScenarioConfig,
     domino_experiment,
     export_results,
@@ -23,14 +22,7 @@ from .harness import (
     run_experiment,
 )
 from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
-from .model import AllocationState
-from .schedulers import (
-    BEST_RESPONSE,
-    ROUND_ROBIN,
-    SYNCHRONOUS,
-    TimingModel,
-    run_dynamics,
-)
+from .schedulers import BEST_RESPONSE, ROUND_ROBIN, run_dynamics
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -107,8 +99,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append((n, mean_time))
         print(f"num_aps={n} mean_completion_ticks={mean_time:.12g}")
     if args.out:
-        series = MetricsSeries(columns=["time", "num_aps"],
-                               rows=[[m, float(n)] for n, m in rows])
         try:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
             lines = ["num_aps,mean_completion_ticks"]
@@ -142,8 +132,6 @@ def _verify_ordinal(seed: int) -> tuple[bool, str]:
         cfg = ScenarioConfig(num_aps=20, num_channels=3, area_width=300.0,
                              area_height=300.0, shadow_std_db=0.0, seed=seed)
         topology, model = generate_topology(cfg, rng)
-        from .baselines import random_allocation
-
         state = random_allocation(topology, model, rng)
         result = run_dynamics(
             topology, state, model, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
@@ -156,8 +144,6 @@ def _verify_ordinal(seed: int) -> tuple[bool, str]:
 
 
 def _verify_nash(seed: int) -> tuple[bool, str]:
-    from .baselines import random_allocation
-
     failures = 0
     for rep in range(20):
         rng = np.random.default_rng((seed, 2000 + rep))

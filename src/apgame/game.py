@@ -22,6 +22,7 @@ from .model import (
     estimated_gain,
     estimated_gain_matrix,
     num_channels,
+    power_demand,
     true_gain,
     true_gain_matrix,
 )
@@ -42,15 +43,15 @@ class UtilityContext:
     """
 
     player: AccessPoint
-    known: frozenset[int]
     interference: np.ndarray
     generated_weight: np.ndarray
     edge_gain: float
     noise_power: float
 
     def necessary_power(self, k: int) -> float:
-        demand = self.player.sinr_target * (self.noise_power + float(self.interference[k]))
-        return min(demand / self.edge_gain, self.player.max_power)
+        interference = float(self.interference[k])
+        demand = power_demand(self.player, self.noise_power, interference, self.edge_gain)
+        return min(demand, self.player.max_power)
 
 
 def utility_context(
@@ -69,10 +70,6 @@ def utility_context(
     ``known=None`` means full knowledge of all other APs.
     """
     ap = topology[i]
-    if known is None:
-        known = frozenset(range(len(topology))) - {i}
-    else:
-        known = frozenset(known) - {i}
     k_total = channel_count if channel_count is not None else num_channels(topology)
     interference = np.zeros(k_total)
     generated = np.zeros(k_total)
@@ -83,12 +80,11 @@ def utility_context(
             continue
         g = float(gains_true[j, i]) if gains_true is not None else true_gain(other, ap, model)
         interference[k] += g * p
-        if j in known:
+        if known is None or j in known:
             ge = float(gains_est[i, j]) if gains_est is not None else estimated_gain(ap, other, model)
             generated[k] += ge
     return UtilityContext(
         player=ap,
-        known=known,
         interference=interference,
         generated_weight=generated,
         edge_gain=edge_gain(ap, model),
@@ -224,9 +220,6 @@ class TraceRecord:
     u_after: float
     potential_before: float | None = None
     potential_after: float | None = None
-
-
-DynamicsTrace = list  # ordered list of TraceRecord
 
 
 @dataclass(frozen=True)

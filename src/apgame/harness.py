@@ -10,21 +10,18 @@ seed included.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import greedy_admission_bound, random_allocation
+from .baselines import _draw_allocation, greedy_admission_bound, random_allocation
 from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
 from .model import (
-    OFF,
     AccessPoint,
     AllocationState,
     PropagationModel,
-    edge_gain,
     satisfied_mask,
     true_gain_matrix,
 )
@@ -63,6 +60,10 @@ class ScenarioConfig:
     cluster_std: float = 60.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config field {f.name} must be finite, got {value}")
         positive = (
             "num_aps", "area_width", "area_height", "num_channels", "max_power",
             "sinr_target_low", "sinr_target_high", "coverage_radius_min",
@@ -193,6 +194,23 @@ def _timestamps(config: ScenarioConfig) -> list[float]:
     return [t * config.allocation_period for t in range(steps + 1)]
 
 
+def _setup(config: ScenarioConfig, num_aps: int | None = None) -> tuple[
+    list[AccessPoint], PropagationModel, np.ndarray, KnowledgeBase, DiscoveryState,
+    list[np.random.Generator],
+]:
+    """Topology, true gains, empty knowledge, discovery state and six allocation streams.
+
+    The streams come from fixed slots of the seed sequence drawn from ``config.seed``.
+    """
+    seeds = np.random.default_rng(config.seed).integers(2**63, size=8)
+    topo_rng, discovery_rng, *streams = [np.random.default_rng(s) for s in seeds]
+    topology, model = generate_topology(config, topo_rng, num_aps=num_aps)
+    gt = true_gain_matrix(topology, model)
+    kb = KnowledgeBase.from_topology(topology)
+    dstate = DiscoveryState(rng=discovery_rng, samples_per_tick=config.samples_per_tick)
+    return topology, model, gt, kb, dstate, streams
+
+
 def run_experiment(config: ScenarioConfig) -> MetricsSeries:
     """Discovery-coupled comparison of the game against the baselines.
 
@@ -202,20 +220,8 @@ def run_experiment(config: ScenarioConfig) -> MetricsSeries:
     and is therefore constant over time.
     """
     config.validate()
-    master = np.random.default_rng(config.seed)
-    seeds = master.integers(2**63, size=8)
-    topo_rng = np.random.default_rng(seeds[0])
-    topology, model = generate_topology(config, topo_rng)
-    gt = true_gain_matrix(topology, model)
-
-    kb = KnowledgeBase.from_topology(topology)
-    dstate = DiscoveryState(
-        rng=np.random.default_rng(seeds[1]), samples_per_tick=config.samples_per_tick
-    )
-    game_rng = np.random.default_rng(seeds[2])
-    selfish_rng = np.random.default_rng(seeds[3])
-    random_rng = np.random.default_rng(seeds[4])
-    bound_rng = np.random.default_rng(seeds[5])
+    topology, model, gt, kb, dstate, streams = _setup(config)
+    game_rng, selfish_rng, random_rng, bound_rng = streams[:4]
 
     game_state = random_allocation(topology, model, game_rng, gains_true=gt)
     selfish_state = random_allocation(topology, model, selfish_rng, gains_true=gt)
@@ -275,31 +281,13 @@ def domino_experiment(
         raise ValueError("num_inserted must be nonnegative")
     if not 0 < insert_time < config.duration:
         raise ValueError("insert_time must fall inside the experiment duration")
-    master = np.random.default_rng(config.seed)
-    seeds = master.integers(2**63, size=8)
-    topo_rng = np.random.default_rng(seeds[0])
     total = config.num_aps + num_inserted
-    topology, model = generate_topology(config, topo_rng, num_aps=total)
-    gt = true_gain_matrix(topology, model)
-
-    kb = KnowledgeBase.from_topology(topology)
-    dstate = DiscoveryState(
-        rng=np.random.default_rng(seeds[1]), samples_per_tick=config.samples_per_tick
-    )
-    game_rng = np.random.default_rng(seeds[2])
+    topology, model, gt, kb, dstate, streams = _setup(config, total)
+    game_rng = streams[0]
 
     active = set(range(config.num_aps))
     state = AllocationState.all_off(total)
-    for i in sorted(active):
-        ks = sorted(topology[i].channels)
-        state.channels[i] = ks[int(game_rng.integers(len(ks)))]
-    for i in sorted(active):
-        co = (state.channels == state.channels[i]) & (state.powers > 0)
-        co[i] = False
-        interference = float(np.sum(state.powers[co] * gt[co, i]))
-        ap = topology[i]
-        demand = ap.sinr_target * (model.noise_power + interference) / edge_gain(ap, model)
-        state.powers[i] = min(demand, ap.max_power)
+    _draw_allocation(state, sorted(active), topology, model, game_rng, gt)
 
     ticks_per_period = int(round(config.allocation_period))
     columns = ["time", "satisfied_game", "rounds_game", "missing_candidates",
@@ -312,15 +300,7 @@ def domino_experiment(
     for t in _timestamps(config):
         if not inserted and t >= insert_time and num_inserted > 0:
             newcomers = range(config.num_aps, total)
-            for i in newcomers:
-                ks = sorted(topology[i].channels)
-                state.channels[i] = ks[int(game_rng.integers(len(ks)))]
-                co = (state.channels == state.channels[i]) & (state.powers > 0)
-                co[i] = False
-                interference = float(np.sum(state.powers[co] * gt[co, i]))
-                ap = topology[i]
-                demand = ap.sinr_target * (model.noise_power + interference)
-                state.powers[i] = min(demand / edge_gain(ap, model), ap.max_power)
+            _draw_allocation(state, newcomers, topology, model, game_rng, gt)
             active |= set(newcomers)
             inserted = True
         if t > 0:

@@ -8,7 +8,7 @@ their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,8 +140,8 @@ class AllocationState:
         p = np.asarray(self.powers, dtype=float)
         if ch.shape != p.shape or ch.ndim != 1:
             raise ValueError("channels and powers must be 1-D arrays of equal length")
-        if np.any(p < 0):
-            raise ValueError("powers must be nonnegative")
+        if not np.all(np.isfinite(p) & (p >= 0)):
+            raise ValueError("powers must be finite and nonnegative")
         if np.any((p > 0) & (ch == OFF)):
             raise ValueError("a positive power requires an assigned channel")
         self.channels = ch
@@ -195,26 +195,32 @@ def edge_gain(i: AccessPoint, model: PropagationModel) -> float:
     return i.coverage_radius ** -model.path_loss_exponent * model.mean_linear_gain
 
 
-def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
-    """Matrix G with G[i, j] = true_gain(i, j); zero diagonal."""
+def _gain_matrix(
+    topology: list[AccessPoint], model: PropagationModel, shadowing: np.ndarray | float
+) -> np.ndarray:
+    """Matrix of path loss from i to j's coverage edge times ``shadowing``; zero diagonal."""
     pos = np.array([ap.position for ap in topology], dtype=float)
     r = np.array([ap.coverage_radius for ap in topology])
     d = np.hypot(pos[:, 0:1] - pos[:, 0:1].T, pos[:, 1:2] - pos[:, 1:2].T)
     eff = np.maximum(d - r[None, :], model.min_separation)
-    g = eff ** -model.path_loss_exponent * model.shadow_samples
+    g = eff ** -model.path_loss_exponent * shadowing
     np.fill_diagonal(g, 0.0)
     return g
+
+
+def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
+    """Matrix G with G[i, j] = true_gain(i, j); zero diagonal."""
+    return _gain_matrix(topology, model, model.shadow_samples)
 
 
 def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
     """Matrix with [i, j] = estimated_gain(i, j); zero diagonal."""
-    pos = np.array([ap.position for ap in topology], dtype=float)
-    r = np.array([ap.coverage_radius for ap in topology])
-    d = np.hypot(pos[:, 0:1] - pos[:, 0:1].T, pos[:, 1:2] - pos[:, 1:2].T)
-    eff = np.maximum(d - r[None, :], model.min_separation)
-    g = eff ** -model.path_loss_exponent * model.mean_linear_gain
-    np.fill_diagonal(g, 0.0)
-    return g
+    return _gain_matrix(topology, model, model.mean_linear_gain)
+
+
+def power_demand(ap: AccessPoint, noise_power: float, interference: float, edge: float) -> float:
+    """Necessary power beta (N0 + I) / g_edge before the cap at ``ap.max_power``."""
+    return ap.sinr_target * (noise_power + interference) / edge
 
 
 def interference_at(
@@ -262,9 +268,8 @@ def necessary_power(
     """Minimum power meeting i's SINR target on k, capped at its budget."""
     if k not in i.channels:
         raise ValueError(f"channel {k} is not available to AP {i.id}")
-    noise_plus_i = model.noise_power + interference_at(i, k, topology, state, model)
-    demand = i.sinr_target * noise_plus_i / edge_gain(i, model)
-    return min(demand, i.max_power)
+    interference = interference_at(i, k, topology, state, model)
+    return min(power_demand(i, model.noise_power, interference, edge_gain(i, model)), i.max_power)
 
 
 def is_satisfied(

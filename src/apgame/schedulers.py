@@ -9,13 +9,13 @@ a maximum power change below the tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import game
 from .game import TraceRecord, UtilityContext, appendixB_potential, exact_potential_full
-from .knowledge import KnowledgeBase
+from .knowledge import KnowledgeBase, nearest_cover_set
 from .model import (
     OFF,
     AccessPoint,
@@ -81,39 +81,25 @@ class RunResult:
     cycle_detected: bool
 
 
-def _resolve_known_masks(
-    knowledge: KnowledgeBase | list[set[int]] | None,
-    n: int,
-) -> np.ndarray | None:
-    """Boolean mask[i, j] = AP i knows AP j; None means full knowledge."""
-    if knowledge is None:
-        return None
-    sets = knowledge.known if isinstance(knowledge, KnowledgeBase) else knowledge
-    masks = np.zeros((n, n), dtype=bool)
-    for i, s in enumerate(sets):
-        for j in s:
-            masks[i, j] = True
-        masks[i, i] = False
-    return masks
-
-
 class _Engine:
-    """Precomputed arrays shared across activations of one dynamics run."""
+    """Precomputed arrays shared across activations of one dynamics run.
 
-    def __init__(self, topology, model, known_masks):
+    ``known_masks[i, j]`` is True iff AP i knows AP j; None means full knowledge.
+    """
+
+    def __init__(self, topology, model, knowledge):
         self.topology = topology
         self.model = model
-        self.n = len(topology)
         self.k_total = num_channels(topology)
         self.gt = true_gain_matrix(topology, model)
         self.ge = estimated_gain_matrix(topology, model)
         self.edge = np.array([edge_gain(ap, model) for ap in topology])
-        self.known_masks = known_masks
-        # neighbor order by ascending distance, used for sufficiency enforcement
-        pos = np.array([ap.position for ap in topology], dtype=float)
-        d = np.hypot(pos[:, 0:1] - pos[:, 0:1].T, pos[:, 1:2] - pos[:, 1:2].T)
-        np.fill_diagonal(d, np.inf)
-        self.neighbor_order = np.argsort(d, axis=1, kind="stable")[:, : self.n - 1]
+        self.known_masks = None
+        if knowledge is not None:
+            sets = knowledge.known if isinstance(knowledge, KnowledgeBase) else knowledge
+            self.known_masks = np.zeros((len(topology), len(topology)), dtype=bool)
+            for i, s in enumerate(sets):
+                self.known_masks[i, list(s)] = True
 
     def context(self, i, channels, powers, enforce_sufficiency):
         act = (channels != OFF) & (powers > 0)
@@ -122,38 +108,22 @@ class _Engine:
         interference = np.zeros(self.k_total)
         np.add.at(interference, channels[idx], powers[idx] * self.gt[idx, i])
         if self.known_masks is None:
-            kn = act.copy()
+            kn = act
         else:
             kn = act & self.known_masks[i]
             if enforce_sufficiency:
-                for j in self._nearest_cover(i, channels, powers):
-                    if act[j]:
-                        kn[j] = True
+                for j in nearest_cover_set(i, self.topology, AllocationState(channels, powers)):
+                    kn[j] |= act[j]
         kidx = np.nonzero(kn)[0]
         generated = np.zeros(self.k_total)
         np.add.at(generated, channels[kidx], self.ge[i, kidx])
         return UtilityContext(
             player=self.topology[i],
-            known=frozenset(int(j) for j in kidx),
             interference=interference,
             generated_weight=generated,
             edge_gain=float(self.edge[i]),
             noise_power=self.model.noise_power,
         )
-
-    def _nearest_cover(self, i, channels, powers):
-        needed = set()
-        for j in range(self.n):
-            if j != i and channels[j] != OFF and powers[j] > 0:
-                needed.add(int(channels[j]))
-        cover = []
-        for j in self.neighbor_order[i]:
-            if not needed:
-                break
-            cover.append(int(j))
-            if powers[j] > 0:
-                needed.discard(int(channels[j]))
-        return cover if not needed else cover
 
 
 def run_dynamics(
@@ -179,11 +149,10 @@ def run_dynamics(
     """
     if responder not in RESPONDERS:
         raise ValueError(f"unknown responder: {responder}")
-    n = len(topology)
-    ids = sorted(active) if active is not None else list(range(n))
+    ids = sorted(active) if active is not None else list(range(len(topology)))
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
-    engine = _Engine(topology, model, _resolve_known_masks(knowledge, n))
+    engine = _Engine(topology, model, knowledge)
 
     if timing.variant == "synchronous":
         per_round = 1

@@ -118,7 +118,6 @@ class TestUtility:
         ctx = utility_context(1, topo, state, model)
         scaled = game.UtilityContext(
             player=ctx.player,
-            known=ctx.known,
             interference=ctx.interference * 1.0,
             generated_weight=ctx.generated_weight * 1.0,
             edge_gain=ctx.edge_gain,
@@ -133,7 +132,6 @@ class TestResponses:
         ap = make_ap(0, 0, 0, beta=1.0, pmax=100.0)
         return game.UtilityContext(
             player=ap,
-            known=frozenset(),
             interference=np.array([u0, u1]),
             generated_weight=np.zeros(2),
             edge_gain=1.0,
@@ -174,7 +172,7 @@ class TestResponses:
     def test_selfish_response_argmin(self):
         ap = make_ap(0, 0, 0, channels=(0, 1, 2))
         ctx = game.UtilityContext(
-            player=ap, known=frozenset(),
+            player=ap,
             interference=np.array([1e-6, 1e-7, 1e-6]),
             generated_weight=np.zeros(3),
             edge_gain=1e-3, noise_power=1e-8,
@@ -184,7 +182,7 @@ class TestResponses:
     def test_selfish_on_empty_channels_picks_lowest(self):
         ap = make_ap(0, 0, 0, radius=10.0, beta=2.0)
         ctx = game.UtilityContext(
-            player=ap, known=frozenset(),
+            player=ap,
             interference=np.zeros(2), generated_weight=np.zeros(2),
             edge_gain=1e-3, noise_power=1e-8,
         )

@@ -212,6 +212,20 @@ class TestCli:
         code = cli.main(self.run_flags(tmp_path, extra=["--num-aps", "-5"]))
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise-power", "nan"),
+        ("--max-power", "inf"),
+        ("--area-width", "-inf"),
+        ("--shadow-mean-db", "nan"),
+    ])
+    def test_non_finite_value_exit_one(self, tmp_path, capsys, flag, value):
+        code = cli.main(self.run_flags(tmp_path, extra=[f"{flag}={value}"]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert flag[2:].replace("-", "_") in err
+        assert "Traceback" not in err
+
     def test_missing_seed_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--out", str(tmp_path / "out")])

@@ -89,6 +89,11 @@ class TestAllocationState:
         with pytest.raises(ValueError):
             AllocationState(np.array([OFF]), np.array([0.01]))
 
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="finite"):
+            AllocationState(np.array([0]), np.array([power]))
+
     def test_all_off(self):
         s = AllocationState.all_off(4)
         assert np.all(s.channels == OFF) and np.all(s.powers == 0)

@@ -6,13 +6,15 @@ import pytest
 from apgame import game
 from apgame.baselines import random_allocation
 from apgame.harness import ScenarioConfig, generate_topology
-from apgame.knowledge import KnowledgeBase
+from apgame.knowledge import DiscoveryState, KnowledgeBase, discovery_tick, nearest_cover_set
 from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
     PropagationModel,
+    estimated_gain_matrix,
     necessary_power,
+    true_gain_matrix,
 )
 from apgame.schedulers import (
     BEST_RESPONSE,
@@ -252,3 +254,62 @@ class TestRunDynamics:
         lines = text.splitlines()
         assert lines[0] == "iteration,mover,old_channel,new_channel,u_before,u_after,P_value"
         assert len(lines) == len(result.trace) + 1
+
+
+class TestSufficiencyEnforcement:
+    """Round-robin best response with partial knowledge and enforce_sufficiency."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(71)
+        cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0,
+                             area_height=300.0, seed=71)
+        topo, model = generate_topology(cfg, rng)
+        state = random_allocation(topo, model, rng)
+        kb = KnowledgeBase.from_topology(topo)
+        dstate = DiscoveryState(rng=np.random.default_rng(72))
+        for _ in range(3):
+            discovery_tick(dstate, kb, topo)
+        return topo, model, state, kb
+
+    def test_moves_match_step_by_step_oracle(self):
+        topo, model, state, kb = self.instance()
+        start = state.copy()
+        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 30,
+                              np.random.default_rng(0), knowledge=kb,
+                              enforce_sufficiency=True)
+        assert result.trace
+
+        # replay the same activations: the player knows its known set plus
+        # its nearest channel-covering neighbors at the current profile
+        gt = true_gain_matrix(topo, model)
+        ge = estimated_gain_matrix(topo, model)
+        oracle = start.copy()
+        moves = []
+        n = len(topo)
+        for t in range(result.iterations * n):
+            i = t % n
+            known = kb.known[i] | nearest_cover_set(i, topo, oracle)
+            ctx = game.utility_context(i, topo, oracle, model, known,
+                                       gains_true=gt, gains_est=ge)
+            old_k = int(oracle.channels[i])
+            new_k, new_p = game.best_response(ctx, old_k)
+            if new_k != old_k:
+                moves.append((i, old_k, new_k, new_p))
+            oracle.channels[i] = new_k
+            oracle.powers[i] = new_p
+
+        recorded = [(r.mover, r.old_channel, r.new_channel, r.new_power)
+                    for r in result.trace]
+        assert recorded == moves
+        assert np.array_equal(state.channels, oracle.channels)
+        assert np.array_equal(state.powers, oracle.powers)
+
+    def test_flag_changes_the_outcome(self):
+        topo, model, state, kb = self.instance()
+        plain = state.copy()
+        run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 30,
+                     np.random.default_rng(0), knowledge=kb, enforce_sufficiency=True)
+        run_dynamics(topo, plain, model, ROUND_ROBIN, BEST_RESPONSE, 30,
+                     np.random.default_rng(0), knowledge=kb)
+        assert not np.array_equal(state.channels, plain.channels)
