@@ -9,6 +9,7 @@ from .model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     estimated_gain,
     interference_at,

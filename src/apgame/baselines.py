@@ -12,6 +12,7 @@ import numpy as np
 from .model import (
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     edge_gain,
     power_demand,
@@ -24,29 +25,21 @@ from .schedulers import SELFISH, RunResult, TimingModel, run_dynamics
 _POWER_PAD = 1e-9
 
 
-def random_allocation(
-    topology: list[AccessPoint],
-    model: PropagationModel,
-    rng: np.random.Generator,
-    *,
-    gains_true: np.ndarray | None = None,
-) -> AllocationState:
+def random_allocation(network: Network, rng: np.random.Generator) -> AllocationState:
     """Uniform channel draw per AP, then one sequential necessary-power pass."""
-    gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
-    state = AllocationState.all_off(len(topology))
-    _draw_allocation(state, range(len(topology)), topology, model, rng, gt)
+    state = AllocationState.all_off(len(network.topology))
+    _draw_allocation(state, range(len(network.topology)), network, rng)
     return state
 
 
 def _draw_allocation(
     state: AllocationState,
     ids: list[int] | range,
-    topology: list[AccessPoint],
-    model: PropagationModel,
+    network: Network,
     rng: np.random.Generator,
-    gt: np.ndarray,
 ) -> None:
     """Switch on the silent APs ``ids``: uniform channel draws, then necessary powers in order."""
+    topology, gt = network.topology, network.gains_true
     for i in ids:
         ks = sorted(topology[i].channels)
         state.channels[i] = ks[int(rng.integers(len(ks)))]
@@ -55,44 +48,41 @@ def _draw_allocation(
         co = (state.channels == state.channels[i]) & (state.powers > 0)
         co[i] = False
         interference = float(np.sum(state.powers[co] * gt[co, i]))
-        demand = power_demand(ap, model.noise_power, interference, edge_gain(ap, model))
+        demand = power_demand(ap, network.model.noise_power, interference, float(network.edge[i]))
         state.powers[i] = min(demand, ap.max_power)
 
 
 def run_selfish(
-    topology: list[AccessPoint],
-    model: PropagationModel,
+    network: Network,
     timing: TimingModel,
     max_rounds: int,
     rng: np.random.Generator,
 ) -> tuple[RunResult, AllocationState]:
     """Least-interference dynamics from a fresh random allocation."""
-    state = random_allocation(topology, model, rng)
-    result = run_dynamics(topology, state, model, timing, SELFISH, max_rounds, rng)
+    state = random_allocation(network, rng)
+    result = run_dynamics(network, state, timing, SELFISH, max_rounds, rng)
     return result, state
 
 
 def _solve_channel_powers(
     members: list[int],
-    topology: list[AccessPoint],
-    model: PropagationModel,
+    beta: np.ndarray,
+    edge: np.ndarray,
+    caps: np.ndarray,
+    noise_power: float,
     gt: np.ndarray,
 ) -> np.ndarray | None:
     """Exact power fixed point for one co-channel group, or None if infeasible.
 
     Solves p_a = beta_a (N0 + sum_b g_ba p_b) / g_aa and requires a stable
-    positive solution with headroom under every power cap.
+    positive solution with headroom under every power cap. ``beta``, ``edge``
+    and ``caps`` are indexed by AP id.
     """
     m = len(members)
-    beta = np.array([topology[a].sinr_target for a in members])
-    edge = np.array([edge_gain(topology[a], model) for a in members])
-    caps = np.array([topology[a].max_power for a in members])
-    coupling = np.zeros((m, m))
-    for ai, a in enumerate(members):
-        for bi, b in enumerate(members):
-            if ai != bi:
-                coupling[ai, bi] = beta[ai] * gt[b, a] / edge[ai]
-    const = beta * model.noise_power / edge
+    beta, edge, caps = beta[members], edge[members], caps[members]
+    # gt has a zero diagonal, so the coupling has one too
+    coupling = beta[:, None] * gt[np.ix_(members, members)].T / edge[:, None]
+    const = beta * noise_power / edge
     if m > 1 and np.max(np.abs(np.linalg.eigvals(coupling))) >= 1.0:
         return None
     try:
@@ -121,6 +111,9 @@ def greedy_admission_bound(
     """
     n = len(topology)
     gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
+    beta = np.array([ap.sinr_target for ap in topology])
+    edge = np.array([edge_gain(ap, model) for ap in topology])
+    caps = np.array([ap.max_power for ap in topology])
     state = AllocationState.all_off(n)
     order = [int(i) for i in rng.permutation(n)]
     for i in order:
@@ -130,12 +123,12 @@ def greedy_admission_bound(
         for k in sorted(ap.channels):
             co = (state.channels == k) & (state.powers > 0)
             interference = float(np.sum(state.powers[co] * gt[co, i]))
-            demand = power_demand(ap, model.noise_power, interference, edge_gain(ap, model))
+            demand = power_demand(ap, model.noise_power, interference, float(edge[i]))
             if demand < best_demand:
                 best_k, best_demand = k, demand
-        members = [j for j in range(n) if state.channels[j] == best_k and state.powers[j] > 0]
-        members.append(i)
-        solved = _solve_channel_powers(members, topology, model, gt)
+        on_k = (state.channels == best_k) & (state.powers > 0)
+        members = np.flatnonzero(on_k).tolist() + [i]
+        solved = _solve_channel_powers(members, beta, edge, caps, model.noise_power, gt)
         if solved is None:
             continue
         state.channels[i] = best_k

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .harness import (
     run_experiment,
 )
 from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
+from .model import Network
 from .schedulers import BEST_RESPONSE, ROUND_ROBIN, run_dynamics
 
 EXIT_OK = 0
@@ -82,6 +84,12 @@ def _cmd_domino(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes must be positive, got {args.sizes}")
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be positive, got {args.repeats}")
+    if args.max_ticks < 0:
+        raise ValueError(f"--max-ticks must be nonnegative, got {args.max_ticks}")
     rows = []
     for n in sizes:
         times = []
@@ -109,17 +117,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _instances(
+    seed: int, first_stream: int, count: int, **scenario: float
+) -> Iterator[tuple[np.random.Generator, Network]]:
+    """``count`` seeded verification instances: each stream's rng and its network."""
+    for rep in range(count):
+        rng = np.random.default_rng((seed, first_stream + rep))
+        cfg = ScenarioConfig(seed=seed, **scenario)
+        yield rng, Network(*generate_topology(cfg, rng))
+
+
 def _verify_exactness(seed: int) -> tuple[bool, str]:
     ok = True
     worst = 0.0
-    for rep in range(10):
-        rng = np.random.default_rng((seed, rep))
-        cfg = ScenarioConfig(num_aps=8, num_channels=3, area_width=200.0, area_height=200.0,
-                             coverage_radius_min=10.0, coverage_radius_max=10.0, seed=seed)
-        topology, model = generate_topology(cfg, rng)
-        report = game.verify_exact_potential(
-            topology, model, trials=200, tol=1e-9, rng=rng
-        )
+    for rng, network in _instances(seed, 0, 10, num_aps=8, num_channels=3, area_width=200.0,
+                                   area_height=200.0, coverage_radius_min=10.0,
+                                   coverage_radius_max=10.0):
+        report = game.verify_exact_potential(network, trials=200, tol=1e-9, rng=rng)
         worst = max(worst, report.max_violation)
         ok = ok and report.passed
     return ok, f"exact-potential max_violation={worst:.3g}"
@@ -127,16 +141,12 @@ def _verify_exactness(seed: int) -> tuple[bool, str]:
 
 def _verify_ordinal(seed: int) -> tuple[bool, str]:
     violations = 0
-    for rep in range(10):
-        rng = np.random.default_rng((seed, 1000 + rep))
-        cfg = ScenarioConfig(num_aps=20, num_channels=3, area_width=300.0,
-                             area_height=300.0, shadow_std_db=0.0, seed=seed)
-        topology, model = generate_topology(cfg, rng)
-        state = random_allocation(topology, model, rng)
+    for rng, network in _instances(seed, 1000, 10, num_aps=20, num_channels=3,
+                                   area_width=300.0, area_height=300.0, shadow_std_db=0.0):
+        state = random_allocation(network, rng)
         result = run_dynamics(
-            topology, state, model, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
-            enforce_sufficiency=True,
-            record_potential=game.FLAVOR_EXACT_FULL,
+            network, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
+            enforce_sufficiency=True, record_potential=True,
         )
         report = game.verify_ordinal_improvement(result.trace)
         violations += len(report.violations())
@@ -145,15 +155,13 @@ def _verify_ordinal(seed: int) -> tuple[bool, str]:
 
 def _verify_nash(seed: int) -> tuple[bool, str]:
     failures = 0
-    for rep in range(20):
-        rng = np.random.default_rng((seed, 2000 + rep))
-        cfg = ScenarioConfig(num_aps=5, num_channels=3, area_width=150.0,
-                             area_height=150.0, seed=seed)
-        topology, model = generate_topology(cfg, rng)
-        state = random_allocation(topology, model, rng)
-        result = run_dynamics(topology, state, model, ROUND_ROBIN,
-                              BEST_RESPONSE, 100, rng)
-        if result.converged and not game.is_nash_equilibrium(topology, state, model):
+    for rng, network in _instances(seed, 2000, 20, num_aps=5, num_channels=3,
+                                   area_width=150.0, area_height=150.0):
+        state = random_allocation(network, rng)
+        result = run_dynamics(network, state, ROUND_ROBIN, BEST_RESPONSE, 100, rng)
+        if result.converged and not game.is_nash_equilibrium(
+            network.topology, state, network.model
+        ):
             failures += 1
     return failures == 0, f"converged-profile NE failures={failures}"
 

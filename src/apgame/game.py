@@ -17,6 +17,7 @@ from .model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     edge_gain,
     estimated_gain,
@@ -28,7 +29,6 @@ from .model import (
 )
 
 FLAVOR_EXACT_FULL = "exact-full"
-FLAVOR_APPENDIX_A = "appendix-a-local"
 FLAVOR_APPENDIX_B = "appendix-b-selfish"
 
 
@@ -139,21 +139,13 @@ def _co_channel_mask(state: AllocationState) -> np.ndarray:
     return co
 
 
-def exact_potential_full(
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-    *,
-    gains_true: np.ndarray | None = None,
-    gains_est: np.ndarray | None = None,
-) -> PotentialValue:
+def exact_potential_full(network: Network, state: AllocationState) -> PotentialValue:
     """Half-sum potential of the full-knowledge game.
 
     Necessary powers are frozen at the current transmit powers, so the value
     depends only on the profile.
     """
-    gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
-    ge = gains_est if gains_est is not None else estimated_gain_matrix(topology, model)
+    gt, ge = network.gains_true, network.gains_est
     co = _co_channel_mask(state)
     p = state.powers
     received = float(np.sum(co * (p[:, None] * gt)))   # sum_i sum_j p_j g_ji over co-channel
@@ -161,18 +153,11 @@ def exact_potential_full(
     return PotentialValue(value=-0.5 * (received + generated), flavor=FLAVOR_EXACT_FULL)
 
 
-def appendixB_potential(
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-    *,
-    gains_true: np.ndarray | None = None,
-) -> PotentialValue:
+def appendixB_potential(network: Network, state: AllocationState) -> PotentialValue:
     """Sum over APs of the altered selfish utility (interference times own power)."""
-    gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
     co = _co_channel_mask(state)
     p = state.powers
-    value = float(np.sum(co * (p[:, None] * p[None, :]) * gt))
+    value = float(np.sum(co * (p[:, None] * p[None, :]) * network.gains_true))
     return PotentialValue(value=value, flavor=FLAVOR_APPENDIX_B)
 
 
@@ -180,7 +165,6 @@ def is_nash_equilibrium(
     topology: list[AccessPoint],
     state: AllocationState,
     model: PropagationModel,
-    known_sets: list[frozenset[int]] | None = None,
 ) -> bool:
     """True iff no AP strictly improves by a unilateral channel change.
 
@@ -194,9 +178,8 @@ def is_nash_equilibrium(
     gt = true_gain_matrix(topology, model)
     ge = estimated_gain_matrix(topology, model)
     for i, ap in enumerate(topology):
-        known = known_sets[i] if known_sets is not None else None
         ctx = utility_context(
-            i, topology, state, model, known,
+            i, topology, state, model,
             gains_true=gt, gains_est=ge, channel_count=k_total,
         )
         cur = int(state.channels[i])
@@ -254,8 +237,7 @@ class VerificationReport:
 
 
 def verify_exact_potential(
-    topology: list[AccessPoint],
-    model: PropagationModel,
+    network: Network,
     *,
     trials: int,
     tol: float,
@@ -271,8 +253,9 @@ def verify_exact_potential(
     changes agree to rounding; with unequal radii violations are expected and
     reported rather than raised.
     """
+    topology = network.topology
+    gt = network.gains_true
     n = len(topology)
-    gt = true_gain_matrix(topology, model)
     channels = np.empty(n, dtype=np.int64)
     for i, ap in enumerate(topology):
         ks = sorted(ap.channels)
@@ -292,9 +275,9 @@ def verify_exact_potential(
         new_k = ks[int(rng.integers(len(ks)))]
         old_k = int(state.channels[i])
         du = altered_utility(i, new_k) - altered_utility(i, old_k)
-        p_old = appendixB_potential(topology, state, model, gains_true=gt).value
+        p_old = appendixB_potential(network, state).value
         state.channels[i] = new_k
-        p_new = appendixB_potential(topology, state, model, gains_true=gt).value
+        p_new = appendixB_potential(network, state).value
         d_phi = 0.5 * (p_new - p_old)
         gap = abs(du - d_phi)
         report.max_violation = max(report.max_violation, gap)

@@ -18,13 +18,7 @@ import numpy as np
 
 from .baselines import _draw_allocation, greedy_admission_bound, random_allocation
 from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
-from .model import (
-    AccessPoint,
-    AllocationState,
-    PropagationModel,
-    satisfied_mask,
-    true_gain_matrix,
-)
+from .model import AccessPoint, AllocationState, Network, PropagationModel, satisfied_mask
 from .schedulers import BEST_RESPONSE, ROUND_ROBIN, SELFISH, run_dynamics
 
 
@@ -195,20 +189,18 @@ def _timestamps(config: ScenarioConfig) -> list[float]:
 
 
 def _setup(config: ScenarioConfig, num_aps: int | None = None) -> tuple[
-    list[AccessPoint], PropagationModel, np.ndarray, KnowledgeBase, DiscoveryState,
-    list[np.random.Generator],
+    Network, KnowledgeBase, DiscoveryState, list[np.random.Generator],
 ]:
-    """Topology, true gains, empty knowledge, discovery state and six allocation streams.
+    """Network, empty knowledge, discovery state and six allocation streams.
 
     The streams come from fixed slots of the seed sequence drawn from ``config.seed``.
     """
     seeds = np.random.default_rng(config.seed).integers(2**63, size=8)
     topo_rng, discovery_rng, *streams = [np.random.default_rng(s) for s in seeds]
-    topology, model = generate_topology(config, topo_rng, num_aps=num_aps)
-    gt = true_gain_matrix(topology, model)
-    kb = KnowledgeBase.from_topology(topology)
+    network = Network(*generate_topology(config, topo_rng, num_aps=num_aps))
+    kb = KnowledgeBase.from_topology(network.topology)
     dstate = DiscoveryState(rng=discovery_rng, samples_per_tick=config.samples_per_tick)
-    return topology, model, gt, kb, dstate, streams
+    return network, kb, dstate, streams
 
 
 def run_experiment(config: ScenarioConfig) -> MetricsSeries:
@@ -220,11 +212,12 @@ def run_experiment(config: ScenarioConfig) -> MetricsSeries:
     and is therefore constant over time.
     """
     config.validate()
-    topology, model, gt, kb, dstate, streams = _setup(config)
+    network, kb, dstate, streams = _setup(config)
+    topology, model, gt = network.topology, network.model, network.gains_true
     game_rng, selfish_rng, random_rng, bound_rng = streams[:4]
 
-    game_state = random_allocation(topology, model, game_rng, gains_true=gt)
-    selfish_state = random_allocation(topology, model, selfish_rng, gains_true=gt)
+    game_state = random_allocation(network, game_rng)
+    selfish_state = random_allocation(network, selfish_rng)
     bound_state, bound_count = greedy_admission_bound(topology, model, bound_rng, gains_true=gt)
 
     ticks_per_period = int(round(config.allocation_period))
@@ -241,14 +234,14 @@ def run_experiment(config: ScenarioConfig) -> MetricsSeries:
             for _ in range(ticks_per_period):
                 discovery_tick(dstate, kb, topology)
         game_run = run_dynamics(
-            topology, game_state, model, ROUND_ROBIN, BEST_RESPONSE,
+            network, game_state, ROUND_ROBIN, BEST_RESPONSE,
             config.max_iterations, game_rng, knowledge=kb,
         )
         selfish_run = run_dynamics(
-            topology, selfish_state, model, ROUND_ROBIN, SELFISH,
+            network, selfish_state, ROUND_ROBIN, SELFISH,
             config.max_iterations, selfish_rng,
         )
-        random_state = random_allocation(topology, model, random_rng, gains_true=gt)
+        random_state = random_allocation(network, random_rng)
         _, missing = discovery_complete(kb, topology)
         changes = int(np.sum(game_state.channels != prev_game_channels))
         prev_game_channels = game_state.channels.copy()
@@ -282,12 +275,13 @@ def domino_experiment(
     if not 0 < insert_time < config.duration:
         raise ValueError("insert_time must fall inside the experiment duration")
     total = config.num_aps + num_inserted
-    topology, model, gt, kb, dstate, streams = _setup(config, total)
+    network, kb, dstate, streams = _setup(config, total)
+    topology = network.topology
     game_rng = streams[0]
 
     active = set(range(config.num_aps))
     state = AllocationState.all_off(total)
-    _draw_allocation(state, sorted(active), topology, model, game_rng, gt)
+    _draw_allocation(state, sorted(active), network, game_rng)
 
     ticks_per_period = int(round(config.allocation_period))
     columns = ["time", "satisfied_game", "rounds_game", "missing_candidates",
@@ -300,14 +294,14 @@ def domino_experiment(
     for t in _timestamps(config):
         if not inserted and t >= insert_time and num_inserted > 0:
             newcomers = range(config.num_aps, total)
-            _draw_allocation(state, newcomers, topology, model, game_rng, gt)
+            _draw_allocation(state, newcomers, network, game_rng)
             active |= set(newcomers)
             inserted = True
         if t > 0:
             for _ in range(ticks_per_period):
                 discovery_tick(dstate, kb, topology, active=active)
         run = run_dynamics(
-            topology, state, model, ROUND_ROBIN, BEST_RESPONSE,
+            network, state, ROUND_ROBIN, BEST_RESPONSE,
             config.max_iterations, game_rng, knowledge=kb, active=active,
         )
         _, missing = discovery_complete(kb, topology, active=active)
@@ -315,7 +309,7 @@ def domino_experiment(
         changes = int(np.sum(state.channels[stable_ids] != prev_channels[stable_ids]))
         prev_channels = state.channels.copy()
         prev_active = set(active)
-        sat = satisfied_mask(topology, state, model, gains_true=gt)
+        sat = satisfied_mask(topology, state, network.model, gains_true=network.gains_true)
         series.rows.append([
             t,
             float(np.sum(sat[sorted(active)])),

@@ -8,7 +8,7 @@ their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +90,9 @@ class PropagationModel:
             raise ValueError("shadow_samples must be symmetric")
         if np.any(z <= 0):
             raise ValueError("shadow gains must be positive")
+        for name in ("path_loss_exponent", "noise_power", "min_separation"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.min_separation <= 0:
             raise ValueError("min_separation must be positive")
         if self.path_loss_exponent < 2:
@@ -216,6 +219,35 @@ def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np
 def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
     """Matrix with [i, j] = estimated_gain(i, j); zero diagonal."""
     return _gain_matrix(topology, model, model.mean_linear_gain)
+
+
+@dataclass(frozen=True, eq=False)
+class Network:
+    """Per-topology arrays that stay fixed while profiles and knowledge change.
+
+    ``edge[i]`` is AP i's ``edge_gain``; ``gains_true`` and ``gains_est`` are
+    ``true_gain_matrix`` and ``estimated_gain_matrix``. All three arrays are
+    read-only.
+    """
+
+    topology: list[AccessPoint]
+    model: PropagationModel
+    edge: np.ndarray = field(init=False, repr=False)
+    gains_true: np.ndarray = field(init=False, repr=False)
+    gains_est: np.ndarray = field(init=False, repr=False)
+    num_channels: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        topology, model = self.topology, self.model
+        arrays = {
+            "edge": np.array([edge_gain(ap, model) for ap in topology]),
+            "gains_true": true_gain_matrix(topology, model),
+            "gains_est": estimated_gain_matrix(topology, model),
+        }
+        for name, a in arrays.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "num_channels", num_channels(topology))
 
 
 def power_demand(ap: AccessPoint, noise_power: float, interference: float, edge: float) -> float:

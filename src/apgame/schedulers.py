@@ -14,23 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
-from .game import TraceRecord, UtilityContext, appendixB_potential, exact_potential_full
+from .game import TraceRecord, UtilityContext, exact_potential_full
 from .knowledge import KnowledgeBase, nearest_cover_set
-from .model import (
-    OFF,
-    AccessPoint,
-    AllocationState,
-    PropagationModel,
-    edge_gain,
-    estimated_gain_matrix,
-    num_channels,
-    true_gain_matrix,
-)
+from .model import OFF, AllocationState, Network
 
 BEST_RESPONSE = "best-response"
 SELFISH = "selfish"
-RANDOM_RESPONSE = "random"
-RESPONDERS = (BEST_RESPONSE, SELFISH, RANDOM_RESPONSE)
+RESPONDERS = (BEST_RESPONSE, SELFISH)
 
 POWER_TOLERANCE = 1e-12  # watts
 
@@ -81,55 +71,45 @@ class RunResult:
     cycle_detected: bool
 
 
-class _Engine:
-    """Precomputed arrays shared across activations of one dynamics run.
+def _context(
+    network: Network,
+    known_mask: np.ndarray | None,
+    i: int,
+    channels: np.ndarray,
+    powers: np.ndarray,
+    enforce_sufficiency: bool,
+) -> UtilityContext:
+    """Player i's utility context at the profile (channels, powers).
 
-    ``known_masks[i, j]`` is True iff AP i knows AP j; None means full knowledge.
+    ``known_mask[i, j]`` is True iff AP i knows AP j; None means full knowledge.
     """
-
-    def __init__(self, topology, model, knowledge):
-        self.topology = topology
-        self.model = model
-        self.k_total = num_channels(topology)
-        self.gt = true_gain_matrix(topology, model)
-        self.ge = estimated_gain_matrix(topology, model)
-        self.edge = np.array([edge_gain(ap, model) for ap in topology])
-        self.known_masks = None
-        if knowledge is not None:
-            sets = knowledge.known if isinstance(knowledge, KnowledgeBase) else knowledge
-            self.known_masks = np.zeros((len(topology), len(topology)), dtype=bool)
-            for i, s in enumerate(sets):
-                self.known_masks[i, list(s)] = True
-
-    def context(self, i, channels, powers, enforce_sufficiency):
-        act = (channels != OFF) & (powers > 0)
-        act[i] = False
-        idx = np.nonzero(act)[0]
-        interference = np.zeros(self.k_total)
-        np.add.at(interference, channels[idx], powers[idx] * self.gt[idx, i])
-        if self.known_masks is None:
-            kn = act
-        else:
-            kn = act & self.known_masks[i]
-            if enforce_sufficiency:
-                for j in nearest_cover_set(i, self.topology, AllocationState(channels, powers)):
-                    kn[j] |= act[j]
-        kidx = np.nonzero(kn)[0]
-        generated = np.zeros(self.k_total)
-        np.add.at(generated, channels[kidx], self.ge[i, kidx])
-        return UtilityContext(
-            player=self.topology[i],
-            interference=interference,
-            generated_weight=generated,
-            edge_gain=float(self.edge[i]),
-            noise_power=self.model.noise_power,
-        )
+    act = (channels != OFF) & (powers > 0)
+    act[i] = False
+    idx = np.nonzero(act)[0]
+    interference = np.zeros(network.num_channels)
+    np.add.at(interference, channels[idx], powers[idx] * network.gains_true[idx, i])
+    if known_mask is None:
+        kn = act
+    else:
+        kn = act & known_mask[i]
+        if enforce_sufficiency:
+            for j in nearest_cover_set(i, network.topology, AllocationState(channels, powers)):
+                kn[j] |= act[j]
+    kidx = np.nonzero(kn)[0]
+    generated = np.zeros(network.num_channels)
+    np.add.at(generated, channels[kidx], network.gains_est[i, kidx])
+    return UtilityContext(
+        player=network.topology[i],
+        interference=interference,
+        generated_weight=generated,
+        edge_gain=float(network.edge[i]),
+        noise_power=network.model.noise_power,
+    )
 
 
 def run_dynamics(
-    topology: list[AccessPoint],
+    network: Network,
     state: AllocationState,
-    model: PropagationModel,
     timing: TimingModel,
     responder: str,
     max_rounds: int,
@@ -137,22 +117,29 @@ def run_dynamics(
     *,
     knowledge: KnowledgeBase | list[set[int]] | None = None,
     enforce_sufficiency: bool = False,
-    record_potential: str | None = None,
+    record_potential: bool = False,
     active: set[int] | None = None,
-    power_tolerance: float = POWER_TOLERANCE,
 ) -> RunResult:
     """Iterate the chosen response rule until convergence or the round cap.
 
     Mutates ``state`` in place. Non-convergence is a result, not an error.
     A revisited channel profile after at least one channel change marks a
-    cycle; the flag is only reported when the run did not converge.
+    cycle; the flag is only reported when the run did not converge. With
+    ``record_potential`` every move records ``exact_potential_full``.
     """
     if responder not in RESPONDERS:
         raise ValueError(f"unknown responder: {responder}")
-    ids = sorted(active) if active is not None else list(range(len(topology)))
+    respond = game.best_response if responder == BEST_RESPONSE else game.selfish_response
+    n = len(network.topology)
+    ids = sorted(active) if active is not None else list(range(n))
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
-    engine = _Engine(topology, model, knowledge)
+    known_mask = None
+    if knowledge is not None:
+        sets = knowledge.known if isinstance(knowledge, KnowledgeBase) else knowledge
+        known_mask = np.zeros((n, n), dtype=bool)
+        for i, s in enumerate(sets):
+            known_mask[i, list(s)] = True
 
     if timing.variant == "synchronous":
         per_round = 1
@@ -160,13 +147,6 @@ def run_dynamics(
         per_round = math.ceil(len(ids) / min(timing.subset_size, len(ids)))
     else:
         per_round = len(ids)
-
-    def potential(st: AllocationState) -> float:
-        if record_potential == game.FLAVOR_APPENDIX_B:
-            return appendixB_potential(topology, st, model, gains_true=engine.gt).value
-        return exact_potential_full(
-            topology, st, model, gains_true=engine.gt, gains_est=engine.ge
-        ).value
 
     trace: list[TraceRecord] = []
     seen = {state.channels.tobytes()}
@@ -184,16 +164,9 @@ def run_dynamics(
             snap_p = state.powers.copy()
             updates = []
             for i in movers:
-                ctx = engine.context(i, snap_ch, snap_p, enforce_sufficiency)
+                ctx = _context(network, known_mask, i, snap_ch, snap_p, enforce_sufficiency)
                 old_k = int(snap_ch[i])
-                if responder == BEST_RESPONSE:
-                    new_k, new_p = game.best_response(ctx, old_k)
-                elif responder == SELFISH:
-                    new_k, new_p = game.selfish_response(ctx, old_k)
-                else:
-                    ks = sorted(topology[i].channels)
-                    new_k = ks[int(rng.integers(len(ks)))]
-                    new_p = ctx.necessary_power(new_k)
+                new_k, new_p = respond(ctx, old_k)
                 u_before = game.utility(ctx, old_k) if old_k != OFF else -math.inf
                 u_after = game.utility(ctx, new_k)
                 updates.append((i, old_k, new_k, new_p, u_before, u_after, ctx))
@@ -202,16 +175,17 @@ def run_dynamics(
                 old_p = float(state.powers[i])
                 round_max_dp = max(round_max_dp, abs(new_p - old_p))
                 if new_k != old_k:
-                    p_before = None
+                    p_before = p_after = None
                     if record_potential:
                         # the response refreshes the mover's power before the
                         # channel switch; book the potential against that
                         if old_k != OFF:
                             state.powers[i] = ctx.necessary_power(old_k)
-                        p_before = potential(state)
+                        p_before = exact_potential_full(network, state).value
                     state.channels[i] = new_k
                     state.powers[i] = new_p
-                    p_after = potential(state) if record_potential else None
+                    if record_potential:
+                        p_after = exact_potential_full(network, state).value
                     trace.append(TraceRecord(
                         mover=i, old_channel=old_k, new_channel=new_k,
                         old_power=old_p, new_power=new_p,
@@ -230,7 +204,7 @@ def run_dynamics(
                 else:
                     seen.add(key)
         rounds = rnd + 1
-        if not round_channel_change and round_max_dp < power_tolerance:
+        if not round_channel_change and round_max_dp < POWER_TOLERANCE:
             converged = True
             break
 

@@ -19,6 +19,7 @@ from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     edge_gain,
     estimated_gain,
@@ -51,8 +52,8 @@ def test_criterion_1_exact_potential():
         cfg = ScenarioConfig(num_aps=n, num_channels=3, area_width=200.0,
                              area_height=200.0, coverage_radius_min=10.0,
                              coverage_radius_max=10.0, seed=101)
-        topo, model = generate_topology(cfg, rng)
-        rep = game.verify_exact_potential(topo, model, trials=1000, tol=1e-9, rng=rng)
+        net = Network(*generate_topology(cfg, rng))
+        rep = game.verify_exact_potential(net, trials=1000, tol=1e-9, rng=rng)
         worst = max(worst, rep.max_violation)
         all_ok = all_ok and rep.passed
     elapsed = time.time() - t0
@@ -74,11 +75,11 @@ def test_criterion_2_ordinal_monotonicity():
     for seed in range(100):
         rng = np.random.default_rng((2024, seed))
         cfg = ScenarioConfig(num_aps=50, num_channels=5, shadow_std_db=0.0, seed=2024)
-        topo, model = generate_topology(cfg, rng)
-        state = random_allocation(topo, model, rng)
+        net = Network(*generate_topology(cfg, rng))
+        state = random_allocation(net, rng)
         result = run_dynamics(
-            topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
-            enforce_sufficiency=True, record_potential=game.FLAVOR_EXACT_FULL,
+            net, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
+            enforce_sufficiency=True, record_potential=True,
         )
         converged += result.converged
         rep = game.verify_ordinal_improvement(result.trace)
@@ -153,8 +154,9 @@ def test_criterion_3_ne_oracle():
         cfg = ScenarioConfig(num_aps=6, num_channels=3, area_width=150.0,
                              area_height=150.0, seed=103)
         topo, model = generate_topology(cfg, rng)
-        state = random_allocation(topo, model, rng)
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 100, rng)
+        net = Network(topo, model)
+        state = random_allocation(net, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 100, rng)
         if result.converged:
             converged_checked += 1
             oracle_ok = oracle_ok and game.is_nash_equilibrium(topo, state, model)
@@ -205,10 +207,10 @@ def _symmetric_pair():
 def test_criterion_4_synchronous_cycle():
     t0 = time.time()
     topo, model, state = _symmetric_pair()
-    sync = run_dynamics(topo, state, model, SYNCHRONOUS, BEST_RESPONSE, 10,
+    sync = run_dynamics(Network(topo, model), state, SYNCHRONOUS, BEST_RESPONSE, 10,
                         np.random.default_rng(0))
     topo, model, state = _symmetric_pair()
-    seq = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 10,
+    seq = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10,
                        np.random.default_rng(0))
     elapsed = time.time() - t0
     ok = (sync.cycle_detected and not sync.converged and sync.iterations <= 10
@@ -231,8 +233,8 @@ def test_criterion_5_selfish_convergence():
         cfg = ScenarioConfig(num_aps=30, num_channels=5, area_width=300.0,
                              area_height=300.0, coverage_radius_min=10.0,
                              coverage_radius_max=10.0, seed=11)
-        topo, model = generate_topology(cfg, rng)
-        result, _ = run_selfish(topo, model, ROUND_ROBIN, 50, rng)
+        net = Network(*generate_topology(cfg, rng))
+        result, _ = run_selfish(net, ROUND_ROBIN, 50, rng)
         equal_converged += result.converged
 
     hetero_failed = 0
@@ -241,8 +243,8 @@ def test_criterion_5_selfish_convergence():
         cfg = ScenarioConfig(num_aps=30, num_channels=5, area_width=80.0,
                              area_height=80.0, coverage_radius_min=3.0,
                              coverage_radius_max=20.0, seed=12)
-        topo, model = generate_topology(cfg, rng)
-        result, _ = run_selfish(topo, model, ROUND_ROBIN, 50, rng)
+        net = Network(*generate_topology(cfg, rng))
+        result, _ = run_selfish(net, ROUND_ROBIN, 50, rng)
         hetero_failed += not result.converged
     elapsed = time.time() - t0
     ok = equal_converged == 100 and hetero_failed > 0 and elapsed < 60.0

@@ -12,6 +12,7 @@ from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     edge_gain,
     satisfied_mask,
@@ -44,17 +45,17 @@ def flat_model(n):
 class TestRandomAllocation:
     def test_singleton_channel_set(self):
         topo = [make_ap(0, 0.0, 0.0, channels=(4,))]
-        state = random_allocation(topo, flat_model(1), np.random.default_rng(0))
+        state = random_allocation(Network(topo, flat_model(1)), np.random.default_rng(0))
         assert state.channels[0] == 4
 
     def test_channel_distribution_uniform(self):
         # 1e4 draws over 13 channels; chi-square goodness of fit
         topo = [make_ap(0, 0.0, 0.0, channels=tuple(range(13)))]
-        model = flat_model(1)
+        net = Network(topo, flat_model(1))
         rng = np.random.default_rng(42)
         counts = np.zeros(13)
         for _ in range(10_000):
-            counts[random_allocation(topo, model, rng).channels[0]] += 1
+            counts[random_allocation(net, rng).channels[0]] += 1
         _, p_value = stats.chisquare(counts)
         assert p_value > 0.01
 
@@ -62,9 +63,9 @@ class TestRandomAllocation:
         rng = np.random.default_rng(3)
         cfg = ScenarioConfig(num_aps=25, num_channels=5, area_width=300.0,
                              area_height=300.0, seed=3)
-        topo, model = generate_topology(cfg, rng)
-        a = random_allocation(topo, model, np.random.default_rng(11))
-        b = random_allocation(topo, model, np.random.default_rng(11))
+        net = Network(*generate_topology(cfg, rng))
+        a = random_allocation(net, np.random.default_rng(11))
+        b = random_allocation(net, np.random.default_rng(11))
         assert np.array_equal(a.channels, b.channels)
         assert np.array_equal(a.powers, b.powers)
 
@@ -75,7 +76,7 @@ class TestRandomAllocation:
         cfg = ScenarioConfig(num_aps=10, num_channels=2, area_width=150.0,
                              area_height=150.0, seed=4)
         topo, model = generate_topology(cfg, rng)
-        state = random_allocation(topo, model, np.random.default_rng(5))
+        state = random_allocation(Network(topo, model), np.random.default_rng(5))
         gt = true_gain_matrix(topology=topo, model=model)
         for i, ap in enumerate(topo):
             interference = sum(
@@ -93,8 +94,8 @@ class TestRunSelfish:
         rng = np.random.default_rng(6)
         cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=300.0,
                              area_height=300.0, seed=6)
-        topo, model = generate_topology(cfg, rng)
-        result, state = run_selfish(topo, model, ROUND_ROBIN, 50, rng)
+        net = Network(*generate_topology(cfg, rng))
+        result, state = run_selfish(net, ROUND_ROBIN, 50, rng)
         assert state.num_aps == 15
         assert result.iterations <= 50
 
@@ -104,8 +105,8 @@ class TestRunSelfish:
             cfg = ScenarioConfig(num_aps=30, num_channels=5, area_width=300.0,
                                  area_height=300.0, coverage_radius_min=10.0,
                                  coverage_radius_max=10.0, seed=71)
-            topo, model = generate_topology(cfg, rng)
-            result, _ = run_selfish(topo, model, ROUND_ROBIN, 50, rng)
+            net = Network(*generate_topology(cfg, rng))
+            result, _ = run_selfish(net, ROUND_ROBIN, 50, rng)
             assert result.converged
 
 

@@ -25,6 +25,7 @@ from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     edge_gain,
     estimated_gain,
@@ -213,12 +214,12 @@ class TestPotentials:
     def test_exact_potential_all_off(self):
         topo = [make_ap(0, 0, 0), make_ap(1, 50, 0)]
         state = AllocationState.all_off(2)
-        assert exact_potential_full(topo, state, make_model(2)).value == 0.0
+        assert exact_potential_full(Network(topo, make_model(2)), state).value == 0.0
 
     def test_exact_potential_orthogonal_pair(self):
         topo = [make_ap(0, 0, 0), make_ap(1, 50, 0)]
         state = AllocationState(np.array([0, 1]), np.array([0.01, 0.02]))
-        assert exact_potential_full(topo, state, make_model(2)).value == 0.0
+        assert exact_potential_full(Network(topo, make_model(2)), state).value == 0.0
 
     def test_exact_potential_cochannel_pair_hand_sum(self):
         # symmetric gains g and no shadowing: value is -g (p1 + p2)
@@ -227,15 +228,16 @@ class TestPotentials:
         g = true_gain(topo[0], topo[1], model)
         p1, p2 = 0.03, 0.07
         state = AllocationState(np.array([1, 1]), np.array([p1, p2]))
-        value = exact_potential_full(topo, state, model).value
+        value = exact_potential_full(Network(topo, model), state).value
         assert value == pytest.approx(-g * (p1 + p2))
 
     def test_appendixB_all_off_and_orthogonal(self):
         topo = [make_ap(0, 0, 0), make_ap(1, 50, 0)]
         model = make_model(2)
-        assert appendixB_potential(topo, AllocationState.all_off(2), model).value == 0.0
+        net = Network(topo, model)
+        assert appendixB_potential(net, AllocationState.all_off(2)).value == 0.0
         ortho = AllocationState(np.array([0, 1]), np.array([0.01, 0.02]))
-        assert appendixB_potential(topo, ortho, model).value == 0.0
+        assert appendixB_potential(net, ortho).value == 0.0
 
     def test_appendixB_cochannel_pair(self):
         topo = [make_ap(0, 0, 0, radius=10.0), make_ap(1, 50, 0, radius=10.0)]
@@ -243,7 +245,7 @@ class TestPotentials:
         g = true_gain(topo[0], topo[1], model)
         p1, p2 = 0.03, 0.07
         state = AllocationState(np.array([0, 0]), np.array([p1, p2]))
-        assert appendixB_potential(topo, state, model).value == pytest.approx(
+        assert appendixB_potential(Network(topo, model), state).value == pytest.approx(
             2 * g * p1 * p2
         )
 
@@ -295,7 +297,7 @@ class TestVerifiers:
             for i in range(n)
         ]
         model = PropagationModel.sample(n, rng)
-        report = verify_exact_potential(topo, model, trials=300, tol=1e-9, rng=rng)
+        report = verify_exact_potential(Network(topo, model), trials=300, tol=1e-9, rng=rng)
         assert report.passed
         assert report.max_violation <= 1e-9
 
@@ -306,14 +308,14 @@ class TestVerifiers:
                 make_ap(1, 30.0, 0.0, radius=20.0, channels=(0, 1))]
         model = make_model(2)
         rng = np.random.default_rng(9)
-        report = verify_exact_potential(topo, model, trials=200, tol=1e-12, rng=rng)
+        report = verify_exact_potential(Network(topo, model), trials=200, tol=1e-12, rng=rng)
         assert not report.passed
 
     def test_noop_deviation_has_zero_deltas(self):
         topo = [make_ap(0, 0, 0, channels=(0,)), make_ap(1, 60, 0, channels=(0,))]
         model = make_model(2)
         rng = np.random.default_rng(10)
-        report = verify_exact_potential(topo, model, trials=50, tol=1e-9, rng=rng)
+        report = verify_exact_potential(Network(topo, model), trials=50, tol=1e-9, rng=rng)
         assert all(f.delta_u == 0 and f.delta_potential == 0 for f in report.findings)
 
     def test_ordinal_empty_trace_passes(self):
@@ -341,7 +343,7 @@ class TestVerifiers:
         rng = np.random.default_rng(11)
         topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=8.0) for i in range(4)]
         model = make_model(4)
-        report = verify_exact_potential(topo, model, trials=10, tol=1e-9, rng=rng)
+        report = verify_exact_potential(Network(topo, model), trials=10, tol=1e-9, rng=rng)
         lines = report.to_text().splitlines()
         assert len(lines) == len(report.findings) + 1
         assert lines[-1].startswith("summary")

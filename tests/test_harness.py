@@ -226,6 +226,19 @@ class TestCli:
         assert flag[2:].replace("-", "_") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--repeats", "0"),
+        ("--sizes", "0"),
+        ("--max-ticks", "-1"),
+    ])
+    def test_sweep_out_of_range_exit_one(self, capsys, flag, value):
+        code = cli.main(["sweep", "--seed", "2", "--sizes", "10", "--repeats", "1",
+                         f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_missing_seed_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--out", str(tmp_path / "out")])

@@ -9,6 +9,7 @@ from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     edge_gain,
     estimated_gain,
@@ -82,6 +83,14 @@ class TestPropagationModel:
 
     def test_zero_std_means_unit_gain(self):
         assert lognormal_mean_linear(0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("name", ["noise_power", "path_loss_exponent", "min_separation"])
+    def test_non_finite_parameter_rejected(self, name):
+        params = dict(path_loss_exponent=3.0, mean_linear_gain=1.0,
+                      shadow_samples=np.ones((2, 2)), noise_power=1e-8)
+        params[name] = math.nan
+        with pytest.raises(ValueError, match=name):
+            PropagationModel(**params)
 
 
 class TestAllocationState:
@@ -165,6 +174,22 @@ class TestGains:
                 else:
                     assert gt[i, j] == pytest.approx(true_gain(topo[i], topo[j], m))
                     assert ge[i, j] == pytest.approx(estimated_gain(topo[i], topo[j], m))
+
+
+class TestNetwork:
+    def test_arrays_are_read_only_and_equal_the_kernels(self):
+        rng = np.random.default_rng(9)
+        m = PropagationModel.sample(5, rng)
+        topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=3.0 + i, beta=1.0 + i,
+                        channels=(0, 2)) for i in range(5)]
+        net = Network(topo, m)
+        assert np.array_equal(net.gains_true, true_gain_matrix(topo, m))
+        assert np.array_equal(net.gains_est, estimated_gain_matrix(topo, m))
+        assert net.edge.tolist() == [edge_gain(ap, m) for ap in topo]
+        assert net.num_channels == 3
+        for name in ("edge", "gains_true", "gains_est"):
+            with pytest.raises(ValueError):
+                getattr(net, name)[0] = 1.0
 
 
 class TestInterference:

@@ -11,6 +11,7 @@ from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     estimated_gain_matrix,
     necessary_power,
@@ -103,7 +104,7 @@ class TestRunDynamics:
         model = flat_model(1)
         state = AllocationState(np.array([1]), np.array([2e-5]))
         rng = np.random.default_rng(0)
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
+        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
         assert result.converged
         assert result.iterations == 1
         assert not result.cycle_detected
@@ -111,7 +112,7 @@ class TestRunDynamics:
     def test_synchronous_pair_cycles(self):
         topo, model, state = symmetric_pair()
         rng = np.random.default_rng(0)
-        result = run_dynamics(topo, state, model, SYNCHRONOUS, BEST_RESPONSE, 10, rng)
+        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, BEST_RESPONSE, 10, rng)
         assert not result.converged
         assert result.cycle_detected
         # both APs flip together every iteration
@@ -121,7 +122,7 @@ class TestRunDynamics:
     def test_round_robin_pair_converges_to_orthogonal_ne(self):
         topo, model, state = symmetric_pair()
         rng = np.random.default_rng(0)
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 10, rng)
+        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10, rng)
         assert result.converged
         assert result.iterations <= 3
         assert sorted(state.channels.tolist()) == [0, 1]
@@ -130,7 +131,7 @@ class TestRunDynamics:
     def test_unknown_responder_rejected(self):
         topo, model, state = symmetric_pair()
         with pytest.raises(ValueError):
-            run_dynamics(topo, state, model, ROUND_ROBIN, "greedy", 10,
+            run_dynamics(Network(topo, model), state, ROUND_ROBIN, "greedy", 10,
                          np.random.default_rng(0))
 
     def test_converged_run_never_flags_cycle(self):
@@ -138,9 +139,9 @@ class TestRunDynamics:
             rng = np.random.default_rng((61, seed))
             cfg = ScenarioConfig(num_aps=12, num_channels=3, area_width=250.0,
                                  area_height=250.0, seed=61)
-            topo, model = generate_topology(cfg, rng)
-            state = random_allocation(topo, model, rng)
-            result = run_dynamics(topo, state, model, ROUND_ROBIN,
+            net = Network(*generate_topology(cfg, rng))
+            state = random_allocation(net, rng)
+            result = run_dynamics(net, state, ROUND_ROBIN,
                                   BEST_RESPONSE, 100, rng)
             if result.converged:
                 assert not result.cycle_detected
@@ -153,8 +154,9 @@ class TestRunDynamics:
             cfg = ScenarioConfig(num_aps=6, num_channels=3, area_width=150.0,
                                  area_height=150.0, seed=62)
             topo, model = generate_topology(cfg, rng)
-            state = random_allocation(topo, model, rng)
-            result = run_dynamics(topo, state, model, ROUND_ROBIN,
+            net = Network(topo, model)
+            state = random_allocation(net, rng)
+            result = run_dynamics(net, state, ROUND_ROBIN,
                                   BEST_RESPONSE, 100, rng)
             if result.converged:
                 hits += 1
@@ -165,9 +167,9 @@ class TestRunDynamics:
         rng = np.random.default_rng(63)
         cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=250.0,
                              area_height=250.0, seed=63)
-        topo, model = generate_topology(cfg, rng)
-        state = random_allocation(topo, model, rng)
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
+        net = Network(*generate_topology(cfg, rng))
+        state = random_allocation(net, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
         for rec in result.trace:
             assert rec.old_channel != rec.new_channel
             assert 0 <= rec.mover < 15
@@ -176,9 +178,9 @@ class TestRunDynamics:
         rng = np.random.default_rng(64)
         cfg = ScenarioConfig(num_aps=20, num_channels=4, area_width=300.0,
                              area_height=300.0, seed=64)
-        topo, model = generate_topology(cfg, rng)
-        state = random_allocation(topo, model, rng)
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
+        net = Network(*generate_topology(cfg, rng))
+        state = random_allocation(net, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
         assert result.trace  # something must have moved
         for rec in result.trace:
             assert rec.u_after >= rec.u_before
@@ -188,9 +190,9 @@ class TestRunDynamics:
             rng = np.random.default_rng(seed)
             cfg = ScenarioConfig(num_aps=20, num_channels=3, area_width=300.0,
                                  area_height=300.0, seed=seed)
-            topo, model = generate_topology(cfg, np.random.default_rng(9))
-            state = random_allocation(topo, model, rng)
-            result = run_dynamics(topo, state, model, RANDOM_TIMING,
+            net = Network(*generate_topology(cfg, np.random.default_rng(9)))
+            state = random_allocation(net, rng)
+            result = run_dynamics(net, state, RANDOM_TIMING,
                                   BEST_RESPONSE, 50, rng)
             return state.channels.copy(), state.powers.copy(), result.iterations
 
@@ -209,7 +211,7 @@ class TestRunDynamics:
         state.channels[:5] = rng.integers(0, 3, size=5)
         state.powers[:5] = 0.01
         before = state.channels[5:].copy()
-        run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 20, rng,
+        run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 20, rng,
                      active=set(range(5)))
         assert np.array_equal(state.channels[5:], before)
         assert np.all(state.powers[5:] == 0.0)
@@ -220,13 +222,13 @@ class TestRunDynamics:
         rng = np.random.default_rng(66)
         cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=250.0,
                              area_height=250.0, seed=66)
-        topo, model = generate_topology(cfg, rng)
-        state_a = random_allocation(topo, model, np.random.default_rng(1))
+        net = Network(*generate_topology(cfg, rng))
+        state_a = random_allocation(net, np.random.default_rng(1))
         state_b = state_a.copy()
         empty = [set() for _ in range(15)]
-        ra = run_dynamics(topo, state_a, model, ROUND_ROBIN, BEST_RESPONSE, 30,
+        ra = run_dynamics(net, state_a, ROUND_ROBIN, BEST_RESPONSE, 30,
                           np.random.default_rng(2), knowledge=empty)
-        rb = run_dynamics(topo, state_b, model, ROUND_ROBIN, SELFISH, 30,
+        rb = run_dynamics(net, state_b, ROUND_ROBIN, SELFISH, 30,
                           np.random.default_rng(2))
         assert np.array_equal(state_a.channels, state_b.channels)
         assert ra.iterations == rb.iterations
@@ -235,10 +237,10 @@ class TestRunDynamics:
         rng = np.random.default_rng(67)
         cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=250.0,
                              area_height=250.0, seed=67)
-        topo, model = generate_topology(cfg, rng)
-        state = random_allocation(topo, model, rng)
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 50,
-                              rng, record_potential=game.FLAVOR_EXACT_FULL)
+        net = Network(*generate_topology(cfg, rng))
+        state = random_allocation(net, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 50,
+                              rng, record_potential=True)
         assert result.trace
         for rec in result.trace:
             assert rec.potential_before is not None
@@ -248,8 +250,8 @@ class TestRunDynamics:
     def test_trace_csv_header_and_rows(self):
         topo, model, state = symmetric_pair()
         rng = np.random.default_rng(0)
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 10,
-                              rng, record_potential=game.FLAVOR_EXACT_FULL)
+        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10,
+                              rng, record_potential=True)
         text = trace_to_csv_text(result.trace)
         lines = text.splitlines()
         assert lines[0] == "iteration,mover,old_channel,new_channel,u_before,u_after,P_value"
@@ -264,18 +266,19 @@ class TestSufficiencyEnforcement:
         rng = np.random.default_rng(71)
         cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0,
                              area_height=300.0, seed=71)
-        topo, model = generate_topology(cfg, rng)
-        state = random_allocation(topo, model, rng)
-        kb = KnowledgeBase.from_topology(topo)
+        net = Network(*generate_topology(cfg, rng))
+        state = random_allocation(net, rng)
+        kb = KnowledgeBase.from_topology(net.topology)
         dstate = DiscoveryState(rng=np.random.default_rng(72))
         for _ in range(3):
-            discovery_tick(dstate, kb, topo)
-        return topo, model, state, kb
+            discovery_tick(dstate, kb, net.topology)
+        return net, state, kb
 
     def test_moves_match_step_by_step_oracle(self):
-        topo, model, state, kb = self.instance()
+        net, state, kb = self.instance()
+        topo, model = net.topology, net.model
         start = state.copy()
-        result = run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 30,
+        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 30,
                               np.random.default_rng(0), knowledge=kb,
                               enforce_sufficiency=True)
         assert result.trace
@@ -306,10 +309,10 @@ class TestSufficiencyEnforcement:
         assert np.array_equal(state.powers, oracle.powers)
 
     def test_flag_changes_the_outcome(self):
-        topo, model, state, kb = self.instance()
+        net, state, kb = self.instance()
         plain = state.copy()
-        run_dynamics(topo, state, model, ROUND_ROBIN, BEST_RESPONSE, 30,
+        run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 30,
                      np.random.default_rng(0), knowledge=kb, enforce_sufficiency=True)
-        run_dynamics(topo, plain, model, ROUND_ROBIN, BEST_RESPONSE, 30,
+        run_dynamics(net, plain, ROUND_ROBIN, BEST_RESPONSE, 30,
                      np.random.default_rng(0), knowledge=kb)
         assert not np.array_equal(state.channels, plain.channels)
