@@ -99,30 +99,41 @@ def utility(ctx: UtilityContext, k: int) -> float:
     return -float(ctx.interference[k]) - ctx.necessary_power(k) * float(ctx.generated_weight[k])
 
 
+def _argmax_channel(ctx: UtilityContext, score: np.ndarray, current_channel: int) -> int:
+    """Available channel of highest ``score[k]``, compared exactly on doubles.
+
+    Ties keep the current channel if it is among the maximizers, otherwise
+    the lowest channel id wins.
+    """
+    if len(ctx.player.channels) < len(score):
+        available = list(ctx.player.channels)
+        masked = np.full(len(score), -math.inf)
+        masked[available] = score[available]
+        score = masked
+    k = int(score.argmax())  # first maximizer: the lowest id
+    if current_channel != OFF and score[current_channel] == score[k]:
+        return current_channel
+    return k
+
+
 def best_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
     """Utility-maximizing channel with its necessary power.
 
-    Ties keep the current channel if it is among the maximizers, otherwise
-    the lowest channel id wins. Comparison is exact on doubles.
+    All channels are scored at once, with the operation order of ``utility``;
+    ties follow ``_argmax_channel``.
     """
-    best_k = -1
-    best_u = -math.inf
-    for k in sorted(ctx.player.channels):
-        u = utility(ctx, k)
-        if u > best_u or (u == best_u and k == current_channel):
-            best_k, best_u = k, u
-    return best_k, ctx.necessary_power(best_k)
+    ap = ctx.player
+    power = np.minimum(
+        power_demand(ap, ctx.noise_power, ctx.interference, ctx.edge_gain), ap.max_power
+    )
+    k = _argmax_channel(ctx, -ctx.interference - power * ctx.generated_weight, current_channel)
+    return k, float(power[k])
 
 
 def selfish_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
     """Channel with least measured interference, same tie rule as best_response."""
-    best_k = -1
-    best_i = math.inf
-    for k in sorted(ctx.player.channels):
-        v = float(ctx.interference[k])
-        if v < best_i or (v == best_i and k == current_channel):
-            best_k, best_i = k, v
-    return best_k, ctx.necessary_power(best_k)
+    k = _argmax_channel(ctx, -ctx.interference, current_channel)
+    return k, ctx.necessary_power(k)
 
 
 @dataclass(frozen=True)

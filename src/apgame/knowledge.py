@@ -107,11 +107,6 @@ def sufficiency_check(
     return nearest_cover_set(i, topology, state) <= knowledge.known[i]
 
 
-def _learn(kb: KnowledgeBase, topology: list[AccessPoint], owner: int, peer: int) -> None:
-    if candidate_test(topology[owner], topology[peer]):
-        kb.known[owner].add(peer)
-
-
 def discovery_tick(
     dstate: DiscoveryState,
     knowledge: KnowledgeBase,
@@ -122,27 +117,27 @@ def discovery_tick(
 
     A probe that hits a candidate makes the pair mutually known and triggers
     an exchange of their current known lists; received entries are kept when
-    they pass the candidate test.
+    they are candidates of the receiver. Candidacy is read from
+    ``knowledge.candidates``, which holds the candidate test's outcomes.
     """
     ids = sorted(active) if active is not None else list(range(len(topology)))
     n = len(ids)
     if n > 1:
-        rng = dstate.rng
+        # numpy draws bounded integers one element at a time, so this equals
+        # one scalar draw per probe in probe order (tests/golden pins it)
+        draws = dstate.rng.integers(n - 1, size=(n, dstate.samples_per_tick)).tolist()
         for pos, i in enumerate(ids):
-            for _ in range(dstate.samples_per_tick):
-                draw = int(rng.integers(n - 1))
+            for draw in draws[pos]:
                 j = ids[draw if draw < pos else draw + 1]
-                if not candidate_test(topology[i], topology[j]):
+                if j not in knowledge.candidates[i]:
                     continue
                 knowledge.known[i].add(j)
                 knowledge.known[j].add(i)
                 dstate.exchange_log.append((dstate.tick, i, j))
-                for c in list(knowledge.known[j]):
-                    if c != i:
-                        _learn(knowledge, topology, i, c)
-                for c in list(knowledge.known[i]):
-                    if c != j:
-                        _learn(knowledge, topology, j, c)
+                for owner, peer in ((i, j), (j, i)):
+                    for c in list(knowledge.known[peer]):
+                        if c != owner and c in knowledge.candidates[owner]:
+                            knowledge.known[owner].add(c)
     dstate.tick += 1
     return knowledge
 
@@ -156,13 +151,13 @@ def discovery_complete(
 
     APs without candidates never count as missing.
     """
-    ids = sorted(active) if active is not None else range(len(topology))
-    active_set = set(ids)
-    missing = 0
-    for i in ids:
-        wanted = knowledge.candidates[i] & active_set
-        if not wanted <= knowledge.known[i]:
-            missing += 1
+    if active is None:
+        wanted, known = knowledge.candidates, knowledge.known
+    else:
+        active = set(active)
+        wanted = [knowledge.candidates[i] & active for i in active]
+        known = [knowledge.known[i] for i in active]
+    missing = len(wanted) - sum(map(set.issubset, wanted, known))
     return missing == 0, missing
 
 

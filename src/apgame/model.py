@@ -250,8 +250,13 @@ class Network:
         object.__setattr__(self, "num_channels", num_channels(topology))
 
 
-def power_demand(ap: AccessPoint, noise_power: float, interference: float, edge: float) -> float:
-    """Necessary power beta (N0 + I) / g_edge before the cap at ``ap.max_power``."""
+def power_demand(
+    ap: AccessPoint, noise_power: float, interference: float | np.ndarray, edge: float
+) -> float | np.ndarray:
+    """Necessary power beta (N0 + I) / g_edge before the cap at ``ap.max_power``.
+
+    With an array of per-channel interference it gives one demand per channel.
+    """
     return ap.sinr_target * (noise_power + interference) / edge
 
 

@@ -72,36 +72,21 @@ class RunResult:
 
 
 def _context(
-    network: Network,
-    known_mask: np.ndarray | None,
-    i: int,
-    channels: np.ndarray,
-    powers: np.ndarray,
-    enforce_sufficiency: bool,
+    network: Network, i: int, ch: np.ndarray, wp: np.ndarray, known: np.ndarray
 ) -> UtilityContext:
-    """Player i's utility context at the profile (channels, powers).
+    """Player i's utility context from the engine's per-AP arrays.
 
-    ``known_mask[i, j]`` is True iff AP i knows AP j; None means full knowledge.
+    ``ch`` holds each AP's channel (any valid id when silent), ``wp`` its
+    power times its activity and ``known`` marks the active APs whose
+    estimated gains i counts. Silent APs and i itself add exact zeros, since
+    their weight and the gain diagonals are zero, and ``bincount`` adds in
+    index order like the scalar ``utility_context``: the sums are bit-equal.
     """
-    act = (channels != OFF) & (powers > 0)
-    act[i] = False
-    idx = np.nonzero(act)[0]
-    interference = np.zeros(network.num_channels)
-    np.add.at(interference, channels[idx], powers[idx] * network.gains_true[idx, i])
-    if known_mask is None:
-        kn = act
-    else:
-        kn = act & known_mask[i]
-        if enforce_sufficiency:
-            for j in nearest_cover_set(i, network.topology, AllocationState(channels, powers)):
-                kn[j] |= act[j]
-    kidx = np.nonzero(kn)[0]
-    generated = np.zeros(network.num_channels)
-    np.add.at(generated, channels[kidx], network.gains_est[i, kidx])
+    k = network.num_channels
     return UtilityContext(
         player=network.topology[i],
-        interference=interference,
-        generated_weight=generated,
+        interference=np.bincount(ch, wp * network.gains_true[:, i], k),
+        generated_weight=np.bincount(ch, network.gains_est[i] * known, k),
         edge_gain=float(network.edge[i]),
         noise_power=network.model.noise_power,
     )
@@ -148,6 +133,11 @@ def run_dynamics(
     else:
         per_round = len(ids)
 
+    # The engine's view of the profile; only applied updates write to it.
+    act = (state.channels != OFF) & (state.powers > 0)
+    ch = np.where(act, state.channels, 0)
+    wp = state.powers * act
+
     trace: list[TraceRecord] = []
     seen = {state.channels.tobytes()}
     revisit = False
@@ -159,22 +149,23 @@ def run_dynamics(
         round_channel_change = False
         round_max_dp = 0.0
         for _ in range(per_round):
-            movers = next_movers(timing, iteration, ids, rng)
-            snap_ch = state.channels.copy()
-            snap_p = state.powers.copy()
+            # every mover responds to the pre-activation profile: all
+            # contexts are built before the first write
             updates = []
-            for i in movers:
-                ctx = _context(network, known_mask, i, snap_ch, snap_p, enforce_sufficiency)
-                old_k = int(snap_ch[i])
-                new_k, new_p = respond(ctx, old_k)
-                u_before = game.utility(ctx, old_k) if old_k != OFF else -math.inf
-                u_after = game.utility(ctx, new_k)
-                updates.append((i, old_k, new_k, new_p, u_before, u_after, ctx))
+            for i in next_movers(timing, iteration, ids, rng):
+                known = act if known_mask is None else act & known_mask[i]
+                if enforce_sufficiency and known_mask is not None:
+                    cover = list(nearest_cover_set(i, network.topology, state))
+                    known[cover] |= act[cover]
+                ctx = _context(network, i, ch, wp, known)
+                old_k = int(state.channels[i])
+                updates.append((i, old_k, *respond(ctx, old_k), ctx))
             activation_changed = False
-            for i, old_k, new_k, new_p, u_before, u_after, ctx in updates:
+            for i, old_k, new_k, new_p, ctx in updates:
                 old_p = float(state.powers[i])
                 round_max_dp = max(round_max_dp, abs(new_p - old_p))
                 if new_k != old_k:
+                    u_before = game.utility(ctx, old_k) if old_k != OFF else -math.inf
                     p_before = p_after = None
                     if record_potential:
                         # the response refreshes the mover's power before the
@@ -189,13 +180,16 @@ def run_dynamics(
                     trace.append(TraceRecord(
                         mover=i, old_channel=old_k, new_channel=new_k,
                         old_power=old_p, new_power=new_p,
-                        u_before=u_before, u_after=u_after,
+                        u_before=u_before, u_after=game.utility(ctx, new_k),
                         potential_before=p_before, potential_after=p_after,
                     ))
                     activation_changed = True
                     round_channel_change = True
                 else:
                     state.powers[i] = new_p
+                act[i] = new_p > 0
+                ch[i] = new_k
+                wp[i] = new_p
             iteration += 1
             if activation_changed:
                 key = state.channels.tobytes()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgame import game
 from apgame.game import (
@@ -208,6 +210,63 @@ class TestResponses:
             i = int(rng.integers(n))
             ctx = utility_context(i, topo, state, model)
             assert selfish_response(ctx, OFF)[0] == best_response(ctx, OFF)[0]
+
+
+def loop_best_response(ctx, current_channel):
+    """Per-channel loop that the vectorised best_response must reproduce."""
+    best_k, best_u = -1, -math.inf
+    for k in sorted(ctx.player.channels):
+        u = utility(ctx, k)
+        if u > best_u or (u == best_u and k == current_channel):
+            best_k, best_u = k, u
+    return best_k, ctx.necessary_power(best_k)
+
+
+def loop_selfish_response(ctx, current_channel):
+    """Per-channel loop that the vectorised selfish_response must reproduce."""
+    best_k, best_i = -1, math.inf
+    for k in sorted(ctx.player.channels):
+        v = float(ctx.interference[k])
+        if v < best_i or (v == best_i and k == current_channel):
+            best_k, best_i = k, v
+    return best_k, ctx.necessary_power(best_k)
+
+
+@st.composite
+def response_cases(draw):
+    """A context whose channels repeat (interference, weight) pairs from a
+    small pool, so exact utility ties are common, plus a current channel
+    that may be OFF or unavailable."""
+    k_total = draw(st.integers(1, 6))
+    value = st.floats(0.0, 1e-4, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(st.tuples(value, st.sampled_from([0.0, 1e-6, 1e-3, 1.0, 250.0])),
+                         min_size=1, max_size=3))
+    pairs = [draw(st.sampled_from(pool)) for _ in range(k_total)]
+    channels = draw(st.sets(st.integers(0, k_total - 1), min_size=1))
+    ap = make_ap(0, 0, 0, beta=draw(st.floats(1.0, 6.0)),
+                 pmax=draw(st.sampled_from([1e-4, 0.1, 100.0])), channels=tuple(channels))
+    ctx = game.UtilityContext(
+        player=ap,
+        interference=np.array([i for i, _ in pairs]),
+        generated_weight=np.array([g for _, g in pairs]),
+        edge_gain=draw(st.sampled_from([1e-3, 0.5, 1.0])),
+        noise_power=draw(st.sampled_from([0.0, 1e-8])),
+    )
+    return ctx, draw(st.integers(OFF, k_total - 1))
+
+
+class TestVectorisedResponses:
+    @settings(max_examples=200, deadline=None)
+    @given(response_cases())
+    def test_best_response_equals_channel_loop(self, case):
+        ctx, current = case
+        assert best_response(ctx, current) == loop_best_response(ctx, current)
+
+    @settings(max_examples=200, deadline=None)
+    @given(response_cases())
+    def test_selfish_response_equals_channel_loop(self, case):
+        ctx, current = case
+        assert selfish_response(ctx, current) == loop_selfish_response(ctx, current)
 
 
 class TestPotentials:

@@ -247,6 +247,25 @@ class TestRunDynamics:
             assert np.isfinite(rec.potential_before)
             assert np.isfinite(rec.potential_after)
 
+    @pytest.mark.parametrize("timing", [SYNCHRONOUS, TimingModel("asynchronous", subset_size=2)])
+    def test_all_movers_respond_to_the_pre_activation_profile(self, timing):
+        # both APs see the other on channel 0 and an empty channel 1, so both
+        # move to 1 at the noise-only power p; had the first write been seen,
+        # the second AP would have stayed on the channel the first one left
+        topo, model, state = symmetric_pair()
+        p = float(state.powers[0])
+        result = run_dynamics(Network(topo, model), state, timing, BEST_RESPONSE, 1,
+                              np.random.default_rng(0))
+        assert state.channels.tolist() == [1, 1]
+        assert state.powers.tolist() == [p, p]
+        g = 30.0 ** -3.0  # 40 m apart, radius 10 m, no shadowing, mean gain 1
+        p_stay = min(2.0 * (1e-8 + g * p) / 10.0 ** -3.0, 0.1)
+        assert [(r.mover, r.old_channel, r.new_channel, r.new_power) for r in result.trace] \
+            == [(0, 0, 1, p), (1, 0, 1, p)]
+        for rec in result.trace:
+            assert rec.u_before == pytest.approx(-g * p - p_stay * g, rel=1e-12)
+            assert rec.u_after == 0.0
+
     def test_trace_csv_header_and_rows(self):
         topo, model, state = symmetric_pair()
         rng = np.random.default_rng(0)
@@ -316,3 +335,55 @@ class TestSufficiencyEnforcement:
         run_dynamics(net, plain, ROUND_ROBIN, BEST_RESPONSE, 30,
                      np.random.default_rng(0), knowledge=kb)
         assert not np.array_equal(state.channels, plain.channels)
+
+
+class TestEngineContexts:
+    """Every context the engine hands to a response equals the scalar oracle."""
+
+    @pytest.mark.parametrize("timing", [ROUND_ROBIN, SYNCHRONOUS])
+    @pytest.mark.parametrize("mode", ["full", "partial", "sufficiency"])
+    def test_contexts_equal_utility_context(self, monkeypatch, mode, timing):
+        rng = np.random.default_rng(73)
+        cfg = ScenarioConfig(num_aps=30, num_channels=4, area_width=250.0,
+                             area_height=250.0, seed=73)
+        net = Network(*generate_topology(cfg, rng))
+        topo, model = net.topology, net.model
+        state = random_allocation(net, rng)
+        state.channels[[3, 11, 20]] = OFF  # silent, two of them never move
+        state.powers[[3, 11, 20, 25]] = 0.0  # AP 25 keeps a channel at zero power
+        kb = None
+        if mode != "full":
+            kb = KnowledgeBase.from_topology(topo)
+            dstate = DiscoveryState(rng=np.random.default_rng(74))
+            for _ in range(3):
+                discovery_tick(dstate, kb, topo)
+        gt = true_gain_matrix(topo, model)
+        ge = estimated_gain_matrix(topo, model)
+        seen = []
+
+        def checked(respond):
+            def spy(ctx, current):
+                i = ctx.player.id
+                known = None
+                if mode == "partial":
+                    known = kb.known[i]
+                elif mode == "sufficiency":
+                    known = kb.known[i] | nearest_cover_set(i, topo, state)
+                oracle = game.utility_context(i, topo, state, model, known,
+                                              gains_true=gt, gains_est=ge)
+                assert np.array_equal(ctx.interference, oracle.interference)
+                assert np.array_equal(ctx.generated_weight, oracle.generated_weight)
+                assert (ctx.edge_gain, ctx.noise_power) == (oracle.edge_gain, oracle.noise_power)
+                assert current == int(state.channels[i])
+                seen.append(i)
+                return respond(ctx, current)
+            return spy
+
+        monkeypatch.setattr(game, "best_response", checked(game.best_response))
+        result = run_dynamics(net, state, timing, BEST_RESPONSE, 4,
+                              np.random.default_rng(0), knowledge=kb,
+                              enforce_sufficiency=mode == "sufficiency",
+                              active=set(range(30)) - {11, 20})
+        assert result.trace
+        assert len(seen) == 28 * result.iterations
+        assert 3 in seen and 25 in seen
