@@ -98,7 +98,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             topology, _ = generate_topology(cfg, rng, num_aps=n)
             kb = KnowledgeBase.from_topology(topology)
             dstate = DiscoveryState(rng=rng, samples_per_tick=cfg.samples_per_tick)
-            while not discovery_complete(kb, topology)[0]:
+            while not discovery_complete(kb)[0]:
                 discovery_tick(dstate, kb, topology)
                 if dstate.tick > args.max_ticks:
                     break

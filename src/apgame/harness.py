@@ -76,6 +76,11 @@ class ScenarioConfig:
             raise ValueError("coverage radius exceeds the area scale")
         if self.shadow_std_db < 0:
             raise ValueError("shadow_std_db must be nonnegative")
+        # a discovery tick is one second, and every period ends at a report
+        if self.allocation_period % 1:
+            raise ValueError("allocation_period must be a whole number of seconds")
+        if self.duration % self.allocation_period:
+            raise ValueError("duration must be a whole multiple of allocation_period")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ScenarioConfig":
@@ -184,7 +189,7 @@ class MetricsSeries:
 
 
 def _timestamps(config: ScenarioConfig) -> list[float]:
-    steps = int(round(config.duration / config.allocation_period))
+    steps = int(config.duration / config.allocation_period)
     return [t * config.allocation_period for t in range(steps + 1)]
 
 
@@ -220,7 +225,7 @@ def run_experiment(config: ScenarioConfig) -> MetricsSeries:
     selfish_state = random_allocation(network, selfish_rng)
     bound_state, bound_count = greedy_admission_bound(topology, model, bound_rng, gains_true=gt)
 
-    ticks_per_period = int(round(config.allocation_period))
+    ticks_per_period = int(config.allocation_period)
     columns = [
         "time", "satisfied_game", "satisfied_selfish", "satisfied_random",
         "satisfied_bound", "rounds_game", "rounds_selfish",
@@ -242,7 +247,7 @@ def run_experiment(config: ScenarioConfig) -> MetricsSeries:
             config.max_iterations, selfish_rng,
         )
         random_state = random_allocation(network, random_rng)
-        _, missing = discovery_complete(kb, topology)
+        _, missing = discovery_complete(kb)
         changes = int(np.sum(game_state.channels != prev_game_channels))
         prev_game_channels = game_state.channels.copy()
         series.rows.append([
@@ -283,7 +288,7 @@ def domino_experiment(
     state = AllocationState.all_off(total)
     _draw_allocation(state, sorted(active), network, game_rng)
 
-    ticks_per_period = int(round(config.allocation_period))
+    ticks_per_period = int(config.allocation_period)
     columns = ["time", "satisfied_game", "rounds_game", "missing_candidates",
                "channel_changes", "active_aps"]
     series = MetricsSeries(columns=columns)
@@ -304,7 +309,7 @@ def domino_experiment(
             network, state, ROUND_ROBIN, BEST_RESPONSE,
             config.max_iterations, game_rng, knowledge=kb, active=active,
         )
-        _, missing = discovery_complete(kb, topology, active=active)
+        _, missing = discovery_complete(kb, active=active)
         stable_ids = sorted(prev_active)
         changes = int(np.sum(state.channels[stable_ids] != prev_channels[stable_ids]))
         prev_channels = state.channels.copy()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import OFF, AccessPoint, AllocationState, distance
+from .model import OFF, AccessPoint, AllocationState, distance, pairwise_distances
 
 
 def candidate_test(i: AccessPoint, j: AccessPoint) -> bool:
@@ -25,33 +25,31 @@ def candidate_test(i: AccessPoint, j: AccessPoint) -> bool:
 
 @dataclass
 class KnowledgeBase:
-    """Per-AP known neighbor sets plus the ground-truth candidate sets.
+    """Who knows whom, and who may: two N x N boolean matrices.
 
-    ``known[i]`` only ever contains candidates of i (soundness) and never
-    shrinks. Peer metadata (position, radius, current channel) is read from
-    the shared topology and allocation state: channel updates are pushed
+    ``candidates[i, j]`` is the candidate test of i and j (symmetric, False
+    on the diagonal). ``known[i, j]`` says that i has discovered j; it only
+    ever holds candidates of i (soundness) and never turns back to False.
+    Peer metadata (position, radius, current channel) is read from the
+    shared topology and allocation state: channel updates are pushed
     instantly once a neighbor is known.
     """
 
-    known: list[set[int]]
-    candidates: list[set[int]]
+    known: np.ndarray
+    candidates: np.ndarray
 
     @classmethod
     def from_topology(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
-        n = len(topology)
-        candidates: list[set[int]] = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if candidate_test(topology[i], topology[j]):
-                    candidates[i].add(j)
-                    candidates[j].add(i)
-        return cls(known=[set() for _ in range(n)], candidates=candidates)
+        r = np.array([ap.coordination_radius for ap in topology])
+        candidates = pairwise_distances(topology) < r[:, None] + r[None, :]
+        np.fill_diagonal(candidates, False)
+        return cls(known=np.zeros_like(candidates), candidates=candidates)
 
     @classmethod
     def complete(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
         """Knowledge as if discovery had already finished."""
         kb = cls.from_topology(topology)
-        kb.known = [set(c) for c in kb.candidates]
+        kb.known = kb.candidates.copy()
         return kb
 
 
@@ -104,7 +102,7 @@ def sufficiency_check(
     state: AllocationState,
 ) -> bool:
     """True iff i already knows its nearest channel-covering neighbor set."""
-    return nearest_cover_set(i, topology, state) <= knowledge.known[i]
+    return bool(knowledge.known[i, sorted(nearest_cover_set(i, topology, state))].all())
 
 
 def discovery_tick(
@@ -117,47 +115,42 @@ def discovery_tick(
 
     A probe that hits a candidate makes the pair mutually known and triggers
     an exchange of their current known lists; received entries are kept when
-    they are candidates of the receiver. Candidacy is read from
-    ``knowledge.candidates``, which holds the candidate test's outcomes.
+    they are candidates of the receiver. Hits are handled in probe order,
+    each exchange seeing the ones before it.
     """
-    ids = sorted(active) if active is not None else list(range(len(topology)))
+    ids = np.array(sorted(active) if active is not None else range(len(topology)), dtype=int)
     n = len(ids)
     if n > 1:
         # numpy draws bounded integers one element at a time, so this equals
         # one scalar draw per probe in probe order (tests/golden pins it)
-        draws = dstate.rng.integers(n - 1, size=(n, dstate.samples_per_tick)).tolist()
-        for pos, i in enumerate(ids):
-            for draw in draws[pos]:
-                j = ids[draw if draw < pos else draw + 1]
-                if j not in knowledge.candidates[i]:
-                    continue
-                knowledge.known[i].add(j)
-                knowledge.known[j].add(i)
-                dstate.exchange_log.append((dstate.tick, i, j))
-                for owner, peer in ((i, j), (j, i)):
-                    for c in list(knowledge.known[peer]):
-                        if c != owner and c in knowledge.candidates[owner]:
-                            knowledge.known[owner].add(c)
+        draws = dstate.rng.integers(n - 1, size=(n, dstate.samples_per_tick))
+        owners = np.broadcast_to(ids[:, None], draws.shape)
+        peers = ids[draws + (draws >= np.arange(n)[:, None])]
+        known, cand = knowledge.known, knowledge.candidates
+        hits = cand[owners, peers]
+        for i, j in zip(owners[hits].tolist(), peers[hits].tolist()):
+            known[i, j] = known[j, i] = True
+            dstate.exchange_log.append((dstate.tick, i, j))
+            known[i] |= known[j] & cand[i]
+            known[j] |= known[i] & cand[j]
     dstate.tick += 1
     return knowledge
 
 
 def discovery_complete(
     knowledge: KnowledgeBase,
-    topology: list[AccessPoint],
     active: set[int] | None = None,
 ) -> tuple[bool, int]:
     """Whether every AP knows all its candidates, plus the count still missing.
 
-    APs without candidates never count as missing.
+    With ``active`` only active APs and their active candidates count. APs
+    without candidates never count as missing.
     """
-    if active is None:
-        wanted, known = knowledge.candidates, knowledge.known
-    else:
-        active = set(active)
-        wanted = [knowledge.candidates[i] & active for i in active]
-        known = [knowledge.known[i] for i in active]
-    missing = len(wanted) - sum(map(set.issubset, wanted, known))
+    unknown = knowledge.candidates & ~knowledge.known
+    if active is not None:
+        ids = sorted(active)
+        unknown = unknown[np.ix_(ids, ids)]
+    missing = int(unknown.any(axis=1).sum())
     return missing == 0, missing
 
 
@@ -171,5 +164,5 @@ def knowledge_snapshot_csv(
     lines = ["ap_id,known_count,candidate_count,sufficient_flag"]
     for i in range(len(topology)):
         flag = int(sufficiency_check(i, knowledge, topology, state))
-        lines.append(f"{i},{len(knowledge.known[i])},{len(knowledge.candidates[i])},{flag}")
+        lines.append(f"{i},{knowledge.known[i].sum()},{knowledge.candidates[i].sum()},{flag}")
     Path(path).write_text("\n".join(lines) + "\n")

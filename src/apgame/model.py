@@ -198,14 +198,18 @@ def edge_gain(i: AccessPoint, model: PropagationModel) -> float:
     return i.coverage_radius ** -model.path_loss_exponent * model.mean_linear_gain
 
 
+def pairwise_distances(topology: list[AccessPoint]) -> np.ndarray:
+    """Matrix D with D[i, j] = distance(i, j) in meters; zero diagonal."""
+    pos = np.array([ap.position for ap in topology], dtype=float)
+    return np.hypot(pos[:, 0:1] - pos[:, 0:1].T, pos[:, 1:2] - pos[:, 1:2].T)
+
+
 def _gain_matrix(
     topology: list[AccessPoint], model: PropagationModel, shadowing: np.ndarray | float
 ) -> np.ndarray:
     """Matrix of path loss from i to j's coverage edge times ``shadowing``; zero diagonal."""
-    pos = np.array([ap.position for ap in topology], dtype=float)
     r = np.array([ap.coverage_radius for ap in topology])
-    d = np.hypot(pos[:, 0:1] - pos[:, 0:1].T, pos[:, 1:2] - pos[:, 1:2].T)
-    eff = np.maximum(d - r[None, :], model.min_separation)
+    eff = np.maximum(pairwise_distances(topology) - r[None, :], model.min_separation)
     g = eff ** -model.path_loss_exponent * shadowing
     np.fill_diagonal(g, 0.0)
     return g

@@ -100,7 +100,7 @@ def run_dynamics(
     max_rounds: int,
     rng: np.random.Generator,
     *,
-    knowledge: KnowledgeBase | list[set[int]] | None = None,
+    knowledge: KnowledgeBase | None = None,
     enforce_sufficiency: bool = False,
     record_potential: bool = False,
     active: set[int] | None = None,
@@ -115,16 +115,9 @@ def run_dynamics(
     if responder not in RESPONDERS:
         raise ValueError(f"unknown responder: {responder}")
     respond = game.best_response if responder == BEST_RESPONSE else game.selfish_response
-    n = len(network.topology)
-    ids = sorted(active) if active is not None else list(range(n))
+    ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
-    known_mask = None
-    if knowledge is not None:
-        sets = knowledge.known if isinstance(knowledge, KnowledgeBase) else knowledge
-        known_mask = np.zeros((n, n), dtype=bool)
-        for i, s in enumerate(sets):
-            known_mask[i, list(s)] = True
 
     if timing.variant == "synchronous":
         per_round = 1
@@ -153,8 +146,8 @@ def run_dynamics(
             # contexts are built before the first write
             updates = []
             for i in next_movers(timing, iteration, ids, rng):
-                known = act if known_mask is None else act & known_mask[i]
-                if enforce_sufficiency and known_mask is not None:
+                known = act if knowledge is None else act & knowledge.known[i]
+                if enforce_sufficiency and knowledge is not None:
                     cover = list(nearest_cover_set(i, network.topology, state))
                     known[cover] |= act[cover]
                 ctx = _context(network, i, ch, wp, known)

@@ -375,7 +375,7 @@ def test_criterion_9_discovery_density_trend():
             topo, _ = generate_topology(cfg, rng, num_aps=n)
             kb = KnowledgeBase.from_topology(topo)
             ds = DiscoveryState(rng=rng)
-            while not discovery_complete(kb, topo)[0]:
+            while not discovery_complete(kb)[0]:
                 discovery_tick(ds, kb, topo)
                 assert ds.tick < 50_000
             ticks.append(ds.tick)

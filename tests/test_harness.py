@@ -226,6 +226,19 @@ class TestCli:
         assert flag[2:].replace("-", "_") in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["run", "--allocation-period", "0.4"], "allocation_period"),
+        (["run", "--duration", "25", "--allocation-period", "10"], "duration"),
+        (["domino", "--duration", "25", "--insert-time", "24"], "duration"),
+    ])
+    def test_fractional_period_or_duration_exit_one(self, tmp_path, capsys, argv, field):
+        # a discovery tick is one second and every period ends at a report
+        code = cli.main([*argv, "--seed", "3", "--num-aps", "20",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field} must") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--repeats", "0"),
         ("--sizes", "0"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.knowledge import (
@@ -48,6 +50,22 @@ class TestCandidateTest:
         a = make_ap(0, 0.0, 0.0)
         with pytest.raises(ValueError):
             candidate_test(a, a)
+
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_matrix_matches_scalar_test(self, clustered):
+        cfg = ScenarioConfig(num_aps=60, area_width=400.0, area_height=400.0,
+                             clustered=clustered, num_clusters=3, seed=8)
+        topo, _ = generate_topology(cfg, np.random.default_rng(8))
+        # exact boundary: the areas of the last two APs only touch
+        topo += [make_ap(60, 900.0, 900.0), make_ap(61, 980.0, 900.0)]
+        cand = KnowledgeBase.from_topology(topo).candidates
+        assert cand.dtype == bool and not cand.diagonal().any()
+        for i in range(len(topo)):
+            for j in range(len(topo)):
+                if i != j:
+                    assert cand[i, j] == candidate_test(topo[i], topo[j])
+        assert not cand[60, 61]
 
 
 class TestNearestCoverSet:
@@ -104,17 +122,15 @@ class TestSufficiency:
     def test_full_knowledge_is_sufficient(self):
         topo = line_topology([0, 10, 20])
         state = AllocationState(np.array([0, 1, 0]), np.array([0.01] * 3))
-        kb = KnowledgeBase(
-            known=[{1, 2}, {0, 2}, {0, 1}],
-            candidates=[{1, 2}, {0, 2}, {0, 1}],
-        )
+        everyone = ~np.eye(3, dtype=bool)
+        kb = KnowledgeBase(known=everyone.copy(), candidates=everyone)
         assert all(sufficiency_check(i, kb, topo, state) for i in range(3))
 
     def test_empty_knowledge_with_transmitters_fails(self):
         topo = line_topology([0, 10, 20])
         state = AllocationState(np.array([0, 1, 0]), np.array([0.01] * 3))
-        kb = KnowledgeBase(known=[set(), set(), set()],
-                           candidates=[{1, 2}, {0, 2}, {0, 1}])
+        kb = KnowledgeBase(known=np.zeros((3, 3), dtype=bool),
+                           candidates=~np.eye(3, dtype=bool))
         assert not sufficiency_check(0, kb, topo, state)
 
     def test_completed_discovery_is_mostly_sufficient_when_dense(self):
@@ -141,7 +157,7 @@ class TestDiscovery:
         ds = DiscoveryState(rng=np.random.default_rng(0))
         for _ in range(5):
             discovery_tick(ds, kb, topo)
-        assert kb.known == [set()]
+        assert kb.known.tolist() == [[False]]
         assert ds.tick == 5
 
     def test_two_candidates_meet_quickly_and_symmetrically(self):
@@ -150,9 +166,9 @@ class TestDiscovery:
             topo = line_topology([0, 30])
             kb = KnowledgeBase.from_topology(topo)
             ds = DiscoveryState(rng=np.random.default_rng(seed))
-            while not discovery_complete(kb, topo)[0]:
+            while not discovery_complete(kb)[0]:
                 discovery_tick(ds, kb, topo)
-            assert kb.known[0] == {1} and kb.known[1] == {0}
+            assert kb.known.tolist() == [[False, True], [True, False]]
             ticks_needed.append(ds.tick)
         # with two nodes the only possible probe is the peer: one tick
         assert max(ticks_needed) == 1
@@ -164,13 +180,12 @@ class TestDiscovery:
         topo, _ = generate_topology(cfg, rng)
         kb = KnowledgeBase.from_topology(topo)
         ds = DiscoveryState(rng=rng)
-        prev = [set() for _ in range(40)]
+        prev = np.zeros((40, 40), dtype=bool)
         for _ in range(30):
             discovery_tick(ds, kb, topo)
-            for i in range(40):
-                assert prev[i] <= kb.known[i]          # never shrinks
-                assert kb.known[i] <= kb.candidates[i]  # soundness
-                prev[i] = set(kb.known[i])
+            assert not (prev & ~kb.known).any()           # never shrinks
+            assert not (kb.known & ~kb.candidates).any()  # soundness
+            prev = kb.known.copy()
 
     def test_deterministic_given_seed(self):
         def run(seed):
@@ -186,7 +201,7 @@ class TestDiscovery:
 
         known_a, log_a = run(123)
         known_b, log_b = run(123)
-        assert known_a == known_b and log_a == log_b
+        assert np.array_equal(known_a, known_b) and log_a == log_b
 
     def test_completion_reached_and_counts_drop(self):
         rng = np.random.default_rng(5)
@@ -195,9 +210,9 @@ class TestDiscovery:
         kb = KnowledgeBase.from_topology(topo)
         ds = DiscoveryState(rng=rng)
         counts = []
-        while not discovery_complete(kb, topo)[0]:
+        while not discovery_complete(kb)[0]:
             discovery_tick(ds, kb, topo)
-            counts.append(discovery_complete(kb, topo)[1])
+            counts.append(discovery_complete(kb)[1])
             assert ds.tick < 10_000
         assert counts[-1] == 0
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -205,12 +220,11 @@ class TestDiscovery:
     def test_isolated_ap_never_counts_as_missing(self):
         topo = line_topology([0, 30, 5000])  # third AP has no candidates
         kb = KnowledgeBase.from_topology(topo)
-        assert kb.candidates[2] == set()
-        complete, missing = discovery_complete(kb, topo)
+        assert not kb.candidates[2].any()
+        complete, missing = discovery_complete(kb)
         assert not complete and missing == 2  # only the near pair is missing
-        kb.known[0].add(1)
-        kb.known[1].add(0)
-        assert discovery_complete(kb, topo) == (True, 0)
+        kb.known[0, 1] = kb.known[1, 0] = True
+        assert discovery_complete(kb) == (True, 0)
 
     def test_active_subset_restricts_sampling(self):
         topo = line_topology([0, 20, 40])
@@ -218,8 +232,8 @@ class TestDiscovery:
         ds = DiscoveryState(rng=np.random.default_rng(0))
         for _ in range(30):
             discovery_tick(ds, kb, topo, active={0, 1})
-        assert 2 not in kb.known[0] and 2 not in kb.known[1]
-        assert kb.known[2] == set()
+        assert not kb.known[0, 2] and not kb.known[1, 2]
+        assert not kb.known[2].any()
 
     def test_snapshot_csv_format(self, tmp_path):
         topo = line_topology([0, 30])
@@ -231,3 +245,58 @@ class TestDiscovery:
         assert lines[0] == "ap_id,known_count,candidate_count,sufficient_flag"
         assert lines[1] == "0,1,1,1"
         assert len(lines) == 3
+
+
+def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, ids, log):
+    """The tick on per-AP known and candidate sets that the matrix tick must
+    reproduce: the same draws, then per hit a mutual add and a two-way
+    exchange that keeps the receiver's candidates."""
+    n = len(ids)
+    if n > 1:
+        draws = rng.integers(n - 1, size=(n, samples_per_tick)).tolist()
+        for pos, i in enumerate(ids):
+            for draw in draws[pos]:
+                j = ids[draw if draw < pos else draw + 1]
+                if j not in candidates[i]:
+                    continue
+                known[i].add(j)
+                known[j].add(i)
+                log.append((tick, i, j))
+                for owner, peer in ((i, j), (j, i)):
+                    for c in list(known[peer]):
+                        if c != owner and c in candidates[owner]:
+                            known[owner].add(c)
+
+
+@st.composite
+def discovery_cases(draw):
+    """A dense uniform or clustered topology, an optional active subset and
+    a short run of ticks."""
+    n = draw(st.integers(1, 40))
+    cfg = ScenarioConfig(num_aps=n, area_width=draw(st.sampled_from([100.0, 250.0, 500.0])),
+                         area_height=250.0, clustered=draw(st.booleans()), num_clusters=3,
+                         cluster_std=30.0, seed=0)
+    topo, _ = generate_topology(cfg, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    active = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    return topo, active, draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 12))
+
+
+class TestMatrixTickOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(discovery_cases(), st.integers(0, 2**32 - 1))
+    def test_matrix_tick_equals_set_tick(self, case, seed):
+        topo, active, samples, ticks = case
+        n = len(topo)
+        kb = KnowledgeBase.from_topology(topo)
+        ds = DiscoveryState(rng=np.random.default_rng(seed), samples_per_tick=samples)
+        candidates = [{j for j in range(n) if j != i and candidate_test(topo[i], topo[j])}
+                      for i in range(n)]
+        known = [set() for _ in range(n)]
+        ref_rng, ref_log = np.random.default_rng(seed), []
+        ids = sorted(active) if active is not None else list(range(n))
+        for t in range(ticks):
+            discovery_tick(ds, kb, topo, active)
+            set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
+        assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
+        assert ds.exchange_log == ref_log
+        assert ds.rng.bit_generator.state == ref_rng.bit_generator.state

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgame.model import (
     OFF,
@@ -319,16 +321,21 @@ class TestSatisfaction:
         state = AllocationState(channels, powers)
         assert not is_satisfied(topo[0], topo, state, m)
 
-    def test_satisfied_mask_matches_scalar(self):
-        rng = np.random.default_rng(23)
-        n = 12
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_satisfied_mask_matches_scalar(self, data):
+        # silent APs are OFF or keep a channel at zero power
+        n = data.draw(st.integers(1, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         m = PropagationModel.sample(n, rng)
-        topo = [make_ap(i, *rng.uniform(0, 150, 2), beta=2.0) for i in range(n)]
-        channels = rng.integers(0, 2, size=n).astype(np.int64)
-        powers = rng.uniform(0.0, 0.1, size=n)
-        powers[0] = 0.0
-        channels[0] = OFF
+        topo = [make_ap(i, *rng.uniform(0, 150, 2), beta=rng.uniform(1.0, 6.0),
+                        channels=(0, 1, 2)) for i in range(n)]
+        channels = np.array(data.draw(st.lists(st.integers(OFF, 2), min_size=n, max_size=n)))
+        powers = np.array(data.draw(st.lists(st.just(0.0) | st.floats(1e-4, 0.1),
+                                             min_size=n, max_size=n)))
+        powers[channels == OFF] = 0.0
         state = AllocationState(channels, powers)
-        mask = satisfied_mask(topo, state, m)
+        gains = true_gain_matrix(topo, m) if data.draw(st.booleans()) else None
+        mask = satisfied_mask(topo, state, m, gains_true=gains)
         for i in range(n):
             assert bool(mask[i]) == is_satisfied(topo[i], topo, state, m)

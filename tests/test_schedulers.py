@@ -225,7 +225,7 @@ class TestRunDynamics:
         net = Network(*generate_topology(cfg, rng))
         state_a = random_allocation(net, np.random.default_rng(1))
         state_b = state_a.copy()
-        empty = [set() for _ in range(15)]
+        empty = KnowledgeBase.from_topology(net.topology)
         ra = run_dynamics(net, state_a, ROUND_ROBIN, BEST_RESPONSE, 30,
                           np.random.default_rng(2), knowledge=empty)
         rb = run_dynamics(net, state_b, ROUND_ROBIN, SELFISH, 30,
@@ -277,6 +277,11 @@ class TestRunDynamics:
         assert len(lines) == len(result.trace) + 1
 
 
+def known_set(kb, i):
+    """AP i's row of the known matrix as the id set ``utility_context`` takes."""
+    return set(np.flatnonzero(kb.known[i]).tolist())
+
+
 class TestSufficiencyEnforcement:
     """Round-robin best response with partial knowledge and enforce_sufficiency."""
 
@@ -311,7 +316,7 @@ class TestSufficiencyEnforcement:
         n = len(topo)
         for t in range(result.iterations * n):
             i = t % n
-            known = kb.known[i] | nearest_cover_set(i, topo, oracle)
+            known = known_set(kb, i) | nearest_cover_set(i, topo, oracle)
             ctx = game.utility_context(i, topo, oracle, model, known,
                                        gains_true=gt, gains_est=ge)
             old_k = int(oracle.channels[i])
@@ -366,9 +371,9 @@ class TestEngineContexts:
                 i = ctx.player.id
                 known = None
                 if mode == "partial":
-                    known = kb.known[i]
+                    known = known_set(kb, i)
                 elif mode == "sufficiency":
-                    known = kb.known[i] | nearest_cover_set(i, topo, state)
+                    known = known_set(kb, i) | nearest_cover_set(i, topo, state)
                 oracle = game.utility_context(i, topo, state, model, known,
                                               gains_true=gt, gains_est=ge)
                 assert np.array_equal(ctx.interference, oracle.interference)
