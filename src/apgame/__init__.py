@@ -19,7 +19,6 @@ from .model import (
     true_gain,
 )
 from .game import (
-    PotentialValue,
     TraceRecord,
     UtilityContext,
     appendixB_potential,

@@ -74,17 +74,15 @@ def _solve_channel_powers(
 ) -> np.ndarray | None:
     """Exact power fixed point for one co-channel group, or None if infeasible.
 
-    Solves p_a = beta_a (N0 + sum_b g_ba p_b) / g_aa and requires a stable
-    positive solution with headroom under every power cap. ``beta``, ``edge``
-    and ``caps`` are indexed by AP id.
+    Solves p_a = beta_a (N0 + sum_b g_ba p_b) / g_aa and requires a positive
+    solution, stable because the coupling is nonnegative, with headroom under
+    every power cap. ``beta``, ``edge`` and ``caps`` are indexed by AP id.
     """
     m = len(members)
     beta, edge, caps = beta[members], edge[members], caps[members]
     # gt has a zero diagonal, so the coupling has one too
     coupling = beta[:, None] * gt[np.ix_(members, members)].T / edge[:, None]
     const = beta * noise_power / edge
-    if m > 1 and np.max(np.abs(np.linalg.eigvals(coupling))) >= 1.0:
-        return None
     try:
         p = np.linalg.solve(np.eye(m) - coupling, const)
     except np.linalg.LinAlgError:

@@ -17,12 +17,12 @@ from . import game
 from .baselines import random_allocation
 from .harness import (
     ScenarioConfig,
+    discovery_completion_ticks,
     domino_experiment,
     export_results,
     generate_topology,
     run_experiment,
 )
-from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
 from .model import Network
 from .schedulers import BEST_RESPONSE, ROUND_ROBIN, run_dynamics
 
@@ -92,17 +92,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-ticks must be nonnegative, got {args.max_ticks}")
     rows = []
     for n in sizes:
-        times = []
-        for rep in range(args.repeats):
-            rng = np.random.default_rng((cfg.seed, n, rep))
-            topology, _ = generate_topology(cfg, rng, num_aps=n)
-            kb = KnowledgeBase.from_topology(topology)
-            dstate = DiscoveryState(rng=rng, samples_per_tick=cfg.samples_per_tick)
-            while not discovery_complete(kb)[0]:
-                discovery_tick(dstate, kb, topology)
-                if dstate.tick > args.max_ticks:
-                    break
-            times.append(dstate.tick)
+        times = [discovery_completion_ticks(cfg, n, rep, args.max_ticks)
+                 for rep in range(args.repeats)]
         mean_time = sum(times) / len(times)
         rows.append((n, mean_time))
         print(f"num_aps={n} mean_completion_ticks={mean_time:.12g}")
@@ -144,10 +135,8 @@ def _verify_ordinal(seed: int) -> tuple[bool, str]:
     for rng, network in _instances(seed, 1000, 10, num_aps=20, num_channels=3,
                                    area_width=300.0, area_height=300.0, shadow_std_db=0.0):
         state = random_allocation(network, rng)
-        result = run_dynamics(
-            network, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
-            enforce_sufficiency=True, record_potential=True,
-        )
+        result = run_dynamics(network, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
+                              record_potential=True)
         report = game.verify_ordinal_improvement(result.trace)
         violations += len(report.violations())
     return violations == 0, f"ordinal-improvement violations={violations}"
@@ -159,9 +148,7 @@ def _verify_nash(seed: int) -> tuple[bool, str]:
                                    area_width=150.0, area_height=150.0):
         state = random_allocation(network, rng)
         result = run_dynamics(network, state, ROUND_ROBIN, BEST_RESPONSE, 100, rng)
-        if result.converged and not game.is_nash_equilibrium(
-            network.topology, state, network.model
-        ):
+        if result.converged and not game.is_nash_equilibrium(network, state):
             failures += 1
     return failures == 0, f"converged-profile NE failures={failures}"
 

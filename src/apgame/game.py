@@ -19,17 +19,13 @@ from .model import (
     AllocationState,
     Network,
     PropagationModel,
+    co_channel_mask,
     edge_gain,
     estimated_gain,
-    estimated_gain_matrix,
     num_channels,
     power_demand,
     true_gain,
-    true_gain_matrix,
 )
-
-FLAVOR_EXACT_FULL = "exact-full"
-FLAVOR_APPENDIX_B = "appendix-b-selfish"
 
 
 @dataclass(frozen=True)
@@ -63,14 +59,13 @@ def utility_context(
     *,
     gains_true: np.ndarray | None = None,
     gains_est: np.ndarray | None = None,
-    channel_count: int | None = None,
 ) -> UtilityContext:
     """Build the per-player view of the current profile.
 
     ``known=None`` means full knowledge of all other APs.
     """
     ap = topology[i]
-    k_total = channel_count if channel_count is not None else num_channels(topology)
+    k_total = num_channels(topology)
     interference = np.zeros(k_total)
     generated = np.zeros(k_total)
     for j, other in enumerate(topology):
@@ -89,6 +84,33 @@ def utility_context(
         generated_weight=generated,
         edge_gain=edge_gain(ap, model),
         noise_power=model.noise_power,
+    )
+
+
+def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-AP arrays ``context`` reads: ``act``, ``ch`` and ``wp`` of ``state``."""
+    act = (state.channels != OFF) & (state.powers > 0)
+    return act, np.where(act, state.channels, 0), state.powers * act
+
+
+def context(
+    network: Network, i: int, ch: np.ndarray, wp: np.ndarray, known: np.ndarray
+) -> UtilityContext:
+    """Player i's utility context from per-AP arrays of the profile.
+
+    ``ch`` holds each AP's channel (any valid id when silent), ``wp`` its
+    power times its activity and ``known`` marks the active APs whose
+    estimated gains i counts. Silent APs and i itself add exact zeros, since
+    their weight and the gain diagonals are zero, and ``bincount`` adds in
+    index order like the scalar ``utility_context``: the sums are bit-equal.
+    """
+    k = network.num_channels
+    return UtilityContext(
+        player=network.topology[i],
+        interference=np.bincount(ch, wp * network.gains_true[:, i], k),
+        generated_weight=np.bincount(ch, network.gains_est[i] * known, k),
+        edge_gain=float(network.edge[i]),
+        noise_power=network.model.noise_power,
     )
 
 
@@ -136,63 +158,37 @@ def selfish_response(ctx: UtilityContext, current_channel: int) -> tuple[int, fl
     return k, ctx.necessary_power(k)
 
 
-@dataclass(frozen=True)
-class PotentialValue:
-    value: float
-    flavor: str
-
-
-def _co_channel_mask(state: AllocationState) -> np.ndarray:
-    ch = state.channels
-    active = (ch != OFF) & (state.powers > 0)
-    co = (ch[:, None] == ch[None, :]) & active[:, None] & active[None, :]
-    np.fill_diagonal(co, False)
-    return co
-
-
-def exact_potential_full(network: Network, state: AllocationState) -> PotentialValue:
+def exact_potential_full(network: Network, state: AllocationState) -> float:
     """Half-sum potential of the full-knowledge game.
 
     Necessary powers are frozen at the current transmit powers, so the value
     depends only on the profile.
     """
     gt, ge = network.gains_true, network.gains_est
-    co = _co_channel_mask(state)
+    co = co_channel_mask(state)
     p = state.powers
     received = float(np.sum(co * (p[:, None] * gt)))   # sum_i sum_j p_j g_ji over co-channel
     generated = float(np.sum(co * (p[:, None] * ge)))  # sum_i sum_j p_i gbar_ij over co-channel
-    return PotentialValue(value=-0.5 * (received + generated), flavor=FLAVOR_EXACT_FULL)
+    return -0.5 * (received + generated)
 
 
-def appendixB_potential(network: Network, state: AllocationState) -> PotentialValue:
+def appendixB_potential(network: Network, state: AllocationState) -> float:
     """Sum over APs of the altered selfish utility (interference times own power)."""
-    co = _co_channel_mask(state)
     p = state.powers
-    value = float(np.sum(co * (p[:, None] * p[None, :]) * network.gains_true))
-    return PotentialValue(value=value, flavor=FLAVOR_APPENDIX_B)
+    return float(np.sum(co_channel_mask(state) * (p[:, None] * p[None, :]) * network.gains_true))
 
 
-def is_nash_equilibrium(
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-) -> bool:
+def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:
     """True iff no AP strictly improves by a unilateral channel change.
 
-    Power is re-optimized to the necessary power on each candidate channel.
-    Guarded against oversized inputs.
+    Power is re-optimized to the necessary power on each candidate channel,
+    and every AP knows every other. Guarded against oversized inputs.
     """
-    n = len(topology)
-    k_total = num_channels(topology)
-    if n * k_total > 1_000_000:
+    if state.num_aps * network.num_channels > 1_000_000:
         raise ValueError("instance too large for the NE deviation sweep")
-    gt = true_gain_matrix(topology, model)
-    ge = estimated_gain_matrix(topology, model)
-    for i, ap in enumerate(topology):
-        ctx = utility_context(
-            i, topology, state, model,
-            gains_true=gt, gains_est=ge, channel_count=k_total,
-        )
+    act, ch, wp = profile_arrays(state)
+    for i, ap in enumerate(network.topology):
+        ctx = context(network, i, ch, wp, act)
         cur = int(state.channels[i])
         u_cur = utility(ctx, cur) if cur != OFF else -math.inf
         for k in ap.channels:
@@ -226,7 +222,6 @@ class Finding:
 
 @dataclass
 class VerificationReport:
-    flavor: str
     findings: list[Finding] = field(default_factory=list)
     max_violation: float = 0.0
 
@@ -236,15 +231,6 @@ class VerificationReport:
 
     def violations(self) -> list[Finding]:
         return [f for f in self.findings if f.verdict != "ok"]
-
-    def to_text(self) -> str:
-        lines = [
-            f"mover={f.mover} du={f.delta_u:.12g} dP={f.delta_potential:.12g} verdict={f.verdict}"
-            for f in self.findings
-        ]
-        lines.append(f"summary flavor={self.flavor} max_violation={self.max_violation:.12g} "
-                     f"passed={self.passed}")
-        return "\n".join(lines)
 
 
 def verify_exact_potential(
@@ -279,16 +265,16 @@ def verify_exact_potential(
         on_k[i] = False
         return power * float(np.sum(state.powers[on_k] * gt[on_k, i]))
 
-    report = VerificationReport(flavor=FLAVOR_APPENDIX_B)
+    report = VerificationReport()
     for _ in range(trials):
         i = int(rng.integers(n))
         ks = sorted(topology[i].channels)
         new_k = ks[int(rng.integers(len(ks)))]
         old_k = int(state.channels[i])
         du = altered_utility(i, new_k) - altered_utility(i, old_k)
-        p_old = appendixB_potential(network, state).value
+        p_old = appendixB_potential(network, state)
         state.channels[i] = new_k
-        p_new = appendixB_potential(network, state).value
+        p_new = appendixB_potential(network, state)
         d_phi = 0.5 * (p_new - p_old)
         gap = abs(du - d_phi)
         report.max_violation = max(report.max_violation, gap)
@@ -299,12 +285,9 @@ def verify_exact_potential(
     return report
 
 
-def verify_ordinal_improvement(
-    trace: list[TraceRecord],
-    potential_flavor: str = FLAVOR_EXACT_FULL,
-) -> VerificationReport:
+def verify_ordinal_improvement(trace: list[TraceRecord]) -> VerificationReport:
     """Check that every strict utility improvement strictly raised the potential."""
-    report = VerificationReport(flavor=potential_flavor)
+    report = VerificationReport()
     for rec in trace:
         if rec.u_after <= rec.u_before:
             continue

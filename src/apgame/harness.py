@@ -21,6 +21,8 @@ from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discov
 from .model import AccessPoint, AllocationState, Network, PropagationModel, satisfied_mask
 from .schedulers import BEST_RESPONSE, ROUND_ROBIN, SELFISH, run_dynamics
 
+MAX_DURATION = 1_000_000.0  # longest accepted experiment, in one-second discovery ticks
+
 
 @dataclass
 class ScenarioConfig:
@@ -76,6 +78,8 @@ class ScenarioConfig:
             raise ValueError("coverage radius exceeds the area scale")
         if self.shadow_std_db < 0:
             raise ValueError("shadow_std_db must be nonnegative")
+        if self.duration > MAX_DURATION:
+            raise ValueError(f"duration must be at most {MAX_DURATION:.0f} seconds")
         # a discovery tick is one second, and every period ends at a report
         if self.allocation_period % 1:
             raise ValueError("allocation_period must be a whole number of seconds")
@@ -186,6 +190,25 @@ class MetricsSeries:
         columns = lines[0].split(",")
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         return cls(columns=columns, rows=rows)
+
+
+def discovery_completion_ticks(
+    config: ScenarioConfig, num_aps: int, rep: int, max_ticks: int
+) -> int:
+    """Discovery ticks until every AP knows all its candidates.
+
+    Topology and probes come from the stream seeded with ``(config.seed,
+    num_aps, rep)``; the count stops at the first tick past ``max_ticks``.
+    """
+    rng = np.random.default_rng((config.seed, num_aps, rep))
+    topology, _ = generate_topology(config, rng, num_aps=num_aps)
+    kb = KnowledgeBase.from_topology(topology)
+    dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
+    while not discovery_complete(kb)[0]:
+        discovery_tick(dstate, kb, topology)
+        if dstate.tick > max_ticks:
+            break
+    return dstate.tick
 
 
 def _timestamps(config: ScenarioConfig) -> list[float]:

@@ -9,7 +9,6 @@ tick models one second of protocol time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -152,17 +151,3 @@ def discovery_complete(
         unknown = unknown[np.ix_(ids, ids)]
     missing = int(unknown.any(axis=1).sum())
     return missing == 0, missing
-
-
-def knowledge_snapshot_csv(
-    knowledge: KnowledgeBase,
-    topology: list[AccessPoint],
-    state: AllocationState,
-    path: str | Path,
-) -> None:
-    """Dump one row per AP: id, known count, candidate count, sufficiency flag."""
-    lines = ["ap_id,known_count,candidate_count,sufficient_flag"]
-    for i in range(len(topology)):
-        flag = int(sufficiency_check(i, knowledge, topology, state))
-        lines.append(f"{i},{knowledge.known[i].sum()},{knowledge.candidates[i].sum()},{flag}")
-    Path(path).write_text("\n".join(lines) + "\n")

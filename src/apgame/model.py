@@ -326,6 +326,15 @@ def is_satisfied(
     return sinr(i, k, topology, state, model) >= i.sinr_target
 
 
+def co_channel_mask(state: AllocationState) -> np.ndarray:
+    """Matrix with [i, j] true iff i and j are distinct, active and on one channel."""
+    ch = state.channels
+    active = (ch != OFF) & (state.powers > 0)
+    co = (ch[:, None] == ch[None, :]) & active[:, None] & active[None, :]
+    np.fill_diagonal(co, False)
+    return co
+
+
 def satisfied_mask(
     topology: list[AccessPoint],
     state: AllocationState,
@@ -335,15 +344,9 @@ def satisfied_mask(
 ) -> np.ndarray:
     """Vectorized is_satisfied over the whole topology."""
     gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
-    ch = state.channels
     p = state.powers
-    active = (ch != OFF) & (p > 0)
-    contrib = (p * active)[:, None] * gt  # [j, i]: power j delivers at i
-    co = (ch[:, None] == ch[None, :]) & active[:, None]
-    np.fill_diagonal(co, False)
-    interference = np.sum(contrib * co, axis=0)
+    interference = np.sum(co_channel_mask(state) * (p[:, None] * gt), axis=0)
     beta = np.array([ap.sinr_target for ap in topology])
     edge = np.array([edge_gain(ap, model) for ap in topology])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = edge * p / (model.noise_power + interference)
-    return active & (ratio >= beta)
+    # a silent AP has zero power, so an SINR of zero, below its positive target
+    return edge * p / (model.noise_power + interference) >= beta

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
-from .game import TraceRecord, UtilityContext, exact_potential_full
+from .game import TraceRecord, exact_potential_full
 from .knowledge import KnowledgeBase, nearest_cover_set
 from .model import OFF, AllocationState, Network
 
@@ -71,27 +71,6 @@ class RunResult:
     cycle_detected: bool
 
 
-def _context(
-    network: Network, i: int, ch: np.ndarray, wp: np.ndarray, known: np.ndarray
-) -> UtilityContext:
-    """Player i's utility context from the engine's per-AP arrays.
-
-    ``ch`` holds each AP's channel (any valid id when silent), ``wp`` its
-    power times its activity and ``known`` marks the active APs whose
-    estimated gains i counts. Silent APs and i itself add exact zeros, since
-    their weight and the gain diagonals are zero, and ``bincount`` adds in
-    index order like the scalar ``utility_context``: the sums are bit-equal.
-    """
-    k = network.num_channels
-    return UtilityContext(
-        player=network.topology[i],
-        interference=np.bincount(ch, wp * network.gains_true[:, i], k),
-        generated_weight=np.bincount(ch, network.gains_est[i] * known, k),
-        edge_gain=float(network.edge[i]),
-        noise_power=network.model.noise_power,
-    )
-
-
 def run_dynamics(
     network: Network,
     state: AllocationState,
@@ -114,6 +93,8 @@ def run_dynamics(
     """
     if responder not in RESPONDERS:
         raise ValueError(f"unknown responder: {responder}")
+    if enforce_sufficiency and knowledge is None:
+        raise ValueError("enforce_sufficiency needs knowledge")
     respond = game.best_response if responder == BEST_RESPONSE else game.selfish_response
     ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
@@ -127,9 +108,7 @@ def run_dynamics(
         per_round = len(ids)
 
     # The engine's view of the profile; only applied updates write to it.
-    act = (state.channels != OFF) & (state.powers > 0)
-    ch = np.where(act, state.channels, 0)
-    wp = state.powers * act
+    act, ch, wp = game.profile_arrays(state)
 
     trace: list[TraceRecord] = []
     seen = {state.channels.tobytes()}
@@ -147,10 +126,10 @@ def run_dynamics(
             updates = []
             for i in next_movers(timing, iteration, ids, rng):
                 known = act if knowledge is None else act & knowledge.known[i]
-                if enforce_sufficiency and knowledge is not None:
+                if enforce_sufficiency:
                     cover = list(nearest_cover_set(i, network.topology, state))
                     known[cover] |= act[cover]
-                ctx = _context(network, i, ch, wp, known)
+                ctx = game.context(network, i, ch, wp, known)
                 old_k = int(state.channels[i])
                 updates.append((i, old_k, *respond(ctx, old_k), ctx))
             activation_changed = False
@@ -165,11 +144,11 @@ def run_dynamics(
                         # channel switch; book the potential against that
                         if old_k != OFF:
                             state.powers[i] = ctx.necessary_power(old_k)
-                        p_before = exact_potential_full(network, state).value
+                        p_before = exact_potential_full(network, state)
                     state.channels[i] = new_k
                     state.powers[i] = new_p
                     if record_potential:
-                        p_after = exact_potential_full(network, state).value
+                        p_after = exact_potential_full(network, state)
                     trace.append(TraceRecord(
                         mover=i, old_channel=old_k, new_channel=new_k,
                         old_power=old_p, new_power=new_p,
@@ -201,15 +180,3 @@ def run_dynamics(
         trace=trace,
         cycle_detected=revisit and not converged,
     )
-
-
-def trace_to_csv_text(trace: list[TraceRecord]) -> str:
-    """Trace export: one row per move with utilities and recorded potential."""
-    lines = ["iteration,mover,old_channel,new_channel,u_before,u_after,P_value"]
-    for t, rec in enumerate(trace):
-        p_val = "" if rec.potential_after is None else format(rec.potential_after, ".12g")
-        lines.append(
-            f"{t},{rec.mover},{rec.old_channel},{rec.new_channel},"
-            f"{format(rec.u_before, '.12g')},{format(rec.u_after, '.12g')},{p_val}"
-        )
-    return "\n".join(lines) + "\n"

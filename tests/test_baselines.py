@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from apgame.baselines import greedy_admission_bound, random_allocation, run_selfish
+from apgame.baselines import (
+    _POWER_PAD,
+    _solve_channel_powers,
+    greedy_admission_bound,
+    random_allocation,
+    run_selfish,
+)
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.model import (
     OFF,
@@ -187,3 +193,57 @@ class TestGreedyAdmissionBound:
             _, count = greedy_admission_bound(topo, model, rng)
             optimum = brute_force_admission_optimum(topo, model)
             assert count <= optimum
+
+
+def guarded_channel_powers(members, beta, edge, caps, noise_power, gt):
+    """The group power solve as it was with a spectral-radius test: a
+    coupling with radius 1 or more is rejected before the solve."""
+    m = len(members)
+    beta, edge, caps = beta[members], edge[members], caps[members]
+    coupling = beta[:, None] * gt[np.ix_(members, members)].T / edge[:, None]
+    const = beta * noise_power / edge
+    if m > 1 and np.max(np.abs(np.linalg.eigvals(coupling))) >= 1.0:
+        return None
+    try:
+        p = np.linalg.solve(np.eye(m) - coupling, const)
+    except np.linalg.LinAlgError:
+        return None
+    p = p * (1.0 + _POWER_PAD)
+    if np.any(p <= 0) or np.any(p > caps):
+        return None
+    return p
+
+
+class TestChannelPowerSolve:
+    @pytest.mark.parametrize("rho", [None, 0.9, 0.999999, 1.0, 1.000001, 1.5])
+    def test_positivity_decides_like_spectral_radius(self, rho):
+        # Without the radius test, a coupling within rounding of radius 1
+        # yields powers near c / 1e-16, which only a cap above about 1e14
+        # times the noise-limited power c = beta N0 / g_edge could admit;
+        # the caps span the program's range well below that.
+        rng = np.random.default_rng(74)
+        n = 8
+        outcomes = set()
+        for _ in range(300):
+            members = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+            gt = rng.lognormal(-8.0, 3.0, (n, n)) * (rng.random((n, n)) < 0.8)
+            np.fill_diagonal(gt, 0.0)
+            beta = rng.uniform(1.0, 6.0, n)
+            edge = rng.uniform(3.0, 20.0, n) ** -3.0
+            caps = rng.choice([1e-4, 0.1, 1.0, 1e3], n)
+            block = np.ix_(members, members)
+            radius = np.max(np.abs(np.linalg.eigvals(
+                beta[members, None] * gt[block].T / edge[members, None])))
+            if rho is not None and radius > 0:
+                gt[block] *= rho / radius
+            expected = guarded_channel_powers(members, beta, edge, caps, 1e-8, gt)
+            solved = _solve_channel_powers(members, beta, edge, caps, 1e-8, gt)
+            if expected is None:
+                assert solved is None
+            else:
+                assert solved is not None and np.array_equal(solved, expected)
+            outcomes.add((len(members) > 1, expected is None))
+        # groups of two or more are rejected at every radius, admitted below 1
+        assert (True, True) in outcomes
+        if rho is None or rho < 1:
+            assert (True, False) in outcomes

@@ -230,6 +230,7 @@ class TestCli:
         (["run", "--allocation-period", "0.4"], "allocation_period"),
         (["run", "--duration", "25", "--allocation-period", "10"], "duration"),
         (["domino", "--duration", "25", "--insert-time", "24"], "duration"),
+        (["run", "--duration", "1e9", "--allocation-period", "1e9"], "duration"),
     ])
     def test_fractional_period_or_duration_exit_one(self, tmp_path, capsys, argv, field):
         # a discovery tick is one second and every period ends at a report

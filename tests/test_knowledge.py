@@ -12,7 +12,6 @@ from apgame.knowledge import (
     candidate_test,
     discovery_complete,
     discovery_tick,
-    knowledge_snapshot_csv,
     nearest_cover_set,
     sufficiency_check,
 )
@@ -234,17 +233,6 @@ class TestDiscovery:
             discovery_tick(ds, kb, topo, active={0, 1})
         assert not kb.known[0, 2] and not kb.known[1, 2]
         assert not kb.known[2].any()
-
-    def test_snapshot_csv_format(self, tmp_path):
-        topo = line_topology([0, 30])
-        kb = KnowledgeBase.complete(topo)
-        state = AllocationState(np.array([0, 1]), np.array([0.01, 0.01]))
-        out = tmp_path / "snap.csv"
-        knowledge_snapshot_csv(kb, topo, state, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "ap_id,known_count,candidate_count,sufficient_flag"
-        assert lines[1] == "0,1,1,1"
-        assert len(lines) == 3
 
 
 def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, ids, log):

@@ -26,7 +26,6 @@ from apgame.schedulers import (
     TimingModel,
     next_movers,
     run_dynamics,
-    trace_to_csv_text,
 )
 
 
@@ -126,13 +125,21 @@ class TestRunDynamics:
         assert result.converged
         assert result.iterations <= 3
         assert sorted(state.channels.tolist()) == [0, 1]
-        assert game.is_nash_equilibrium(topo, state, model)
+        assert game.is_nash_equilibrium(Network(topo, model), state)
 
     def test_unknown_responder_rejected(self):
         topo, model, state = symmetric_pair()
         with pytest.raises(ValueError):
             run_dynamics(Network(topo, model), state, ROUND_ROBIN, "greedy", 10,
                          np.random.default_rng(0))
+
+    def test_sufficiency_without_knowledge_rejected(self):
+        # the nearest cover set extends a knowledge row; with no knowledge
+        # there is no row to extend and the flag would do nothing
+        topo, model, state = symmetric_pair()
+        with pytest.raises(ValueError, match="enforce_sufficiency"):
+            run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10,
+                         np.random.default_rng(0), enforce_sufficiency=True)
 
     def test_converged_run_never_flags_cycle(self):
         for seed in range(20):
@@ -160,7 +167,7 @@ class TestRunDynamics:
                                   BEST_RESPONSE, 100, rng)
             if result.converged:
                 hits += 1
-                assert game.is_nash_equilibrium(topo, state, model)
+                assert game.is_nash_equilibrium(net, state)
         assert hits > 0
 
     def test_trace_records_are_unilateral_channel_changes(self):
@@ -265,16 +272,6 @@ class TestRunDynamics:
         for rec in result.trace:
             assert rec.u_before == pytest.approx(-g * p - p_stay * g, rel=1e-12)
             assert rec.u_after == 0.0
-
-    def test_trace_csv_header_and_rows(self):
-        topo, model, state = symmetric_pair()
-        rng = np.random.default_rng(0)
-        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10,
-                              rng, record_potential=True)
-        text = trace_to_csv_text(result.trace)
-        lines = text.splitlines()
-        assert lines[0] == "iteration,mover,old_channel,new_channel,u_before,u_after,P_value"
-        assert len(lines) == len(result.trace) + 1
 
 
 def known_set(kb, i):
