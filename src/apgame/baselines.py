@@ -7,6 +7,8 @@ global knowledge; it is not an optimum and can be surpassed.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .model import (
@@ -15,6 +17,7 @@ from .model import (
     Network,
     PropagationModel,
     edge_gain,
+    num_channels,
     power_demand,
     true_gain_matrix,
 )
@@ -38,18 +41,38 @@ def _draw_allocation(
     network: Network,
     rng: np.random.Generator,
 ) -> None:
-    """Switch on the silent APs ``ids``: uniform channel draws, then necessary powers in order."""
+    """Switch on the silent APs ``ids``: uniform channel draws, then necessary powers in order.
+
+    One draw with per-AP bounds gives the same numbers as one scalar draw per AP.
+    """
     topology, gt = network.topology, network.gains_true
-    for i in ids:
-        ks = sorted(topology[i].channels)
-        state.channels[i] = ks[int(rng.integers(len(ks)))]
+    sets = [topology[i].channels for i in ids]
+    draws = rng.integers(np.array([len(ks) for ks in sets], dtype=np.int64)).tolist()
+    ordered = {ks: sorted(ks) for ks in set(sets)}
+    for i, ks, d in zip(ids, sets, draws):
+        state.channels[i] = ordered[ks][d]
+    members: list[list[int]] = [[] for _ in range(network.num_channels)]  # transmitting, ascending
+    for j in np.flatnonzero(state.powers > 0).tolist():
+        members[state.channels[j]].append(j)
     for i in ids:
         ap = topology[i]
-        co = (state.channels == state.channels[i]) & (state.powers > 0)
-        co[i] = False
-        interference = float(np.sum(state.powers[co] * gt[co, i]))
+        on_k = members[state.channels[i]]
+        interference = _received(state.powers, gt[:, i], on_k)
         demand = power_demand(ap, network.model.noise_power, interference, float(network.edge[i]))
         state.powers[i] = min(demand, ap.max_power)
+        bisect.insort(on_k, i)
+
+
+def _received(powers: np.ndarray, gains_in: np.ndarray, members: list[int]) -> float:
+    """Sum of ``powers[j] * gains_in[j]`` over the ascending ``members``.
+
+    ``np.add.reduce`` is the reduction ``np.sum`` runs, so the sum adds in
+    the order a boolean mask over all APs would select.
+    """
+    if not members:
+        return 0.0
+    idx = np.array(members)
+    return float(np.add.reduce(powers.take(idx) * gains_in.take(idx)))
 
 
 def run_selfish(
@@ -113,24 +136,23 @@ def greedy_admission_bound(
     edge = np.array([edge_gain(ap, model) for ap in topology])
     caps = np.array([ap.max_power for ap in topology])
     state = AllocationState.all_off(n)
+    members: list[list[int]] = [[] for _ in range(num_channels(topology))]  # admitted, ascending
     order = [int(i) for i in rng.permutation(n)]
     for i in order:
         ap = topology[i]
         best_k = None
         best_demand = np.inf
         for k in sorted(ap.channels):
-            co = (state.channels == k) & (state.powers > 0)
-            interference = float(np.sum(state.powers[co] * gt[co, i]))
+            interference = _received(state.powers, gt[:, i], members[k])
             demand = power_demand(ap, model.noise_power, interference, float(edge[i]))
             if demand < best_demand:
                 best_k, best_demand = k, demand
-        on_k = (state.channels == best_k) & (state.powers > 0)
-        members = np.flatnonzero(on_k).tolist() + [i]
-        solved = _solve_channel_powers(members, beta, edge, caps, model.noise_power, gt)
+        group = members[best_k] + [i]
+        solved = _solve_channel_powers(group, beta, edge, caps, model.noise_power, gt)
         if solved is None:
             continue
         state.channels[i] = best_k
-        for mi, j in enumerate(members):
-            state.powers[j] = solved[mi]
+        state.powers[group] = solved
+        bisect.insort(members[best_k], i)
     admitted = int(np.sum(state.powers > 0))
     return state, admitted

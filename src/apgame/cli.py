@@ -97,6 +97,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         mean_time = sum(times) / len(times)
         rows.append((n, mean_time))
         print(f"num_aps={n} mean_completion_ticks={mean_time:.12g}")
+        capped = sum(t > args.max_ticks for t in times)
+        if capped:
+            print(f"warning: num_aps={n}: {capped} of {len(times)} repetitions did not "
+                  f"complete discovery within {args.max_ticks} ticks; the mean counts "
+                  f"each as {args.max_ticks + 1}", file=sys.stderr)
     if args.out:
         try:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)

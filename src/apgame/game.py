@@ -28,19 +28,20 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UtilityContext:
     """Everything one AP needs to evaluate its utility on each channel.
 
     ``interference[k]`` is the measured co-channel power at the player on
     channel k, accumulated over the whole network with true gains.
     ``generated_weight[k]`` sums the estimated outgoing gains to known
-    neighbors currently active on k.
+    neighbors currently active on k. It is None in an ``interference_context``
+    until it is set; ``utility`` and ``best_response`` refuse such a context.
     """
 
     player: AccessPoint
     interference: np.ndarray
-    generated_weight: np.ndarray
+    generated_weight: np.ndarray | None
     edge_gain: float
     noise_power: float
 
@@ -104,38 +105,63 @@ def context(
     their weight and the gain diagonals are zero, and ``bincount`` adds in
     index order like the scalar ``utility_context``: the sums are bit-equal.
     """
-    k = network.num_channels
+    ctx = interference_context(network, i, ch, wp)
+    ctx.generated_weight = generated_weight(network, i, ch, known)
+    return ctx
+
+
+def interference_context(
+    network: Network, i: int, ch: np.ndarray, wp: np.ndarray
+) -> UtilityContext:
+    """Player i's ``context`` with ``generated_weight`` left None.
+
+    ``selfish_response`` reads only the interference. That is column i of
+    ``gains_true``, which is contiguous.
+    """
     return UtilityContext(
-        player=network.topology[i],
-        interference=np.bincount(ch, wp * network.gains_true[:, i], k),
-        generated_weight=np.bincount(ch, network.gains_est[i] * known, k),
-        edge_gain=float(network.edge[i]),
-        noise_power=network.model.noise_power,
+        network.topology[i],
+        np.bincount(ch, wp * network.gains_true[:, i], network.num_channels),
+        None,
+        float(network.edge[i]),
+        network.model.noise_power,
     )
+
+
+def generated_weight(network: Network, i: int, ch: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Per channel, the estimated gains from player i to the ``known`` APs on it."""
+    return np.bincount(ch, network.gains_est[i] * known, network.num_channels)
+
+
+def _weight(ctx: UtilityContext) -> np.ndarray:
+    if ctx.generated_weight is None:
+        raise ValueError(
+            f"AP {ctx.player.id}'s context has no generated weight; build it with context()"
+        )
+    return ctx.generated_weight
 
 
 def utility(ctx: UtilityContext, k: int) -> float:
     """Negative of measured interference plus estimated generated interference."""
     if k not in ctx.player.channels:
         raise ValueError(f"channel {k} is not available to AP {ctx.player.id}")
-    return -float(ctx.interference[k]) - ctx.necessary_power(k) * float(ctx.generated_weight[k])
+    return -float(ctx.interference[k]) - ctx.necessary_power(k) * float(_weight(ctx)[k])
 
 
 def _argmax_channel(ctx: UtilityContext, score: np.ndarray, current_channel: int) -> int:
     """Available channel of highest ``score[k]``, compared exactly on doubles.
 
     Ties keep the current channel if it is among the maximizers, otherwise
-    the lowest channel id wins.
+    the lowest channel id wins. The scores are finite, so ``max`` and
+    ``index`` find the first maximizer as ``argmax`` does.
     """
-    if len(ctx.player.channels) < len(score):
-        available = list(ctx.player.channels)
-        masked = np.full(len(score), -math.inf)
-        masked[available] = score[available]
-        score = masked
-    k = int(score.argmax())  # first maximizer: the lowest id
-    if current_channel != OFF and score[current_channel] == score[k]:
+    s = score.tolist()
+    channels = ctx.player.channels
+    if len(channels) < len(s):  # an AP that may use every channel skips the mask
+        s = [v if k in channels else -math.inf for k, v in enumerate(s)]
+    best = max(s)
+    if current_channel != OFF and s[current_channel] == best:
         return current_channel
-    return k
+    return s.index(best)
 
 
 def best_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
@@ -148,7 +174,7 @@ def best_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float
     power = np.minimum(
         power_demand(ap, ctx.noise_power, ctx.interference, ctx.edge_gain), ap.max_power
     )
-    k = _argmax_channel(ctx, -ctx.interference - power * ctx.generated_weight, current_channel)
+    k = _argmax_channel(ctx, -ctx.interference - power * _weight(ctx), current_channel)
     return k, float(power[k])
 
 
@@ -164,18 +190,20 @@ def exact_potential_full(network: Network, state: AllocationState) -> float:
     Necessary powers are frozen at the current transmit powers, so the value
     depends only on the profile.
     """
-    gt, ge = network.gains_true, network.gains_est
     co = co_channel_mask(state)
     p = state.powers
-    received = float(np.sum(co * (p[:, None] * gt)))   # sum_i sum_j p_j g_ji over co-channel
-    generated = float(np.sum(co * (p[:, None] * ge)))  # sum_i sum_j p_i gbar_ij over co-channel
+    # C-ordered products, so each sum adds in the same order whatever the layout
+    # of gains_true: sum_i sum_j p_j g_ji and sum_i sum_j p_i gbar_ij over co-channel
+    received = float(np.sum(co * np.multiply(p[:, None], network.gains_true, order="C")))
+    generated = float(np.sum(co * (p[:, None] * network.gains_est)))
     return -0.5 * (received + generated)
 
 
 def appendixB_potential(network: Network, state: AllocationState) -> float:
     """Sum over APs of the altered selfish utility (interference times own power)."""
     p = state.powers
-    return float(np.sum(co_channel_mask(state) * (p[:, None] * p[None, :]) * network.gains_true))
+    weights = co_channel_mask(state) * (p[:, None] * p[None, :])
+    return float(np.sum(np.multiply(weights, network.gains_true, order="C")))
 
 
 def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:

@@ -205,24 +205,37 @@ def pairwise_distances(topology: list[AccessPoint]) -> np.ndarray:
 
 
 def _gain_matrix(
-    topology: list[AccessPoint], model: PropagationModel, shadowing: np.ndarray | float
+    topology: list[AccessPoint],
+    model: PropagationModel,
+    shadowing: np.ndarray | float,
+    receiver_major: bool,
 ) -> np.ndarray:
-    """Matrix of path loss from i to j's coverage edge times ``shadowing``; zero diagonal."""
+    """Path loss to the receiver's coverage edge times ``shadowing``; zero diagonal.
+
+    Entry [i, j] is the gain from transmitter i at receiver j, or, with
+    ``receiver_major``, from transmitter j at receiver i. Distances and
+    shadowing are symmetric, so the two layouts are exact transposes.
+    """
     r = np.array([ap.coverage_radius for ap in topology])
-    eff = np.maximum(pairwise_distances(topology) - r[None, :], model.min_separation)
+    r_rx = r[:, None] if receiver_major else r[None, :]
+    eff = np.maximum(pairwise_distances(topology) - r_rx, model.min_separation)
     g = eff ** -model.path_loss_exponent * shadowing
     np.fill_diagonal(g, 0.0)
     return g
 
 
 def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
-    """Matrix G with G[i, j] = true_gain(i, j); zero diagonal."""
-    return _gain_matrix(topology, model, model.shadow_samples)
+    """Matrix G with G[i, j] = true_gain(i, j); zero diagonal.
+
+    G is the ``.T`` view of a C-ordered receiver-major matrix, so each
+    receiver's incoming gains ``G[:, j]`` are contiguous.
+    """
+    return _gain_matrix(topology, model, model.shadow_samples, True).T
 
 
 def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
     """Matrix with [i, j] = estimated_gain(i, j); zero diagonal."""
-    return _gain_matrix(topology, model, model.mean_linear_gain)
+    return _gain_matrix(topology, model, model.mean_linear_gain, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +358,9 @@ def satisfied_mask(
     """Vectorized is_satisfied over the whole topology."""
     gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
     p = state.powers
-    interference = np.sum(co_channel_mask(state) * (p[:, None] * gt), axis=0)
+    # a C-ordered product sums each column in row order, whatever gt's layout
+    received = co_channel_mask(state) * np.multiply(p[:, None], gt, order="C")
+    interference = np.sum(received, axis=0)
     beta = np.array([ap.sinr_target for ap in topology])
     edge = np.array([edge_gain(ap, model) for ap in topology])
     # a silent AP has zero power, so an SINR of zero, below its positive target

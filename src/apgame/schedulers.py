@@ -96,22 +96,50 @@ def run_dynamics(
     if enforce_sufficiency and knowledge is None:
         raise ValueError("enforce_sufficiency needs knowledge")
     respond = game.best_response if responder == BEST_RESPONSE else game.selfish_response
+    # the selfish rule never reads the generated weight: its contexts get
+    # one only when a move is recorded
+    weighted = responder == BEST_RESPONSE
     ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
 
+    n = len(ids)
     if timing.variant == "synchronous":
         per_round = 1
     elif timing.variant == "asynchronous":
-        per_round = math.ceil(len(ids) / min(timing.subset_size, len(ids)))
+        per_round = math.ceil(n / min(timing.subset_size, n))
     else:
-        per_round = len(ids)
+        per_round = n
+    round_robin = timing.variant == "round-robin"
 
     # The engine's view of the profile; only applied updates write to it.
     act, ch, wp = game.profile_arrays(state)
+    topology, channels, powers = network.topology, state.channels, state.powers
+    known_rows = knowledge.known if knowledge is not None else None
+    context, interference_context = game.context, game.interference_context
+    generated_weight, utility = game.generated_weight, game.utility
+
+    def known_of(i: int) -> np.ndarray:
+        known = act if known_rows is None else act & known_rows[i]
+        if enforce_sufficiency:
+            cover = list(nearest_cover_set(i, topology, state))
+            known[cover] |= act[cover]
+        return known
+
+    def response(i: int) -> tuple[int, int, int, float, game.UtilityContext]:
+        """Mover i's update against the profile as it is before any write."""
+        if weighted:
+            ctx = context(network, i, ch, wp, known_of(i))
+        else:
+            ctx = interference_context(network, i, ch, wp)
+        old_k = int(channels[i])
+        new_k, new_p = respond(ctx, old_k)
+        if new_k != old_k and ctx.generated_weight is None:
+            ctx.generated_weight = generated_weight(network, i, ch, known_of(i))
+        return i, old_k, new_k, new_p, ctx
 
     trace: list[TraceRecord] = []
-    seen = {state.channels.tobytes()}
+    seen = {channels.tobytes()}
     revisit = False
     converged = False
     rounds = 0
@@ -121,50 +149,45 @@ def run_dynamics(
         round_channel_change = False
         round_max_dp = 0.0
         for _ in range(per_round):
-            # every mover responds to the pre-activation profile: all
-            # contexts are built before the first write
-            updates = []
-            for i in next_movers(timing, iteration, ids, rng):
-                known = act if knowledge is None else act & knowledge.known[i]
-                if enforce_sufficiency:
-                    cover = list(nearest_cover_set(i, network.topology, state))
-                    known[cover] |= act[cover]
-                ctx = game.context(network, i, ch, wp, known)
-                old_k = int(state.channels[i])
-                updates.append((i, old_k, *respond(ctx, old_k), ctx))
+            if round_robin:
+                updates = (response(ids[iteration % n]),)
+            else:
+                # every mover responds to the pre-activation profile: all
+                # responses are computed before the first write
+                updates = [response(i) for i in next_movers(timing, iteration, ids, rng)]
             activation_changed = False
             for i, old_k, new_k, new_p, ctx in updates:
-                old_p = float(state.powers[i])
+                old_p = float(powers[i])
                 round_max_dp = max(round_max_dp, abs(new_p - old_p))
                 if new_k != old_k:
-                    u_before = game.utility(ctx, old_k) if old_k != OFF else -math.inf
+                    u_before = utility(ctx, old_k) if old_k != OFF else -math.inf
                     p_before = p_after = None
                     if record_potential:
                         # the response refreshes the mover's power before the
                         # channel switch; book the potential against that
                         if old_k != OFF:
-                            state.powers[i] = ctx.necessary_power(old_k)
+                            powers[i] = ctx.necessary_power(old_k)
                         p_before = exact_potential_full(network, state)
-                    state.channels[i] = new_k
-                    state.powers[i] = new_p
+                    channels[i] = new_k
+                    powers[i] = new_p
                     if record_potential:
                         p_after = exact_potential_full(network, state)
                     trace.append(TraceRecord(
                         mover=i, old_channel=old_k, new_channel=new_k,
                         old_power=old_p, new_power=new_p,
-                        u_before=u_before, u_after=game.utility(ctx, new_k),
+                        u_before=u_before, u_after=utility(ctx, new_k),
                         potential_before=p_before, potential_after=p_after,
                     ))
                     activation_changed = True
                     round_channel_change = True
                 else:
-                    state.powers[i] = new_p
+                    powers[i] = new_p
                 act[i] = new_p > 0
                 ch[i] = new_k
                 wp[i] = new_p
             iteration += 1
             if activation_changed:
-                key = state.channels.tobytes()
+                key = channels.tobytes()
                 if key in seen:
                     revisit = True
                 else:

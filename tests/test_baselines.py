@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from apgame.baselines import (
     _POWER_PAD,
+    _draw_allocation,
     _solve_channel_powers,
     greedy_admission_bound,
     random_allocation,
@@ -21,6 +24,7 @@ from apgame.model import (
     Network,
     PropagationModel,
     edge_gain,
+    power_demand,
     satisfied_mask,
     true_gain_matrix,
 )
@@ -247,3 +251,134 @@ class TestChannelPowerSolve:
         assert (True, True) in outcomes
         if rho is None or rho < 1:
             assert (True, False) in outcomes
+
+
+def masked_draw_allocation(state, ids, network, rng):
+    """The allocation pass with one scalar draw per AP and O(N) co-channel masks."""
+    topology, gt = network.topology, network.gains_true
+    for i in ids:
+        ks = sorted(topology[i].channels)
+        state.channels[i] = ks[int(rng.integers(len(ks)))]
+    for i in ids:
+        ap = topology[i]
+        co = (state.channels == state.channels[i]) & (state.powers > 0)
+        co[i] = False
+        interference = float(np.sum(state.powers[co] * gt[co, i]))
+        demand = power_demand(ap, network.model.noise_power, interference, float(network.edge[i]))
+        state.powers[i] = min(demand, ap.max_power)
+
+
+def masked_greedy_admission_bound(topology, model, rng, gt):
+    """The greedy bound with its channel choice and groups read from O(N) masks."""
+    n = len(topology)
+    beta = np.array([ap.sinr_target for ap in topology])
+    edge = np.array([edge_gain(ap, model) for ap in topology])
+    caps = np.array([ap.max_power for ap in topology])
+    state = AllocationState.all_off(n)
+    for i in [int(i) for i in rng.permutation(n)]:
+        ap = topology[i]
+        best_k = None
+        best_demand = np.inf
+        for k in sorted(ap.channels):
+            co = (state.channels == k) & (state.powers > 0)
+            interference = float(np.sum(state.powers[co] * gt[co, i]))
+            demand = power_demand(ap, model.noise_power, interference, float(edge[i]))
+            if demand < best_demand:
+                best_k, best_demand = k, demand
+        on_k = (state.channels == best_k) & (state.powers > 0)
+        members = np.flatnonzero(on_k).tolist() + [i]
+        solved = _solve_channel_powers(members, beta, edge, caps, model.noise_power, gt)
+        if solved is None:
+            continue
+        state.channels[i] = best_k
+        for mi, j in enumerate(members):
+            state.powers[j] = solved[mi]
+    return state, int(np.sum(state.powers > 0))
+
+
+@st.composite
+def allocation_instances(draw):
+    """A network whose channel sets all have one size, or sizes that differ.
+
+    Windows of one width over the channel range give equal sizes on
+    different sets; with mixed sizes the singleton sets pin their APs.
+    """
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 5))
+    equal_sizes = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, k))
+    topology = []
+    for i in range(n):
+        if equal_sizes:
+            start = int(rng.integers(k - width + 1))
+            channels = frozenset(range(start, start + width))
+        else:
+            size = 1 + int(rng.integers(k))
+            channels = frozenset(rng.choice(k, size, replace=False).tolist())
+        topology.append(AccessPoint(
+            id=i, position=(float(rng.uniform(0, 150)), float(rng.uniform(0, 150))),
+            coverage_radius=float(rng.uniform(3.0, 20.0)), coordination_radius=40.0,
+            sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=channels,
+        ))
+    return Network(topology, PropagationModel.sample(n, rng)), rng
+
+
+class TestMemberListOracle:
+    """Member lists and the array draw reproduce the masked passes bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=allocation_instances(), pre_active=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_draw_allocation_equals_masked_pass(self, instance, pre_active, seed):
+        network, rng = instance
+        n = len(network.topology)
+        start = AllocationState.all_off(n)
+        if pre_active:
+            # active APs below, between and above the silent ids, as after
+            # an insertion in the domino experiment
+            on = rng.random(n) < 0.5
+            for j in np.flatnonzero(on):
+                ks = sorted(network.topology[j].channels)
+                start.channels[j] = ks[int(rng.integers(len(ks)))]
+                start.powers[j] = rng.uniform(1e-5, 0.1)
+        ids = [i for i in range(n) if start.powers[i] == 0]
+        state, expected = start.copy(), start.copy()
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        _draw_allocation(state, ids, network, rng_a)
+        masked_draw_allocation(expected, ids, network, rng_b)
+        assert state.channels.tobytes() == expected.channels.tobytes()
+        assert state.powers.tobytes() == expected.powers.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_domino_insertion_with_active_aps_on_both_sides(self):
+        rng = np.random.default_rng(81)
+        cfg = ScenarioConfig(num_aps=60, num_channels=3, clustered=True, num_clusters=3,
+                             seed=81)
+        network = Network(*generate_topology(cfg, rng))
+        ids = list(range(20, 35))
+        start = AllocationState.all_off(60)
+        _draw_allocation(start, [i for i in range(60) if i not in ids], network,
+                         np.random.default_rng(1))
+        state, expected = start.copy(), start.copy()
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        _draw_allocation(state, ids, network, rng_a)
+        masked_draw_allocation(expected, ids, network, rng_b)
+        assert state.channels.tobytes() == expected.channels.tobytes()
+        assert state.powers.tobytes() == expected.powers.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=allocation_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_greedy_bound_equals_masked_bound(self, instance, seed):
+        network, _ = instance
+        topology, model = network.topology, network.model
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        state, admitted = greedy_admission_bound(topology, model, rng_a,
+                                                 gains_true=network.gains_true)
+        expected, expected_admitted = masked_greedy_admission_bound(
+            topology, model, rng_b, np.ascontiguousarray(network.gains_true))
+        assert admitted == expected_admitted
+        assert state.channels.tobytes() == expected.channels.tobytes()
+        assert state.powers.tobytes() == expected.powers.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -1,6 +1,7 @@
 """Utilities, response rules, potential functions and their checkers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,16 +22,19 @@ from apgame.game import (
     verify_exact_potential,
     verify_ordinal_improvement,
 )
+from apgame.harness import ScenarioConfig, generate_topology
 from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
     Network,
     PropagationModel,
+    co_channel_mask,
     edge_gain,
     estimated_gain,
     estimated_gain_matrix,
     necessary_power,
+    satisfied_mask,
     true_gain,
     true_gain_matrix,
 )
@@ -112,6 +116,22 @@ class TestUtility:
         ctx = utility_context(0, topo, state, make_model(1))
         with pytest.raises(ValueError):
             utility(ctx, 1)
+
+    def test_interference_context_needs_weight_for_utility(self):
+        rng = np.random.default_rng(4)
+        topo, model, state = random_instance(rng)
+        net = Network(topo, model)
+        act, ch, wp = game.profile_arrays(state)
+        ctx = game.interference_context(net, 0, ch, wp)
+        full = game.context(net, 0, ch, wp, act)
+        assert ctx.interference.tobytes() == full.interference.tobytes()
+        assert selfish_response(ctx, OFF) == selfish_response(full, OFF)
+        with pytest.raises(ValueError, match="no generated weight"):
+            utility(ctx, 0)
+        with pytest.raises(ValueError, match="no generated weight"):
+            best_response(ctx, OFF)
+        ctx.generated_weight = game.generated_weight(net, 0, ch, act)
+        assert utility(ctx, 0) == utility(full, 0)
 
     def test_positive_scaling_keeps_argmax(self):
         # scaling both utility terms by c > 0 is equivalent to scaling the
@@ -307,6 +327,46 @@ class TestPotentials:
         assert appendixB_potential(Network(topo, model), state) == pytest.approx(
             2 * g * p1 * p2
         )
+
+
+class TestReceiverMajorLayout:
+    """Reductions over the ``.T`` view ``gains_true`` add in the order they
+    add over a C-ordered transmitter-major matrix."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(50, 305), clustered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_reductions_equal_c_ordered_formulas(self, n, clustered, seed):
+        rng = np.random.default_rng(seed)
+        cfg = ScenarioConfig(num_aps=n, num_channels=int(rng.integers(1, 14)),
+                             clustered=clustered, seed=0)
+        net = Network(*generate_topology(cfg, rng))
+        assert net.gains_true.flags.f_contiguous and net.gains_true.base is not None
+        gt = np.ascontiguousarray(net.gains_true)
+        ge = net.gains_est
+        channels = rng.integers(OFF, cfg.num_channels, size=n)
+        powers = rng.uniform(1e-6, 0.1, size=n) * (rng.random(n) < 0.9)
+        powers[channels == OFF] = 0.0
+        state = AllocationState(channels, powers)
+        co, p = co_channel_mask(state), state.powers
+
+        # every active AP's target is set to its SINR exactly, so a sum that
+        # adds in another order and ends a bit higher flips its AP
+        interference = np.sum(co * (p[:, None] * gt), axis=0)
+        ratio = net.edge * p / (net.model.noise_power + interference)
+        topology = [replace(ap, sinr_target=float(ratio[i])) if p[i] > 0 else ap
+                    for i, ap in enumerate(net.topology)]
+        beta = np.array([ap.sinr_target for ap in topology])
+        expected_mask = ratio >= beta
+        assert expected_mask.sum() == np.count_nonzero(p)
+        assert np.array_equal(satisfied_mask(topology, state, net.model,
+                                             gains_true=net.gains_true), expected_mask)
+        assert np.array_equal(satisfied_mask(topology, state, net.model), expected_mask)
+
+        received = float(np.sum(co * (p[:, None] * gt)))
+        generated = float(np.sum(co * (p[:, None] * ge)))
+        assert exact_potential_full(net, state) == -0.5 * (received + generated)
+        assert appendixB_potential(net, state) \
+            == float(np.sum(co * (p[:, None] * p[None, :]) * gt))
 
 
 class TestNashOracle:

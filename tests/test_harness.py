@@ -281,6 +281,21 @@ class TestCli:
                             lambda seed: (False, "forced failure"))
         assert cli.main(["verify", "--seed", "1"]) == 3
 
+    def test_sweep_warns_about_capped_repetitions(self, capsys):
+        # at 300 APs no repetition completes discovery within 10 ticks
+        code = cli.main(["sweep", "--seed", "2", "--sizes", "300", "--repeats", "2",
+                         "--max-ticks", "10"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out == "num_aps=300 mean_completion_ticks=11\n"
+        assert err == ("warning: num_aps=300: 2 of 2 repetitions did not complete "
+                       "discovery within 10 ticks; the mean counts each as 11\n")
+
+    def test_sweep_without_capped_repetitions_warns_nothing(self, capsys):
+        code = cli.main(["sweep", "--seed", "2", "--sizes", "10", "--repeats", "2"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_sweep_exit_zero_and_output(self, tmp_path, capsys):
         code = cli.main([
             "sweep", "--seed", "2", "--num-channels", "4", "--area-width", "300",

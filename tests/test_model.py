@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apgame.harness import ScenarioConfig, generate_topology
 from apgame.model import (
     OFF,
     AccessPoint,
@@ -20,6 +21,7 @@ from apgame.model import (
     is_satisfied,
     lognormal_mean_linear,
     necessary_power,
+    pairwise_distances,
     satisfied_mask,
     sinr,
     true_gain,
@@ -192,6 +194,22 @@ class TestNetwork:
         for name in ("edge", "gains_true", "gains_est"):
             with pytest.raises(ValueError):
                 getattr(net, name)[0] = 1.0
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_receiver_major_build_is_the_exact_transpose(self, clustered):
+        # the true gains are built receiver-major and viewed through .T; they
+        # equal the transmitter-major formula bit for bit, with no copy held
+        rng = np.random.default_rng(10)
+        cfg = ScenarioConfig(num_aps=120, clustered=clustered, num_clusters=3, seed=0)
+        topo, m = generate_topology(cfg, rng)
+        net = Network(topo, m)
+        r = np.array([ap.coverage_radius for ap in topo])
+        eff = np.maximum(pairwise_distances(topo) - r[None, :], m.min_separation)
+        expected = eff ** -m.path_loss_exponent * m.shadow_samples
+        np.fill_diagonal(expected, 0.0)
+        assert net.gains_true.tobytes(order="C") == expected.tobytes()
+        assert net.gains_true.flags.f_contiguous
+        assert net.gains_true.base.flags.c_contiguous
 
 
 class TestInterference:
