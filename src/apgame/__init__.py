@@ -11,12 +11,6 @@ from .model import (
     AllocationState,
     Network,
     PropagationModel,
-    estimated_gain,
-    interference_at,
-    is_satisfied,
-    necessary_power,
-    sinr,
-    true_gain,
 )
 from .game import (
     TraceRecord,
@@ -25,24 +19,20 @@ from .game import (
     best_response,
     exact_potential_full,
     is_nash_equilibrium,
-    local_optimality_check,
     selfish_response,
     utility,
-    utility_context,
     verify_exact_potential,
     verify_ordinal_improvement,
 )
 from .knowledge import (
     DiscoveryState,
     KnowledgeBase,
-    candidate_test,
     discovery_complete,
     discovery_tick,
     nearest_cover_set,
-    sufficiency_check,
 )
 from .schedulers import RunResult, TimingModel, next_movers, run_dynamics
-from .baselines import greedy_admission_bound, random_allocation, run_selfish
+from .baselines import greedy_admission_bound, random_allocation
 from .harness import (
     MetricsSeries,
     ScenarioConfig,

@@ -1,4 +1,4 @@
-"""Reference allocation schemes: random, selfish, and a greedy admission bound.
+"""Reference allocation schemes: random and a greedy admission bound.
 
 The greedy bound stands in for a centralized comparator. It is a feasible
 heuristic lower bound on the number of simultaneously satisfiable APs under
@@ -19,9 +19,7 @@ from .model import (
     edge_gain,
     num_channels,
     power_demand,
-    true_gain_matrix,
 )
-from .schedulers import SELFISH, RunResult, TimingModel, run_dynamics
 
 # Headroom applied to solved admission powers so edge SINR clears the target
 # strictly despite rounding.
@@ -75,18 +73,6 @@ def _received(powers: np.ndarray, gains_in: np.ndarray, members: list[int]) -> f
     return float(np.add.reduce(powers.take(idx) * gains_in.take(idx)))
 
 
-def run_selfish(
-    network: Network,
-    timing: TimingModel,
-    max_rounds: int,
-    rng: np.random.Generator,
-) -> tuple[RunResult, AllocationState]:
-    """Least-interference dynamics from a fresh random allocation."""
-    state = random_allocation(network, rng)
-    result = run_dynamics(network, state, timing, SELFISH, max_rounds, rng)
-    return result, state
-
-
 def _solve_channel_powers(
     members: list[int],
     beta: np.ndarray,
@@ -121,17 +107,17 @@ def greedy_admission_bound(
     model: PropagationModel,
     rng: np.random.Generator,
     *,
-    gains_true: np.ndarray | None = None,
+    gains_true: np.ndarray,
 ) -> tuple[AllocationState, int]:
     """Admit APs in random order while every admitted AP stays satisfiable.
 
     Each AP is tried only on the channel that minimizes its necessary power
     against the interference of the already admitted set; if admission there
     breaks feasibility, the AP is powered off. Returned powers keep all
-    admitted APs simultaneously satisfied.
+    admitted APs simultaneously satisfied. ``gains_true`` is the topology's
+    ``true_gain_matrix``.
     """
     n = len(topology)
-    gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
     beta = np.array([ap.sinr_target for ap in topology])
     edge = np.array([edge_gain(ap, model) for ap in topology])
     caps = np.array([ap.max_power for ap in topology])
@@ -143,12 +129,12 @@ def greedy_admission_bound(
         best_k = None
         best_demand = np.inf
         for k in sorted(ap.channels):
-            interference = _received(state.powers, gt[:, i], members[k])
+            interference = _received(state.powers, gains_true[:, i], members[k])
             demand = power_demand(ap, model.noise_power, interference, float(edge[i]))
             if demand < best_demand:
                 best_k, best_demand = k, demand
         group = members[best_k] + [i]
-        solved = _solve_channel_powers(group, beta, edge, caps, model.noise_power, gt)
+        solved = _solve_channel_powers(group, beta, edge, caps, model.noise_power, gains_true)
         if solved is None:
             continue
         state.channels[i] = best_k

@@ -16,7 +16,9 @@ import numpy as np
 from . import game
 from .baselines import random_allocation
 from .harness import (
+    MetricsSeries,
     ScenarioConfig,
+    check_count,
     discovery_completion_ticks,
     domino_experiment,
     export_results,
@@ -63,20 +65,15 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """``run`` or ``domino``: one experiment, then its CSV files."""
     cfg = _build_config(args)
-    series = run_experiment(cfg)
-    written = export_results(series, args.out)
-    for path in written:
-        print(path)
-    return EXIT_OK
-
-
-def _cmd_domino(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    series = domino_experiment(cfg, args.num_inserted, args.insert_time)
-    written = export_results(series, args.out)
-    for path in written:
+    if args.command == "run":
+        series = run_experiment(cfg)
+    else:
+        insert_time = cfg.duration / 2 if args.insert_time is None else args.insert_time
+        series = domino_experiment(cfg, args.num_inserted, insert_time)
+    for path in export_results(series, args.out):
         print(path)
     return EXIT_OK
 
@@ -86,6 +83,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     if min(sizes) < 1:
         raise ValueError(f"--sizes must be positive, got {args.sizes}")
+    check_count("each --sizes value", max(sizes), "num_aps")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be positive, got {args.repeats}")
     if args.max_ticks < 0:
@@ -95,7 +93,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         times = [discovery_completion_ticks(cfg, n, rep, args.max_ticks)
                  for rep in range(args.repeats)]
         mean_time = sum(times) / len(times)
-        rows.append((n, mean_time))
+        rows.append([n, mean_time])
         print(f"num_aps={n} mean_completion_ticks={mean_time:.12g}")
         capped = sum(t > args.max_ticks for t in times)
         if capped:
@@ -105,9 +103,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         try:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            lines = ["num_aps,mean_completion_ticks"]
-            lines += [f"{n},{format(m, '.12g')}" for n, m in rows]
-            Path(args.out).write_text("\n".join(lines) + "\n")
+            table = MetricsSeries(["num_aps", "mean_completion_ticks"], rows)
+            Path(args.out).write_text(table.to_csv_text())
         except OSError as exc:
             raise OSError(f"failed to write {args.out}: {exc}") from exc
     return EXIT_OK
@@ -175,14 +172,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="discovery-coupled allocation experiment")
     _add_config_flags(p_run)
     p_run.add_argument("--out", type=str, required=True, help="output directory")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_experiment)
 
     p_dom = sub.add_parser("domino", help="AP-insertion domino experiment")
     _add_config_flags(p_dom)
     p_dom.add_argument("--out", type=str, required=True)
     p_dom.add_argument("--num-inserted", type=int, default=10)
-    p_dom.add_argument("--insert-time", type=float, default=230.0)
-    p_dom.set_defaults(func=_cmd_domino)
+    p_dom.add_argument("--insert-time", type=float, default=None,
+                       help="seconds into the run (default: half the duration)")
+    p_dom.set_defaults(func=_cmd_experiment)
 
     p_ver = sub.add_parser("verify", help="potential and equilibrium property suites")
     p_ver.add_argument("--seed", type=int, required=True)

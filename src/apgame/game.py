@@ -13,19 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    OFF,
-    AccessPoint,
-    AllocationState,
-    Network,
-    PropagationModel,
-    co_channel_mask,
-    edge_gain,
-    estimated_gain,
-    num_channels,
-    power_demand,
-    true_gain,
-)
+from .model import OFF, AccessPoint, AllocationState, Network, co_channel_mask, power_demand
 
 
 @dataclass(slots=True)
@@ -51,43 +39,6 @@ class UtilityContext:
         return min(demand, self.player.max_power)
 
 
-def utility_context(
-    i: int,
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-    known: frozenset[int] | set[int] | None = None,
-    *,
-    gains_true: np.ndarray | None = None,
-    gains_est: np.ndarray | None = None,
-) -> UtilityContext:
-    """Build the per-player view of the current profile.
-
-    ``known=None`` means full knowledge of all other APs.
-    """
-    ap = topology[i]
-    k_total = num_channels(topology)
-    interference = np.zeros(k_total)
-    generated = np.zeros(k_total)
-    for j, other in enumerate(topology):
-        k = int(state.channels[j])
-        p = float(state.powers[j])
-        if j == i or k == OFF or p <= 0:
-            continue
-        g = float(gains_true[j, i]) if gains_true is not None else true_gain(other, ap, model)
-        interference[k] += g * p
-        if known is None or j in known:
-            ge = float(gains_est[i, j]) if gains_est is not None else estimated_gain(ap, other, model)
-            generated[k] += ge
-    return UtilityContext(
-        player=ap,
-        interference=interference,
-        generated_weight=generated,
-        edge_gain=edge_gain(ap, model),
-        noise_power=model.noise_power,
-    )
-
-
 def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-AP arrays ``context`` reads: ``act``, ``ch`` and ``wp`` of ``state``."""
     act = (state.channels != OFF) & (state.powers > 0)
@@ -103,7 +54,7 @@ def context(
     power times its activity and ``known`` marks the active APs whose
     estimated gains i counts. Silent APs and i itself add exact zeros, since
     their weight and the gain diagonals are zero, and ``bincount`` adds in
-    index order like the scalar ``utility_context``: the sums are bit-equal.
+    index order like a scalar loop over the APs: the sums are bit-equal.
     """
     ctx = interference_context(network, i, ch, wp)
     ctx.generated_weight = generated_weight(network, i, ch, known)
@@ -210,18 +161,15 @@ def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:
     """True iff no AP strictly improves by a unilateral channel change.
 
     Power is re-optimized to the necessary power on each candidate channel,
-    and every AP knows every other. Guarded against oversized inputs.
+    and every AP knows every other: each AP's ``best_response`` keeps its
+    channel, which a tie allows. Guarded against oversized inputs.
     """
     if state.num_aps * network.num_channels > 1_000_000:
         raise ValueError("instance too large for the NE deviation sweep")
     act, ch, wp = profile_arrays(state)
-    for i, ap in enumerate(network.topology):
-        ctx = context(network, i, ch, wp, act)
-        cur = int(state.channels[i])
-        u_cur = utility(ctx, cur) if cur != OFF else -math.inf
-        for k in ap.channels:
-            if utility(ctx, k) > u_cur:
-                return False
+    for i, cur in enumerate(state.channels.tolist()):
+        if best_response(context(network, i, ch, wp, act), cur)[0] != cur:
+            return False
     return True
 
 
@@ -335,21 +283,3 @@ def verify_ordinal_improvement(trace: list[TraceRecord]) -> VerificationReport:
             )
         )
     return report
-
-
-def local_optimality_check(
-    i: int,
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-    known: frozenset[int] | set[int] | None = None,
-) -> bool:
-    """True iff least-measured-interference and least-generated-interference agree.
-
-    Both argmins break ties toward the lowest channel id.
-    """
-    ctx = utility_context(i, topology, state, model, known)
-    ks = sorted(ctx.player.channels)
-    argmin_measured = min(ks, key=lambda k: (float(ctx.interference[k]), k))
-    argmin_generated = min(ks, key=lambda k: (float(ctx.generated_weight[k]), k))
-    return argmin_measured == argmin_generated

@@ -22,6 +22,18 @@ from .model import AccessPoint, AllocationState, Network, PropagationModel, sati
 from .schedulers import BEST_RESPONSE, ROUND_ROBIN, SELFISH, run_dynamics
 
 MAX_DURATION = 1_000_000.0  # longest accepted experiment, in one-second discovery ticks
+# Largest accepted counts that size arrays: N x N matrices, per-channel sums,
+# cluster centres and each tick's N x samples_per_tick probe draws.
+MAX_COUNTS = {"num_aps": 10_000, "num_channels": 1_000, "num_clusters": 10_000,
+              "samples_per_tick": 1_000}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def check_count(what: str, value: int, key: str) -> None:
+    """Reject ``value`` above the ``MAX_COUNTS`` cap of config field ``key``."""
+    if value > MAX_COUNTS[key]:
+        raise ValueError(f"{what} must be at most {MAX_COUNTS[key]}, got {value}")
 
 
 @dataclass
@@ -78,6 +90,8 @@ class ScenarioConfig:
             raise ValueError("coverage radius exceeds the area scale")
         if self.shadow_std_db < 0:
             raise ValueError("shadow_std_db must be nonnegative")
+        for name in MAX_COUNTS:
+            check_count(f"config field {name}", getattr(self, name), name)
         if self.duration > MAX_DURATION:
             raise ValueError(f"duration must be at most {MAX_DURATION:.0f} seconds")
         # a discovery tick is one second, and every period ends at a report
@@ -85,12 +99,6 @@ class ScenarioConfig:
             raise ValueError("allocation_period must be a whole number of seconds")
         if self.duration % self.allocation_period:
             raise ValueError("duration must be a whole multiple of allocation_period")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str]) -> "ScenarioConfig":
-        cfg = cls()
-        cfg.apply(mapping)
-        return cfg
 
     def apply(self, mapping: dict[str, str]) -> None:
         """Override fields from string key-value pairs (config file format)."""
@@ -100,7 +108,10 @@ class ScenarioConfig:
                 raise ValueError(f"unknown config key: {key}")
             current = getattr(self, key)
             if isinstance(current, bool):
-                value: object = raw.strip().lower() in ("1", "true", "yes", "on")
+                spelling = raw.strip().lower()
+                if spelling not in _BOOLEANS:
+                    raise ValueError(f"config field {key} must be true or false, got {raw!r}")
+                value: object = _BOOLEANS[spelling]
             elif isinstance(current, int):
                 value = int(raw)
             else:
@@ -118,7 +129,9 @@ class ScenarioConfig:
                 raise ValueError(f"bad config line: {line!r}")
             key, _, value = line.partition("=")
             mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
+        cfg = cls()
+        cfg.apply(mapping)
+        return cfg
 
 
 def generate_topology(
@@ -169,7 +182,7 @@ def generate_topology(
 
 @dataclass
 class MetricsSeries:
-    """Tabular per-timestamp metrics; first column is always ``time``."""
+    """A numeric table written as CSV; the experiments' first column is ``time``."""
 
     columns: list[str]
     rows: list[list[float]] = field(default_factory=list)
@@ -183,13 +196,6 @@ class MetricsSeries:
         for row in self.rows:
             lines.append(",".join(format(v, ".12g") for v in row))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv_text(cls, text: str) -> "MetricsSeries":
-        lines = [ln for ln in text.splitlines() if ln]
-        columns = lines[0].split(",")
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        return cls(columns=columns, rows=rows)
 
 
 def discovery_completion_ticks(
@@ -303,6 +309,7 @@ def domino_experiment(
     if not 0 < insert_time < config.duration:
         raise ValueError("insert_time must fall inside the experiment duration")
     total = config.num_aps + num_inserted
+    check_count("num_aps + num_inserted", total, "num_aps")
     network, kb, dstate, streams = _setup(config, total)
     topology = network.topology
     game_rng = streams[0]
@@ -363,22 +370,15 @@ def export_results(series: MetricsSeries, out_dir: str | Path) -> list[Path]:
     written: list[Path] = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        main = out / "metrics.csv"
-        main.write_text(series.to_csv_text())
-        written.append(main)
-        time_idx = series.columns.index("time")
+        files = {"metrics.csv": series}
         for name, wanted in _FIGURE_FAMILIES.items():
-            cols = [c for c in series.columns if wanted(c)]
-            if not cols:
-                continue
-            idxs = [series.columns.index(c) for c in cols]
-            lines = [",".join(["time"] + cols)]
-            for row in series.rows:
-                lines.append(",".join(
-                    format(row[j], ".12g") for j in [time_idx] + idxs
-                ))
+            idxs = [j for j, c in enumerate(series.columns) if c == "time" or wanted(c)]
+            if len(idxs) > 1:
+                files[name] = MetricsSeries([series.columns[j] for j in idxs],
+                                            [[row[j] for j in idxs] for row in series.rows])
+        for name, table in files.items():
             path = out / name
-            path.write_text("\n".join(lines) + "\n")
+            path.write_text(table.to_csv_text())
             written.append(path)
     except OSError as exc:
         raise OSError(f"failed to write results under {out}: {exc}") from exc

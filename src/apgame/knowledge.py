@@ -15,20 +15,14 @@ import numpy as np
 from .model import OFF, AccessPoint, AllocationState, distance, pairwise_distances
 
 
-def candidate_test(i: AccessPoint, j: AccessPoint) -> bool:
-    """True iff the coordination areas of the two APs overlap."""
-    if i.id == j.id:
-        raise ValueError("candidate_test requires two distinct APs")
-    return distance(i, j) < i.coordination_radius + j.coordination_radius
-
-
 @dataclass
 class KnowledgeBase:
     """Who knows whom, and who may: two N x N boolean matrices.
 
-    ``candidates[i, j]`` is the candidate test of i and j (symmetric, False
-    on the diagonal). ``known[i, j]`` says that i has discovered j; it only
-    ever holds candidates of i (soundness) and never turns back to False.
+    ``candidates[i, j]`` says that the coordination areas of i and j overlap
+    (symmetric, False on the diagonal). ``known[i, j]`` says that i has
+    discovered j; it only ever holds candidates of i (soundness) and never
+    turns back to False.
     Peer metadata (position, radius, current channel) is read from the
     shared topology and allocation state: channel updates are pushed
     instantly once a neighbor is known.
@@ -92,16 +86,6 @@ def nearest_cover_set(
         if not needed:
             return prefix
     return prefix
-
-
-def sufficiency_check(
-    i: int,
-    knowledge: KnowledgeBase,
-    topology: list[AccessPoint],
-    state: AllocationState,
-) -> bool:
-    """True iff i already knows its nearest channel-covering neighbor set."""
-    return bool(knowledge.known[i, sorted(nearest_cover_set(i, topology, state))].all())
 
 
 def discovery_tick(

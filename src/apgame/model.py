@@ -162,37 +162,6 @@ class AllocationState:
         return AllocationState(self.channels.copy(), self.powers.copy())
 
 
-def validate_state(state: AllocationState, topology: list[AccessPoint]) -> None:
-    """Check the per-AP invariants that need topology context."""
-    if state.num_aps != len(topology):
-        raise ValueError("state size does not match topology")
-    for i, ap in enumerate(topology):
-        if state.powers[i] > ap.max_power:
-            raise ValueError(f"AP {i} exceeds its power cap")
-        k = int(state.channels[i])
-        if k != OFF and k not in ap.channels:
-            raise ValueError(f"AP {i} is on channel {k} outside its channel set")
-
-
-def estimated_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> float:
-    """Expected linear gain from transmitter i at receiver j's coverage edge.
-
-    Shadowing is replaced by its mean; used when the realization is unknown.
-    """
-    if i.id == j.id:
-        raise ValueError("estimated_gain requires two distinct APs")
-    d = max(distance(i, j) - j.coverage_radius, model.min_separation)
-    return d ** -model.path_loss_exponent * model.mean_linear_gain
-
-
-def true_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> float:
-    """Linear gain from transmitter i at receiver j with sampled shadowing."""
-    if i.id == j.id:
-        raise ValueError("true_gain requires two distinct APs")
-    d = max(distance(i, j) - j.coverage_radius, model.min_separation)
-    return d ** -model.path_loss_exponent * float(model.shadow_samples[i.id, j.id])
-
-
 def edge_gain(i: AccessPoint, model: PropagationModel) -> float:
     """Own-link gain evaluated at the edge of i's coverage area."""
     return i.coverage_radius ** -model.path_loss_exponent * model.mean_linear_gain
@@ -225,7 +194,7 @@ def _gain_matrix(
 
 
 def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
-    """Matrix G with G[i, j] = true_gain(i, j); zero diagonal.
+    """Gain G[i, j] from transmitter i at receiver j, sampled shadowing; zero diagonal.
 
     G is the ``.T`` view of a C-ordered receiver-major matrix, so each
     receiver's incoming gains ``G[:, j]`` are contiguous.
@@ -234,7 +203,7 @@ def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np
 
 
 def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
-    """Matrix with [i, j] = estimated_gain(i, j); zero diagonal."""
+    """``true_gain_matrix`` with the mean shadowing gain, C-ordered; zero diagonal."""
     return _gain_matrix(topology, model, model.mean_linear_gain, False)
 
 
@@ -277,68 +246,6 @@ def power_demand(
     return ap.sinr_target * (noise_power + interference) / edge
 
 
-def interference_at(
-    j: AccessPoint,
-    k: int,
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-) -> float:
-    """Total received co-channel power at AP j on channel k, in watts."""
-    if k < 0:
-        raise ValueError("interference is defined for a real channel, not OFF")
-    total = 0.0
-    for i, ap in enumerate(topology):
-        if i == j.id or state.channels[i] != k or state.powers[i] <= 0:
-            continue
-        total += true_gain(ap, j, model) * float(state.powers[i])
-    return total
-
-
-def sinr(
-    i: AccessPoint,
-    k: int,
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-) -> float:
-    """Coverage-edge SINR of AP i on channel k at its current power."""
-    if k not in i.channels:
-        raise ValueError(f"channel {k} is not available to AP {i.id}")
-    p = float(state.powers[i.id])
-    if p <= 0:
-        raise ValueError("SINR is undefined for a silent AP; treat it as unsatisfied")
-    noise_plus_i = model.noise_power + interference_at(i, k, topology, state, model)
-    return edge_gain(i, model) * p / noise_plus_i
-
-
-def necessary_power(
-    i: AccessPoint,
-    k: int,
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-) -> float:
-    """Minimum power meeting i's SINR target on k, capped at its budget."""
-    if k not in i.channels:
-        raise ValueError(f"channel {k} is not available to AP {i.id}")
-    interference = interference_at(i, k, topology, state, model)
-    return min(power_demand(i, model.noise_power, interference, edge_gain(i, model)), i.max_power)
-
-
-def is_satisfied(
-    i: AccessPoint,
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-) -> bool:
-    """True iff AP i transmits and meets its SINR target at the coverage edge."""
-    k = int(state.channels[i.id])
-    if k == OFF or state.powers[i.id] <= 0:
-        return False
-    return sinr(i, k, topology, state, model) >= i.sinr_target
-
-
 def co_channel_mask(state: AllocationState) -> np.ndarray:
     """Matrix with [i, j] true iff i and j are distinct, active and on one channel."""
     ch = state.channels
@@ -353,13 +260,15 @@ def satisfied_mask(
     state: AllocationState,
     model: PropagationModel,
     *,
-    gains_true: np.ndarray | None = None,
+    gains_true: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized is_satisfied over the whole topology."""
-    gt = gains_true if gains_true is not None else true_gain_matrix(topology, model)
+    """Whether each AP transmits and meets its SINR target at its coverage edge.
+
+    ``gains_true`` is the topology's ``true_gain_matrix``.
+    """
     p = state.powers
-    # a C-ordered product sums each column in row order, whatever gt's layout
-    received = co_channel_mask(state) * np.multiply(p[:, None], gt, order="C")
+    # a C-ordered product sums each column in row order, whatever the layout
+    received = co_channel_mask(state) * np.multiply(p[:, None], gains_true, order="C")
     interference = np.sum(received, axis=0)
     beta = np.array([ap.sinr_target for ap in topology])
     edge = np.array([edge_gain(ap, model) for ap in topology])

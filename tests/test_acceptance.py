@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from apgame import game
-from apgame.baselines import greedy_admission_bound, random_allocation, run_selfish
+from apgame.baselines import greedy_admission_bound, random_allocation
 from apgame.harness import (
     ScenarioConfig,
     discovery_completion_ticks,
@@ -27,17 +27,17 @@ from apgame.model import (
     Network,
     PropagationModel,
     edge_gain,
-    estimated_gain,
-    necessary_power,
     satisfied_mask,
-    true_gain,
+    true_gain_matrix,
 )
 from apgame.schedulers import (
     BEST_RESPONSE,
     ROUND_ROBIN,
+    SELFISH,
     SYNCHRONOUS,
     run_dynamics,
 )
+from oracles import estimated_gain, necessary_power, true_gain
 
 
 def report(num, ok, detail):
@@ -240,7 +240,8 @@ def test_criterion_5_selfish_convergence():
                              area_height=300.0, coverage_radius_min=10.0,
                              coverage_radius_max=10.0, seed=11)
         net = Network(*generate_topology(cfg, rng))
-        result, _ = run_selfish(net, ROUND_ROBIN, 50, rng)
+        state = random_allocation(net, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, SELFISH, 50, rng)
         equal_converged += result.converged
 
     hetero_failed = 0
@@ -250,7 +251,8 @@ def test_criterion_5_selfish_convergence():
                              area_height=80.0, coverage_radius_min=3.0,
                              coverage_radius_max=20.0, seed=12)
         net = Network(*generate_topology(cfg, rng))
-        result, _ = run_selfish(net, ROUND_ROBIN, 50, rng)
+        state = random_allocation(net, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, SELFISH, 50, rng)
         hetero_failed += not result.converged
     elapsed = time.time() - t0
     ok = equal_converged == 100 and hetero_failed > 0 and elapsed < 60.0
@@ -332,10 +334,11 @@ def test_criterion_10_bound_feasibility(experiment_batch):
         master = np.random.default_rng(cfg.seed)
         seeds = master.integers(2 ** 63, size=8)
         topo, model = generate_topology(cfg, np.random.default_rng(seeds[0]))
+        gt = true_gain_matrix(topo, model)
         state, admitted = greedy_admission_bound(
-            topo, model, np.random.default_rng(seeds[5])
+            topo, model, np.random.default_rng(seeds[5]), gains_true=gt
         )
-        sat = satisfied_mask(topo, state, model)
+        sat = satisfied_mask(topo, state, model, gains_true=gt)
         admitted_mask = state.powers > 0
         total_admitted += admitted
         all_ok = all_ok and admitted == int(np.sum(admitted_mask))

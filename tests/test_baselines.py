@@ -14,7 +14,6 @@ from apgame.baselines import (
     _solve_channel_powers,
     greedy_admission_bound,
     random_allocation,
-    run_selfish,
 )
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.model import (
@@ -28,7 +27,7 @@ from apgame.model import (
     satisfied_mask,
     true_gain_matrix,
 )
-from apgame.schedulers import ROUND_ROBIN
+from apgame.schedulers import ROUND_ROBIN, SELFISH, run_dynamics
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -105,7 +104,8 @@ class TestRunSelfish:
         cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=300.0,
                              area_height=300.0, seed=6)
         net = Network(*generate_topology(cfg, rng))
-        result, state = run_selfish(net, ROUND_ROBIN, 50, rng)
+        state = random_allocation(net, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, SELFISH, 50, rng)
         assert state.num_aps == 15
         assert result.iterations <= 50
 
@@ -116,7 +116,7 @@ class TestRunSelfish:
                                  area_height=300.0, coverage_radius_min=10.0,
                                  coverage_radius_max=10.0, seed=71)
             net = Network(*generate_topology(cfg, rng))
-            result, _ = run_selfish(net, ROUND_ROBIN, 50, rng)
+            result = run_dynamics(net, random_allocation(net, rng), ROUND_ROBIN, SELFISH, 50, rng)
             assert result.converged
 
 
@@ -161,15 +161,17 @@ def brute_force_admission_optimum(topo, model):
 class TestGreedyAdmissionBound:
     def test_single_ap_admitted(self):
         topo = [make_ap(0, 0.0, 0.0)]
+        gt = true_gain_matrix(topo, flat_model(1))
         state, count = greedy_admission_bound(topo, flat_model(1),
-                                              np.random.default_rng(0))
+                                              np.random.default_rng(0), gains_true=gt)
         assert count == 1
-        assert satisfied_mask(topo, state, flat_model(1))[0]
+        assert satisfied_mask(topo, state, flat_model(1), gains_true=gt)[0]
 
     def test_two_aps_get_orthogonal_channels(self):
         topo = [make_ap(0, 0.0, 0.0), make_ap(1, 25.0, 0.0)]
         model = flat_model(2)
-        state, count = greedy_admission_bound(topo, model, np.random.default_rng(1))
+        state, count = greedy_admission_bound(topo, model, np.random.default_rng(1),
+                                              gains_true=true_gain_matrix(topo, model))
         assert count == 2
         assert state.channels[0] != state.channels[1]
 
@@ -179,8 +181,9 @@ class TestGreedyAdmissionBound:
             cfg = ScenarioConfig(num_aps=40, num_channels=3, area_width=200.0,
                                  area_height=200.0, seed=72)
             topo, model = generate_topology(cfg, rng)
-            state, count = greedy_admission_bound(topo, model, rng)
-            sat = satisfied_mask(topo, state, model)
+            gt = true_gain_matrix(topo, model)
+            state, count = greedy_admission_bound(topo, model, rng, gains_true=gt)
+            sat = satisfied_mask(topo, state, model, gains_true=gt)
             admitted = state.powers > 0
             assert count == int(np.sum(admitted))
             assert np.all(sat[admitted])
@@ -194,7 +197,8 @@ class TestGreedyAdmissionBound:
                                  coverage_radius_max=12.0, sinr_target_low=3.0,
                                  sinr_target_high=6.0, seed=73)
             topo, model = generate_topology(cfg, rng)
-            _, count = greedy_admission_bound(topo, model, rng)
+            _, count = greedy_admission_bound(topo, model, rng,
+                                              gains_true=true_gain_matrix(topo, model))
             optimum = brute_force_admission_optimum(topo, model)
             assert count <= optimum
 

@@ -5,6 +5,7 @@ import pytest
 
 from apgame import cli
 from apgame.harness import (
+    MAX_COUNTS,
     MetricsSeries,
     ScenarioConfig,
     domino_experiment,
@@ -41,6 +42,26 @@ class TestScenarioConfig:
         cfg = ScenarioConfig()
         with pytest.raises(ValueError):
             cfg.apply({"bandwidth": "20"})
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("true", True), (" Yes ", True), ("ON", True),
+        ("0", False), ("false", False), ("No", False), ("off", False),
+    ])
+    def test_apply_boolean_spellings(self, raw, value):
+        cfg = ScenarioConfig(clustered=not value)
+        cfg.apply({"clustered": raw})
+        assert cfg.clustered is value
+
+    @pytest.mark.parametrize("raw", ["yes-please", "", "2", "truee", "nan"])
+    def test_apply_rejects_other_boolean_spellings(self, raw):
+        with pytest.raises(ValueError, match="config field clustered must be true or false"):
+            ScenarioConfig().apply({"clustered": raw})
+
+    @pytest.mark.parametrize("name", sorted(MAX_COUNTS))
+    def test_counts_capped(self, name):
+        ScenarioConfig(**{name: MAX_COUNTS[name]}).validate()
+        with pytest.raises(ValueError, match=f"config field {name} must be at most"):
+            ScenarioConfig(**{name: MAX_COUNTS[name] + 1}).validate()
 
     def test_from_file_parses_flat_key_values(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -92,16 +113,6 @@ class TestGenerateTopology:
 
 
 class TestMetricsSeries:
-    def test_roundtrip(self):
-        series = MetricsSeries(
-            columns=["time", "a", "b"],
-            rows=[[0.0, 1.5, 2.0], [10.0, 0.3333333333333333, 4.0]],
-        )
-        back = MetricsSeries.from_csv_text(series.to_csv_text())
-        assert back.columns == series.columns
-        for ra, rb in zip(series.rows, back.rows):
-            assert all(x == pytest.approx(y, rel=1e-11) for x, y in zip(ra, rb))
-
     def test_twelve_significant_digits(self):
         series = MetricsSeries(columns=["time", "x"], rows=[[0.0, 1 / 3]])
         assert "0.333333333333" in series.to_csv_text()
@@ -167,8 +178,7 @@ class TestExportResults:
         names = {p.name for p in written}
         assert "metrics.csv" in names
         assert "fig_satisfied.csv" in names
-        back = MetricsSeries.from_csv_text((tmp_path / "out" / "metrics.csv").read_text())
-        assert back.columns == series.columns
+        assert (tmp_path / "out" / "metrics.csv").read_text() == series.to_csv_text()
 
     def test_byte_identical_across_equal_seeds(self, tmp_path):
         export_results(run_experiment(small_config(seed=4)), tmp_path / "a")
@@ -272,6 +282,45 @@ class TestCli:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 0
+
+    def test_domino_insert_time_defaults_to_half_the_duration(self, tmp_path):
+        code = cli.main([
+            "domino", "--seed", "3", "--num-aps", "20", "--num-channels", "4",
+            "--area-width", "400", "--area-height", "400", "--duration", "40",
+            "--num-inserted", "3", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+        assert rows[0].split(",")[-1] == "active_aps"
+        assert [r.split(",")[-1] for r in rows[1:]] == ["20", "20", "23", "23", "23"]
+
+    def test_non_boolean_spelling_exit_one(self, tmp_path, capsys):
+        code = cli.main(self.run_flags(tmp_path, extra=["--clustered", "yes-please"]))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config field clustered") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--num-aps", "10001"]),
+        ("run", ["--num-aps", "100000000000000000000"]),
+        ("run", ["--num-channels", "1001"]),
+        ("run", ["--clustered", "true", "--num-clusters", "10001"]),
+        ("run", ["--samples-per-tick", "100000000000000"]),
+        ("domino", ["--num-aps", "9999", "--num-inserted", "2"]),
+        ("domino", ["--num-aps", "20", "--num-inserted", "100000000000000"]),
+        ("sweep", ["--sizes", "5,10001"]),
+        ("sweep", ["--sizes", "5", "--area-width", "50", "--area-height", "50",
+                   "--samples-per-tick", "100000000000000"]),
+    ])
+    def test_oversized_counts_exit_one(self, tmp_path, capsys, command, flags):
+        # each value is rejected before any array of that size is allocated
+        extra = ["--repeats", "1"] if command == "sweep" else ["--out", str(tmp_path / "out")]
+        code = cli.main([command, *flags, "--seed", "1", *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "must be at most" in err
 
     def test_verify_exit_zero(self):
         assert cli.main(["verify", "--seed", "1"]) == 0

@@ -9,13 +9,12 @@ from apgame.harness import ScenarioConfig, generate_topology
 from apgame.knowledge import (
     DiscoveryState,
     KnowledgeBase,
-    candidate_test,
     discovery_complete,
     discovery_tick,
     nearest_cover_set,
-    sufficiency_check,
 )
 from apgame.model import OFF, AccessPoint, AllocationState
+from oracles import candidate_test, sufficiency_check
 
 
 def make_ap(i, x, y, radius=10.0, coord=40.0, channels=(0, 1)):

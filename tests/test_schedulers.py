@@ -14,7 +14,6 @@ from apgame.model import (
     Network,
     PropagationModel,
     estimated_gain_matrix,
-    necessary_power,
     true_gain_matrix,
 )
 from apgame.schedulers import (
@@ -27,6 +26,7 @@ from apgame.schedulers import (
     next_movers,
     run_dynamics,
 )
+from oracles import necessary_power, utility_context
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, channels=(0, 1)):
@@ -314,7 +314,7 @@ class TestSufficiencyEnforcement:
         for t in range(result.iterations * n):
             i = t % n
             known = known_set(kb, i) | nearest_cover_set(i, topo, oracle)
-            ctx = game.utility_context(i, topo, oracle, model, known,
+            ctx = utility_context(i, topo, oracle, model, known,
                                        gains_true=gt, gains_est=ge)
             old_k = int(oracle.channels[i])
             new_k, new_p = game.best_response(ctx, old_k)
@@ -371,7 +371,7 @@ class TestEngineContexts:
                     known = known_set(kb, i)
                 elif mode == "sufficiency":
                     known = known_set(kb, i) | nearest_cover_set(i, topo, state)
-                oracle = game.utility_context(i, topo, state, model, known,
+                oracle = utility_context(i, topo, state, model, known,
                                               gains_true=gt, gains_est=ge)
                 assert np.array_equal(ctx.interference, oracle.interference)
                 assert np.array_equal(ctx.generated_weight, oracle.generated_weight)
