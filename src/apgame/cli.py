@@ -16,6 +16,7 @@ import numpy as np
 from . import game
 from .baselines import random_allocation
 from .harness import (
+    MAX_DURATION,
     MetricsSeries,
     ScenarioConfig,
     check_count,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
+MAX_REPEATS = 10_000  # each sweep repetition builds a topology and runs discovery
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +86,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if min(sizes) < 1:
         raise ValueError(f"--sizes must be positive, got {args.sizes}")
     check_count("each --sizes value", max(sizes), "num_aps")
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be positive, got {args.repeats}")
-    if args.max_ticks < 0:
-        raise ValueError(f"--max-ticks must be nonnegative, got {args.max_ticks}")
+    if not 1 <= args.repeats <= MAX_REPEATS:
+        raise ValueError(f"--repeats must be in [1, {MAX_REPEATS}], got {args.repeats}")
+    if not 0 <= args.max_ticks <= MAX_DURATION:
+        raise ValueError(f"--max-ticks must be in [0, {MAX_DURATION:.0f}], got {args.max_ticks}")
     rows = []
     for n in sizes:
         times = [discovery_completion_ticks(cfg, n, rep, args.max_ticks)

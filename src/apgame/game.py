@@ -9,7 +9,9 @@ uses mean-shadowing gain estimates restricted to the known set.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,19 +25,17 @@ class UtilityContext:
     ``interference[k]`` is the measured co-channel power at the player on
     channel k, accumulated over the whole network with true gains.
     ``generated_weight[k]`` sums the estimated outgoing gains to known
-    neighbors currently active on k. It is None in an ``interference_context``
-    until it is set; ``utility`` and ``best_response`` refuse such a context.
+    neighbors active on k; it is None in a context only the selfish rule reads.
     """
 
     player: AccessPoint
-    interference: np.ndarray
-    generated_weight: np.ndarray | None
+    interference: list[float]
+    generated_weight: list[float] | None
     edge_gain: float
     noise_power: float
 
     def necessary_power(self, k: int) -> float:
-        interference = float(self.interference[k])
-        demand = power_demand(self.player, self.noise_power, interference, self.edge_gain)
+        demand = power_demand(self.player, self.noise_power, self.interference[k], self.edge_gain)
         return min(demand, self.player.max_power)
 
 
@@ -45,94 +45,84 @@ def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.n
     return act, np.where(act, state.channels, 0), state.powers * act
 
 
-def context(
-    network: Network, i: int, ch: np.ndarray, wp: np.ndarray, known: np.ndarray
-) -> UtilityContext:
-    """Player i's utility context from per-AP arrays of the profile.
+def context(network: Network, i: int, ch: np.ndarray, wp: np.ndarray,
+            weight: list[float] | None) -> UtilityContext:
+    """Player i's utility context with the given ``generated_weight``.
 
-    ``ch`` holds each AP's channel (any valid id when silent), ``wp`` its
-    power times its activity and ``known`` marks the active APs whose
-    estimated gains i counts. Silent APs and i itself add exact zeros, since
-    their weight and the gain diagonals are zero, and ``bincount`` adds in
-    index order like a scalar loop over the APs: the sums are bit-equal.
-    """
-    ctx = interference_context(network, i, ch, wp)
-    ctx.generated_weight = generated_weight(network, i, ch, known)
-    return ctx
-
-
-def interference_context(
-    network: Network, i: int, ch: np.ndarray, wp: np.ndarray
-) -> UtilityContext:
-    """Player i's ``context`` with ``generated_weight`` left None.
-
-    ``selfish_response`` reads only the interference. That is column i of
-    ``gains_true``, which is contiguous.
+    ``ch`` holds each AP's channel (any valid id when silent) and ``wp`` its
+    power times its activity. Silent APs and i add exact zeros, and
+    ``bincount`` adds in index order like a scalar loop: the sums are bit-equal.
     """
     return UtilityContext(
         network.topology[i],
-        np.bincount(ch, wp * network.gains_true[:, i], network.num_channels),
-        None,
+        np.bincount(ch, wp * network.gains_true[:, i], network.num_channels).tolist(),
+        weight,
         float(network.edge[i]),
         network.model.noise_power,
     )
 
 
-def generated_weight(network: Network, i: int, ch: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Per channel, the estimated gains from player i to the ``known`` APs on it."""
-    return np.bincount(ch, network.gains_est[i] * known, network.num_channels)
+def generated_weight(neighbours: Iterable[tuple[int, float]], ch: list[int], act: list[bool],
+                     num_channels: int) -> list[float]:
+    """Per channel, the estimated gains ĝ_ij from a player to its active neighbours j on it.
+
+    ``neighbours`` yields (j, ĝ_ij) in ascending j; ``ch`` and ``act`` list
+    each AP's channel and activity. The sums are bit-equal to sums over all
+    APs with zero weight off the active neighbours (README, "Exactness contract").
+    """
+    weight = [0.0] * num_channels
+    for j, g in neighbours:
+        if act[j]:
+            weight[ch[j]] += g
+    return weight
 
 
-def _weight(ctx: UtilityContext) -> np.ndarray:
+def _weight(ctx: UtilityContext) -> list[float]:
     if ctx.generated_weight is None:
-        raise ValueError(
-            f"AP {ctx.player.id}'s context has no generated weight; build it with context()"
-        )
+        raise ValueError(f"AP {ctx.player.id}'s context has no generated weight")
     return ctx.generated_weight
+
+
+def _channels(ap: AccessPoint, num_channels: int) -> Iterable[int]:
+    """The channels available to ``ap``, in ascending id order."""
+    return range(num_channels) if len(ap.channels) == num_channels else sorted(ap.channels)
 
 
 def utility(ctx: UtilityContext, k: int) -> float:
     """Negative of measured interference plus estimated generated interference."""
     if k not in ctx.player.channels:
         raise ValueError(f"channel {k} is not available to AP {ctx.player.id}")
-    return -float(ctx.interference[k]) - ctx.necessary_power(k) * float(_weight(ctx)[k])
-
-
-def _argmax_channel(ctx: UtilityContext, score: np.ndarray, current_channel: int) -> int:
-    """Available channel of highest ``score[k]``, compared exactly on doubles.
-
-    Ties keep the current channel if it is among the maximizers, otherwise
-    the lowest channel id wins. The scores are finite, so ``max`` and
-    ``index`` find the first maximizer as ``argmax`` does.
-    """
-    s = score.tolist()
-    channels = ctx.player.channels
-    if len(channels) < len(s):  # an AP that may use every channel skips the mask
-        s = [v if k in channels else -math.inf for k, v in enumerate(s)]
-    best = max(s)
-    if current_channel != OFF and s[current_channel] == best:
-        return current_channel
-    return s.index(best)
+    return -ctx.interference[k] - ctx.necessary_power(k) * _weight(ctx)[k]
 
 
 def best_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
-    """Utility-maximizing channel with its necessary power.
+    """Utility-maximizing available channel with its necessary power.
 
-    All channels are scored at once, with the operation order of ``utility``;
-    ties follow ``_argmax_channel``.
+    Scores keep the operation order of ``utility``; without generated weight
+    a channel scores exactly its negated interference. Exact ties keep the
+    current channel if it is among the maximizers, else the lowest id wins.
     """
-    ap = ctx.player
-    power = np.minimum(
-        power_demand(ap, ctx.noise_power, ctx.interference, ctx.edge_gain), ap.max_power
-    )
-    k = _argmax_channel(ctx, -ctx.interference - power * _weight(ctx), current_channel)
-    return k, float(power[k])
+    ap, interference, weight = ctx.player, ctx.interference, _weight(ctx)
+    beta, noise, edge, cap = ap.sinr_target, ctx.noise_power, ctx.edge_gain, ap.max_power
+    best_k, best = OFF, -math.inf
+    for k in _channels(ap, len(interference)):
+        score = -interference[k]
+        if weight[k] != 0:
+            # necessary_power(k), inlined
+            score -= min(beta * (noise + interference[k]) / edge, cap) * weight[k]
+        if score > best or (score == best and k == current_channel):
+            best_k, best = k, score
+    return best_k, ctx.necessary_power(best_k)
 
 
 def selfish_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
     """Channel with least measured interference, same tie rule as best_response."""
-    k = _argmax_channel(ctx, -ctx.interference, current_channel)
-    return k, ctx.necessary_power(k)
+    interference = ctx.interference
+    best_k, least = OFF, math.inf
+    for k in _channels(ctx.player, len(interference)):
+        if interference[k] < least or (interference[k] == least and k == current_channel):
+            best_k, least = k, interference[k]
+    return best_k, ctx.necessary_power(best_k)
 
 
 def exact_potential_full(network: Network, state: AllocationState) -> float:
@@ -167,14 +157,17 @@ def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:
     if state.num_aps * network.num_channels > 1_000_000:
         raise ValueError("instance too large for the NE deviation sweep")
     act, ch, wp = profile_arrays(state)
-    for i, cur in enumerate(state.channels.tolist()):
-        if best_response(context(network, i, ch, wp, act), cur)[0] != cur:
+    channels, active = state.channels.tolist(), act.tolist()
+    for i, cur in enumerate(channels):
+        # every AP is a neighbour; i's own pair adds its zero gain
+        pairs = enumerate(network.gains_est[i].tolist())
+        weight = generated_weight(pairs, channels, active, network.num_channels)
+        if best_response(context(network, i, ch, wp, weight), cur)[0] != cur:
             return False
     return True
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One unilateral move: the mover's old/new strategy, utility and potential."""
 
     mover: int

@@ -255,6 +255,21 @@ def co_channel_mask(state: AllocationState) -> np.ndarray:
     return co
 
 
+def received_interference(state: AllocationState, gains_true: np.ndarray) -> np.ndarray:
+    """Per AP, the power it receives from the other active APs on its channel.
+
+    Each busy channel's columns sum a C-ordered product in ascending row order:
+    bit-equal to a column sum over all APs, whose other terms are exact +0.0.
+    """
+    p, ch = state.powers, state.channels
+    active = (ch != OFF) & (p > 0)
+    interference = np.zeros(len(p))
+    for k in np.unique(ch[active]).tolist():
+        m = np.flatnonzero(active & (ch == k))
+        interference[m] = np.multiply(p[m, None], gains_true[np.ix_(m, m)], order="C").sum(axis=0)
+    return interference
+
+
 def satisfied_mask(
     topology: list[AccessPoint],
     state: AllocationState,
@@ -266,11 +281,8 @@ def satisfied_mask(
 
     ``gains_true`` is the topology's ``true_gain_matrix``.
     """
-    p = state.powers
-    # a C-ordered product sums each column in row order, whatever the layout
-    received = co_channel_mask(state) * np.multiply(p[:, None], gains_true, order="C")
-    interference = np.sum(received, axis=0)
     beta = np.array([ap.sinr_target for ap in topology])
     edge = np.array([edge_gain(ap, model) for ap in topology])
     # a silent AP has zero power, so an SINR of zero, below its positive target
-    return edge * p / (model.noise_power + interference) >= beta
+    noise_plus_i = model.noise_power + received_interference(state, gains_true)
+    return edge * state.powers / noise_plus_i >= beta

@@ -112,34 +112,41 @@ def run_dynamics(
         per_round = n
     round_robin = timing.variant == "round-robin"
 
-    # The engine's view of the profile; only applied updates write to it.
+    # The engine's view of the profile: arrays for the interference, lists
+    # for the generated weight. Only applied updates write to it.
     act, ch, wp = game.profile_arrays(state)
+    chl, actl = state.channels.tolist(), act.tolist()
     topology, channels, powers = network.topology, state.channels, state.powers
-    known_rows = knowledge.known if knowledge is not None else None
-    context, interference_context = game.context, game.interference_context
-    generated_weight, utility = game.generated_weight, game.utility
+    gains_est, num_channels = network.gains_est, network.num_channels
+    context, generated_weight, utility = game.context, game.generated_weight, game.utility
+    # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
+    key = channels.astype(np.min_scalar_type(-num_channels))
+    known_pairs: dict[int, list[tuple[int, float]]] = {}  # knowledge is fixed within a call
 
-    def known_of(i: int) -> np.ndarray:
-        known = act if known_rows is None else act & known_rows[i]
+    def weight(i: int) -> list[float]:
+        """Mover i's generated weight over its known row, or every AP (ĝ_ii = 0 adds nothing)."""
+        if knowledge is None:
+            return generated_weight(enumerate(gains_est[i].tolist()), chl, actl, num_channels)
+        pairs = known_pairs.get(i)
+        if pairs is None:
+            known = np.flatnonzero(knowledge.known[i])
+            pairs = known_pairs[i] = list(zip(known.tolist(), gains_est[i, known].tolist()))
         if enforce_sufficiency:
-            cover = list(nearest_cover_set(i, topology, state))
-            known[cover] |= act[cover]
-        return known
+            cover = nearest_cover_set(i, topology, state)
+            pairs = sorted(set(pairs).union((j, float(gains_est[i, j])) for j in cover))
+        return generated_weight(pairs, chl, actl, num_channels)
 
     def response(i: int) -> tuple[int, int, int, float, game.UtilityContext]:
         """Mover i's update against the profile as it is before any write."""
-        if weighted:
-            ctx = context(network, i, ch, wp, known_of(i))
-        else:
-            ctx = interference_context(network, i, ch, wp)
-        old_k = int(channels[i])
+        ctx = context(network, i, ch, wp, weight(i) if weighted else None)
+        old_k = chl[i]
         new_k, new_p = respond(ctx, old_k)
         if new_k != old_k and ctx.generated_weight is None:
-            ctx.generated_weight = generated_weight(network, i, ch, known_of(i))
+            ctx.generated_weight = weight(i)
         return i, old_k, new_k, new_p, ctx
 
     trace: list[TraceRecord] = []
-    seen = {channels.tobytes()}
+    seen = {key.tobytes()}
     revisit = False
     converged = False
     rounds = 0
@@ -168,30 +175,26 @@ def run_dynamics(
                         if old_k != OFF:
                             powers[i] = ctx.necessary_power(old_k)
                         p_before = exact_potential_full(network, state)
-                    channels[i] = new_k
+                    channels[i] = key[i] = chl[i] = new_k
                     powers[i] = new_p
                     if record_potential:
                         p_after = exact_potential_full(network, state)
-                    trace.append(TraceRecord(
-                        mover=i, old_channel=old_k, new_channel=new_k,
-                        old_power=old_p, new_power=new_p,
-                        u_before=u_before, u_after=utility(ctx, new_k),
-                        potential_before=p_before, potential_after=p_after,
-                    ))
+                    trace.append(TraceRecord(i, old_k, new_k, old_p, new_p, u_before,
+                                             utility(ctx, new_k), p_before, p_after))
                     activation_changed = True
                     round_channel_change = True
                 else:
                     powers[i] = new_p
-                act[i] = new_p > 0
+                actl[i] = new_p > 0
                 ch[i] = new_k
                 wp[i] = new_p
             iteration += 1
             if activation_changed:
-                key = channels.tobytes()
-                if key in seen:
+                k = key.tobytes()
+                if k in seen:
                     revisit = True
                 else:
-                    seen.add(key)
+                    seen.add(k)
         rounds = rnd + 1
         if not round_channel_change and round_max_dp < POWER_TOLERANCE:
             converged = True

@@ -119,20 +119,22 @@ class TestUtility:
         with pytest.raises(ValueError):
             utility(ctx, 1)
 
-    def test_interference_context_needs_weight_for_utility(self):
+    def test_context_without_weight_needs_it_for_utility(self):
         rng = np.random.default_rng(4)
         topo, model, state = random_instance(rng)
         net = Network(topo, model)
         act, ch, wp = game.profile_arrays(state)
-        ctx = game.interference_context(net, 0, ch, wp)
-        full = game.context(net, 0, ch, wp, act)
-        assert ctx.interference.tobytes() == full.interference.tobytes()
+        weight = game.generated_weight(enumerate(net.gains_est[0].tolist()),
+                                       state.channels.tolist(), act.tolist(), net.num_channels)
+        ctx = game.context(net, 0, ch, wp, None)
+        full = game.context(net, 0, ch, wp, weight)
+        assert ctx.interference == full.interference
         assert selfish_response(ctx, OFF) == selfish_response(full, OFF)
         with pytest.raises(ValueError, match="no generated weight"):
             utility(ctx, 0)
         with pytest.raises(ValueError, match="no generated weight"):
             best_response(ctx, OFF)
-        ctx.generated_weight = game.generated_weight(net, 0, ch, act)
+        ctx.generated_weight = weight
         assert utility(ctx, 0) == utility(full, 0)
 
     def test_positive_scaling_keeps_argmax(self):

@@ -6,6 +6,7 @@ import pytest
 from apgame import cli
 from apgame.harness import (
     MAX_COUNTS,
+    MAX_DURATION,
     MetricsSeries,
     ScenarioConfig,
     domino_experiment,
@@ -254,13 +255,16 @@ class TestCli:
         ("--repeats", "0"),
         ("--sizes", "0"),
         ("--max-ticks", "-1"),
+        ("--repeats", "1000000000000"),
+        ("--repeats", str(cli.MAX_REPEATS + 1)),
+        ("--max-ticks", str(int(MAX_DURATION) + 1)),
     ])
     def test_sweep_out_of_range_exit_one(self, capsys, flag, value):
         code = cli.main(["sweep", "--seed", "2", "--sizes", "10", "--repeats", "1",
                          f"{flag}={value}"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     def test_missing_seed_exit_one(self, tmp_path):

@@ -14,10 +14,12 @@ from apgame.model import (
     AllocationState,
     Network,
     PropagationModel,
+    co_channel_mask,
     edge_gain,
     estimated_gain_matrix,
     lognormal_mean_linear,
     pairwise_distances,
+    received_interference,
     satisfied_mask,
     true_gain_matrix,
 )
@@ -341,3 +343,21 @@ class TestSatisfaction:
         mask = satisfied_mask(topo, state, m, gains_true=gains)
         for i in range(n):
             assert bool(mask[i]) == is_satisfied(topo[i], topo, state, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 400), k=st.integers(1, 13), clustered=st.booleans(),
+           layout=st.sampled_from(["F", "C"]), seed=st.integers(0, 2**32 - 1))
+    def test_received_interference_equals_full_column_sum(self, n, k, clustered, layout, seed):
+        # OFF APs, zero-power channel holders and, with few channels, long
+        # co-channel groups whose sums depend on the order they add in
+        rng = np.random.default_rng(seed)
+        cfg = ScenarioConfig(num_aps=n, num_channels=k, clustered=clustered, seed=0)
+        net = Network(*generate_topology(cfg, rng))
+        gains = net.gains_true if layout == "F" else np.ascontiguousarray(net.gains_true)
+        channels = rng.integers(OFF, k, size=n)
+        powers = rng.uniform(1e-6, 0.1, size=n) * (rng.random(n) < 0.9)
+        powers[channels == OFF] = 0.0
+        state = AllocationState(channels, powers)
+        full = np.sum(co_channel_mask(state) * np.multiply(state.powers[:, None], gains,
+                                                           order="C"), axis=0)
+        assert received_interference(state, gains).tobytes() == full.tobytes()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgame import game
 from apgame.baselines import random_allocation
@@ -27,6 +29,7 @@ from apgame.schedulers import (
     run_dynamics,
 )
 from oracles import necessary_power, utility_context
+from test_engine_oracle import instances
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, channels=(0, 1)):
@@ -117,6 +120,31 @@ class TestRunDynamics:
         # both APs flip together every iteration
         movers = [rec.mover for rec in result.trace[:4]]
         assert sorted(movers[:2]) == [0, 1]
+
+    def test_synchronous_pair_cycles_near_channel_999(self):
+        # the revisit keys hold the largest channel ids the CLI accepts
+        topo = [make_ap(0, 0.0, 0.0, channels=(998, 999)),
+                make_ap(1, 40.0, 0.0, channels=(998, 999))]
+        model = flat_model(2)
+        p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
+        state = AllocationState(np.array([999, 999]), np.array([p, p]))
+        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, BEST_RESPONSE, 10,
+                              np.random.default_rng(0))
+        assert not result.converged
+        assert result.cycle_detected
+        assert {rec.new_channel for rec in result.trace} == {998, 999}
+
+    def test_channel_ids_with_equal_low_byte_are_distinct_profiles(self):
+        # 743 and 999 differ by 256: a one-byte key would take the move for a revisit
+        topo = [make_ap(0, 0.0, 0.0, channels=(743, 999)), make_ap(1, 40.0, 0.0, channels=(999,))]
+        model = flat_model(2)
+        p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
+        state = AllocationState(np.array([999, 999]), np.array([p, p]))
+        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 1,
+                              np.random.default_rng(0))
+        assert [(r.mover, r.old_channel, r.new_channel) for r in result.trace] == [(0, 999, 743)]
+        assert not result.converged
+        assert not result.cycle_detected
 
     def test_round_robin_pair_converges_to_orthogonal_ne(self):
         topo, model, state = symmetric_pair()
@@ -389,3 +417,51 @@ class TestEngineContexts:
         assert result.trace
         assert len(seen) == 28 * result.iterations
         assert 3 in seen and 25 in seen
+
+
+class TestListContextsBitEqual:
+    """The engine's list-valued contexts equal the scalar oracle bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(instance=instances(),
+           level=st.sampled_from(["none", "partial", "sufficiency", "full"]),
+           responder=st.sampled_from([BEST_RESPONSE, SELFISH]),
+           timing=st.sampled_from([ROUND_ROBIN, SYNCHRONOUS]))
+    def test_contexts_bit_equal_utility_context(self, instance, level, responder, timing):
+        network, state, rng = instance
+        topo, model = network.topology, network.model
+        n = len(topo)
+        kb = None
+        if level != "none":
+            kb = KnowledgeBase.complete(topo)
+            if level != "full":
+                kb.known &= rng.random((n, n)) < 0.5
+        gt = true_gain_matrix(topo, model)
+        ge = estimated_gain_matrix(topo, model)
+        seen = []
+
+        def checked(respond):
+            def spy(ctx, current):
+                i = ctx.player.id
+                known = None if kb is None else known_set(kb, i)
+                if level == "sufficiency":
+                    known |= nearest_cover_set(i, topo, state)
+                oracle = utility_context(i, topo, state, model, known,
+                                         gains_true=gt, gains_est=ge)
+                assert type(ctx.interference) is list
+                assert np.array(ctx.interference).tobytes() == oracle.interference.tobytes()
+                if responder == BEST_RESPONSE:
+                    assert type(ctx.generated_weight) is list
+                    assert np.array(ctx.generated_weight).tobytes() \
+                        == oracle.generated_weight.tobytes()
+                seen.append(i)
+                return respond(ctx, current)
+            return spy
+
+        name = "best_response" if responder == BEST_RESPONSE else "selfish_response"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game, name, checked(getattr(game, name)))
+            result = run_dynamics(network, state, timing, responder, 3,
+                                  np.random.default_rng(0), knowledge=kb,
+                                  enforce_sufficiency=level == "sufficiency")
+        assert len(seen) == n * result.iterations
