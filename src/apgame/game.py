@@ -25,12 +25,13 @@ class UtilityContext:
     ``interference[k]`` is the measured co-channel power at the player on
     channel k, accumulated over the whole network with true gains.
     ``generated_weight[k]`` sums the estimated outgoing gains to known
-    neighbors active on k; it is None in a context only the selfish rule reads.
+    neighbors active on k; all zeros when the player knows no neighbour, as
+    under the selfish rule.
     """
 
     player: AccessPoint
     interference: list[float]
-    generated_weight: list[float] | None
+    generated_weight: list[float]
     edge_gain: float
     noise_power: float
 
@@ -46,7 +47,7 @@ def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def context(network: Network, i: int, ch: np.ndarray, wp: np.ndarray,
-            weight: list[float] | None) -> UtilityContext:
+            weight: list[float]) -> UtilityContext:
     """Player i's utility context with the given ``generated_weight``.
 
     ``ch`` holds each AP's channel (any valid id when silent) and ``wp`` its
@@ -77,12 +78,6 @@ def generated_weight(neighbours: Iterable[tuple[int, float]], ch: list[int], act
     return weight
 
 
-def _weight(ctx: UtilityContext) -> list[float]:
-    if ctx.generated_weight is None:
-        raise ValueError(f"AP {ctx.player.id}'s context has no generated weight")
-    return ctx.generated_weight
-
-
 def _channels(ap: AccessPoint, num_channels: int) -> Iterable[int]:
     """The channels available to ``ap``, in ascending id order."""
     return range(num_channels) if len(ap.channels) == num_channels else sorted(ap.channels)
@@ -92,7 +87,7 @@ def utility(ctx: UtilityContext, k: int) -> float:
     """Negative of measured interference plus estimated generated interference."""
     if k not in ctx.player.channels:
         raise ValueError(f"channel {k} is not available to AP {ctx.player.id}")
-    return -ctx.interference[k] - ctx.necessary_power(k) * _weight(ctx)[k]
+    return -ctx.interference[k] - ctx.necessary_power(k) * ctx.generated_weight[k]
 
 
 def best_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
@@ -102,7 +97,7 @@ def best_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float
     a channel scores exactly its negated interference. Exact ties keep the
     current channel if it is among the maximizers, else the lowest id wins.
     """
-    ap, interference, weight = ctx.player, ctx.interference, _weight(ctx)
+    ap, interference, weight = ctx.player, ctx.interference, ctx.generated_weight
     beta, noise, edge, cap = ap.sinr_target, ctx.noise_power, ctx.edge_gain, ap.max_power
     best_k, best = OFF, -math.inf
     for k in _channels(ap, len(interference)):

@@ -205,13 +205,21 @@ def discovery_completion_ticks(
 
     Topology and probes come from the stream seeded with ``(config.seed,
     num_aps, rep)``; the count stops at the first tick past ``max_ticks``.
+    A tick changes only the ``known`` rows of its hits' two ends, and since
+    ``known`` holds only candidates, a row is complete once it counts them all.
     """
     rng = np.random.default_rng((config.seed, num_aps, rep))
     topology, _ = generate_topology(config, rng, num_aps=num_aps)
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
-    while not discovery_complete(kb)[0]:
+    known, log = kb.known, dstate.exchange_log
+    wanted = np.count_nonzero(kb.candidates, axis=1).tolist()
+    incomplete = {i for i, w in enumerate(wanted) if w}
+    while incomplete:
+        start = len(log)
         discovery_tick(dstate, kb, topology)
+        touched = {r for _, i, j in log[start:] for r in (i, j)} & incomplete
+        incomplete -= {r for r in touched if np.count_nonzero(known[r]) == wanted[r]}
         if dstate.tick > max_ticks:
             break
     return dstate.tick

@@ -90,14 +90,19 @@ def run_dynamics(
     A revisited channel profile after at least one channel change marks a
     cycle; the flag is only reported when the run did not converge. With
     ``record_potential`` every move records ``exact_potential_full``.
+
+    A move's ``u_before``/``u_after`` are the game utility under the
+    knowledge its rule uses. Best response uses the mover's ``known`` row
+    (every AP without ``knowledge``), with its nearest cover set under
+    ``enforce_sufficiency``. The selfish rule is the game without neighbour
+    information: it reads no knowledge, its contexts carry the zero weight,
+    and ``knowledge`` and ``enforce_sufficiency`` change nothing for it.
     """
     if responder not in RESPONDERS:
         raise ValueError(f"unknown responder: {responder}")
     if enforce_sufficiency and knowledge is None:
         raise ValueError("enforce_sufficiency needs knowledge")
     respond = game.best_response if responder == BEST_RESPONSE else game.selfish_response
-    # the selfish rule never reads the generated weight: its contexts get
-    # one only when a move is recorded
     weighted = responder == BEST_RESPONSE
     ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
@@ -121,6 +126,7 @@ def run_dynamics(
     context, generated_weight, utility = game.context, game.generated_weight, game.utility
     # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
     key = channels.astype(np.min_scalar_type(-num_channels))
+    no_information = [0.0] * num_channels  # shared by every selfish context; never written
     known_pairs: dict[int, list[tuple[int, float]]] = {}  # knowledge is fixed within a call
 
     def weight(i: int) -> list[float]:
@@ -138,12 +144,9 @@ def run_dynamics(
 
     def response(i: int) -> tuple[int, int, int, float, game.UtilityContext]:
         """Mover i's update against the profile as it is before any write."""
-        ctx = context(network, i, ch, wp, weight(i) if weighted else None)
+        ctx = context(network, i, ch, wp, weight(i) if weighted else no_information)
         old_k = chl[i]
-        new_k, new_p = respond(ctx, old_k)
-        if new_k != old_k and ctx.generated_weight is None:
-            ctx.generated_weight = weight(i)
-        return i, old_k, new_k, new_p, ctx
+        return i, old_k, *respond(ctx, old_k), ctx
 
     trace: list[TraceRecord] = []
     seen = {key.tobytes()}

@@ -3,8 +3,9 @@
 The reference below is the engine as it was before its hot paths were made
 lean: one frozen context per mover with both bincounts, the mover list from
 ``next_movers`` on every activation, a masked argmax for the tie rule and the
-potential over a C-ordered transmitter-major gain matrix. The lean engine
-must reproduce it bit for bit, generator state included.
+potential over a C-ordered transmitter-major gain matrix. Selfish moves are
+booked as the game without neighbour information, an empty known set. The
+lean engine must reproduce it bit for bit, generator state included.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from apgame.schedulers import (
     BEST_RESPONSE,
     POWER_TOLERANCE,
     RESPONDERS,
+    SELFISH,
     RunResult,
     TimingModel,
     next_movers,
@@ -136,6 +138,8 @@ def ref_run_dynamics(network, state, timing, responder, max_rounds, rng, *,
                 if enforce_sufficiency:
                     cover = list(nearest_cover_set(i, network.topology, state))
                     known[cover] |= act[cover]
+                if responder == SELFISH:  # the game without neighbour information
+                    known = np.zeros_like(act)
                 ctx = ref_context(network, i, ch, wp, known, gt)
                 old_k = int(state.channels[i])
                 updates.append((i, old_k, *respond(ctx, old_k), ctx))

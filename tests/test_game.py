@@ -119,23 +119,18 @@ class TestUtility:
         with pytest.raises(ValueError):
             utility(ctx, 1)
 
-    def test_context_without_weight_needs_it_for_utility(self):
+    def test_zero_weight_context_is_the_selfish_game(self):
         rng = np.random.default_rng(4)
-        topo, model, state = random_instance(rng)
+        topo, model, state = random_instance(rng, k=4)
+        state.powers[3:] = 0.0  # the rest transmit on 0 and 1: 2 and 3 tie at zero
         net = Network(topo, model)
         act, ch, wp = game.profile_arrays(state)
-        weight = game.generated_weight(enumerate(net.gains_est[0].tolist()),
-                                       state.channels.tolist(), act.tolist(), net.num_channels)
-        ctx = game.context(net, 0, ch, wp, None)
-        full = game.context(net, 0, ch, wp, weight)
-        assert ctx.interference == full.interference
-        assert selfish_response(ctx, OFF) == selfish_response(full, OFF)
-        with pytest.raises(ValueError, match="no generated weight"):
-            utility(ctx, 0)
-        with pytest.raises(ValueError, match="no generated weight"):
-            best_response(ctx, OFF)
-        ctx.generated_weight = weight
-        assert utility(ctx, 0) == utility(full, 0)
+        for i in range(len(topo)):
+            ctx = game.context(net, i, ch, wp, [0.0] * net.num_channels)
+            for k in range(net.num_channels):
+                assert utility(ctx, k) == -ctx.interference[k]
+            for current in [OFF, *range(net.num_channels)]:
+                assert selfish_response(ctx, current) == best_response(ctx, current)
 
     def test_positive_scaling_keeps_argmax(self):
         # scaling both utility terms by c > 0 is equivalent to scaling the

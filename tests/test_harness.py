@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apgame import cli
 from apgame.harness import (
@@ -9,11 +11,13 @@ from apgame.harness import (
     MAX_DURATION,
     MetricsSeries,
     ScenarioConfig,
+    discovery_completion_ticks,
     domino_experiment,
     export_results,
     generate_topology,
     run_experiment,
 )
+from apgame.knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
 
 
 def small_config(**overrides):
@@ -170,6 +174,37 @@ class TestDominoExperiment:
             domino_experiment(cfg, 5, 150.0)
         with pytest.raises(ValueError):
             domino_experiment(cfg, -1, 50.0)
+
+
+def full_scan_completion_ticks(config, num_aps, rep, max_ticks):
+    """The completion loop that rescans every row after each tick."""
+    rng = np.random.default_rng((config.seed, num_aps, rep))
+    topology, _ = generate_topology(config, rng, num_aps=num_aps)
+    kb = KnowledgeBase.from_topology(topology)
+    dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
+    while not discovery_complete(kb)[0]:
+        discovery_tick(dstate, kb, topology)
+        if dstate.tick > max_ticks:
+            break
+    return dstate.tick
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_aps=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    rep=st.integers(0, 3),
+    samples_per_tick=st.integers(1, 4),
+    side=st.sampled_from([150.0, 400.0, 1000.0]),
+    clustered=st.booleans(),
+    max_ticks=st.sampled_from([0, 1, 3]) | st.integers(0, 400) | st.just(10_000),
+)
+def test_completion_ticks_equal_the_full_scan_loop(num_aps, seed, rep, samples_per_tick,
+                                                   side, clustered, max_ticks):
+    cfg = ScenarioConfig(area_width=side, area_height=side, seed=seed,
+                         samples_per_tick=samples_per_tick, clustered=clustered)
+    assert discovery_completion_ticks(cfg, num_aps, rep, max_ticks) \
+        == full_scan_completion_ticks(cfg, num_aps, rep, max_ticks)
 
 
 class TestExportResults:

@@ -251,22 +251,49 @@ class TestRunDynamics:
         assert np.array_equal(state.channels[5:], before)
         assert np.all(state.powers[5:] == 0.0)
 
+    @staticmethod
+    def assert_selfish_is_empty_knowledge(net, timing, max_rounds):
+        """Best response on an empty KnowledgeBase is the selfish run, trace included.
+
+        The selfish rule reads no knowledge, so a complete one with the
+        cover set enforced changes nothing either.
+        """
+        start = random_allocation(net, np.random.default_rng(1))
+        empty = KnowledgeBase.from_topology(net.topology)
+        complete = KnowledgeBase.complete(net.topology)
+        runs = [
+            (BEST_RESPONSE, dict(knowledge=empty)),
+            (SELFISH, {}),
+            (SELFISH, dict(knowledge=complete, enforce_sufficiency=True)),
+        ]
+        results, powers = [], []
+        for responder, kwargs in runs:
+            state = start.copy()
+            results.append(run_dynamics(net, state, timing, responder, max_rounds,
+                                        np.random.default_rng(2), record_potential=True,
+                                        **kwargs))
+            powers.append(state.powers.tobytes())
+        assert results[0].trace
+        assert repr(results[0]) == repr(results[1]) == repr(results[2])
+        assert powers[0] == powers[1] == powers[2]
+        return results[0]
+
     def test_partial_knowledge_limits_generated_term(self):
         # with empty knowledge the mover optimizes measured interference only,
-        # which is exactly the selfish rule
-        rng = np.random.default_rng(66)
-        cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=250.0,
-                             area_height=250.0, seed=66)
-        net = Network(*generate_topology(cfg, rng))
-        state_a = random_allocation(net, np.random.default_rng(1))
-        state_b = state_a.copy()
-        empty = KnowledgeBase.from_topology(net.topology)
-        ra = run_dynamics(net, state_a, ROUND_ROBIN, BEST_RESPONSE, 30,
-                          np.random.default_rng(2), knowledge=empty)
-        rb = run_dynamics(net, state_b, ROUND_ROBIN, SELFISH, 30,
-                          np.random.default_rng(2))
-        assert np.array_equal(state_a.channels, state_b.channels)
-        assert ra.iterations == rb.iterations
+        # which is exactly the selfish rule, trace included
+        for seed in (66, 67, 68, 69):
+            cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=250.0,
+                                 area_height=250.0, seed=seed)
+            net = Network(*generate_topology(cfg, np.random.default_rng(seed)))
+            for timing in (ROUND_ROBIN, RANDOM_TIMING):
+                self.assert_selfish_is_empty_knowledge(net, timing, 30)
+
+    def test_selfish_is_the_game_without_information_at_the_round_cap(self):
+        # clustered APs on 3 channels: the dynamics keep moving until the cap
+        cfg = ScenarioConfig(num_aps=80, num_channels=3, clustered=True, seed=0)
+        net = Network(*generate_topology(cfg, np.random.default_rng(0)))
+        result = self.assert_selfish_is_empty_knowledge(net, ROUND_ROBIN, 10)
+        assert not result.converged and result.iterations == 10
 
     def test_recorded_potentials_present_and_finite(self):
         rng = np.random.default_rng(67)
