@@ -19,6 +19,7 @@ from .harness import (
     MAX_DURATION,
     MetricsSeries,
     ScenarioConfig,
+    _forked,
     check_count,
     discovery_completion_ticks,
     domino_experiment,
@@ -90,10 +91,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--repeats must be in [1, {MAX_REPEATS}], got {args.repeats}")
     if not 0 <= args.max_ticks <= MAX_DURATION:
         raise ValueError(f"--max-ticks must be in [0, {MAX_DURATION:.0f}], got {args.max_ticks}")
+    # every (size, repetition) is seeded on its own: a forked worker takes every second one
+    pairs = [(n, rep) for n in sizes for rep in range(args.repeats)]
+
+    def ticks(share: list[tuple[int, int]]) -> list[int]:
+        return [discovery_completion_ticks(cfg, n, rep, args.max_ticks) for n, rep in share]
+
+    all_times = [0] * len(pairs)
+    with _forked(ticks, pairs[1::2]) as worker_ticks:
+        all_times[0::2] = ticks(pairs[0::2])
+        all_times[1::2] = worker_ticks()
     rows = []
-    for n in sizes:
-        times = [discovery_completion_ticks(cfg, n, rep, args.max_ticks)
-                 for rep in range(args.repeats)]
+    for i, n in enumerate(sizes):
+        times = all_times[i * args.repeats:(i + 1) * args.repeats]
         mean_time = sum(times) / len(times)
         rows.append([n, mean_time])
         print(f"num_aps={n} mean_completion_ticks={mean_time:.12g}")

@@ -11,8 +11,13 @@ seed included.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -20,6 +25,8 @@ from .baselines import _draw_allocation, greedy_admission_bound, random_allocati
 from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
 from .model import AccessPoint, AllocationState, Network, PropagationModel, satisfied_mask
 from .schedulers import BEST_RESPONSE, ROUND_ROBIN, SELFISH, run_dynamics
+
+T = TypeVar("T")
 
 MAX_DURATION = 1_000_000.0  # longest accepted experiment, in one-second discovery ticks
 # Largest accepted counts that size arrays: N x N matrices, per-channel sums,
@@ -245,60 +252,151 @@ def _setup(config: ScenarioConfig, num_aps: int | None = None) -> tuple[
     return network, kb, dstate, streams
 
 
+@contextmanager
+def _forked(fn: Callable[..., T], *args: Any) -> Iterator[Callable[[], T]]:
+    """Run ``fn(*args)`` in a forked worker; the context yields a wait for its value.
+
+    The worker pickles ``("ok", value, None)`` or ``("error", exc, cause)``
+    into a pipe, the cause being a ``RuntimeError`` with its traceback, and
+    ends with ``os._exit``. The wait reads the pipe, reaps the worker and
+    returns the value or raises the worker's exception with its type
+    unchanged; one that does not pickle arrives as that ``RuntimeError``.
+    Leaving the context before the wait kills and reaps the worker. Without
+    ``os.fork``, or if it fails, the wait calls ``fn``.
+    """
+    pid = -1
+    if hasattr(os, "fork"):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: this one does the work
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        yield lambda: fn(*args)
+        return
+    if pid == 0:  # the worker: nothing it does may return into the caller's code
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                message: tuple = ("ok", fn(*args), None)
+            except BaseException as exc:  # every failure goes to the caller
+                import traceback  # here, as `signal` below: `import apgame.cli` loads neither
+
+                text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+                cause = RuntimeError(f"in the worker:\n{text}")
+                message = ("error", exc, cause)
+                try:
+                    pickle.loads(pickle.dumps(message))
+                except Exception:
+                    message = ("error", cause, None)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reaped = False
+
+    def wait() -> T:
+        nonlocal reaped
+        with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if status:
+            raise RuntimeError(f"worker {pid} ended with exit code "
+                               f"{os.waitstatus_to_exitcode(status)} and no result")
+        kind, value, cause = pickle.loads(data)
+        if kind == "error":
+            raise value from cause
+        return value
+
+    try:
+        yield wait
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _satisfied(network: Network, state: AllocationState) -> float:
+    """How many APs meet their SINR target under ``state``."""
+    mask = satisfied_mask(network.topology, state, network.model, gains_true=network.gains_true)
+    return float(np.sum(mask))
+
+
+def _baseline_rows(
+    network: Network, streams: list[np.random.Generator], config: ScenarioConfig
+) -> list[list[float]]:
+    """The schemes that never read the game's state, knowledge or discovery.
+
+    Per timestamp: satisfied selfish, random and bound APs, and the selfish
+    rounds. Each scheme draws only from its own stream (``streams[1:4]`` of
+    ``_setup``), so this track runs apart from the game's.
+    """
+    selfish_rng, random_rng, bound_rng = streams[1:4]
+    selfish_state = random_allocation(network, selfish_rng)
+    bound_state, _ = greedy_admission_bound(network.topology, network.model, bound_rng,
+                                            gains_true=network.gains_true)
+    satisfied_bound = _satisfied(network, bound_state)  # the bound never changes
+    rows = []
+    for _ in _timestamps(config):
+        selfish_run = run_dynamics(
+            network, selfish_state, ROUND_ROBIN, SELFISH,
+            config.max_iterations, selfish_rng,
+        )
+        random_state = random_allocation(network, random_rng)
+        rows.append([_satisfied(network, selfish_state), _satisfied(network, random_state),
+                     satisfied_bound, float(selfish_run.iterations)])
+    return rows
+
+
 def run_experiment(config: ScenarioConfig) -> MetricsSeries:
     """Discovery-coupled comparison of the game against the baselines.
 
     Per reporting interval: advance discovery, evolve the game and the
     selfish scheme from their persistent states, redraw the one-shot random
     scheme, and record all metrics. The greedy bound uses global knowledge
-    and is therefore constant over time.
+    and is therefore constant over time. The baselines run in a forked
+    worker (``_baseline_rows``) while this process runs discovery and the game.
     """
     config.validate()
     network, kb, dstate, streams = _setup(config)
-    topology, model, gt = network.topology, network.model, network.gains_true
-    game_rng, selfish_rng, random_rng, bound_rng = streams[:4]
-
-    game_state = random_allocation(network, game_rng)
-    selfish_state = random_allocation(network, selfish_rng)
-    bound_state, bound_count = greedy_admission_bound(topology, model, bound_rng, gains_true=gt)
-
+    game_rng = streams[0]
     ticks_per_period = int(config.allocation_period)
     columns = [
         "time", "satisfied_game", "satisfied_selfish", "satisfied_random",
         "satisfied_bound", "rounds_game", "rounds_selfish",
         "missing_candidates", "channel_changes",
     ]
-    series = MetricsSeries(columns=columns)
-    prev_game_channels = game_state.channels.copy()
-
-    for t in _timestamps(config):
-        if t > 0:
-            for _ in range(ticks_per_period):
-                discovery_tick(dstate, kb, topology)
-        game_run = run_dynamics(
-            network, game_state, ROUND_ROBIN, BEST_RESPONSE,
-            config.max_iterations, game_rng, knowledge=kb,
-        )
-        selfish_run = run_dynamics(
-            network, selfish_state, ROUND_ROBIN, SELFISH,
-            config.max_iterations, selfish_rng,
-        )
-        random_state = random_allocation(network, random_rng)
-        _, missing = discovery_complete(kb)
-        changes = int(np.sum(game_state.channels != prev_game_channels))
+    game_rows = []
+    with _forked(_baseline_rows, network, streams, config) as baseline_rows:
+        game_state = random_allocation(network, game_rng)
         prev_game_channels = game_state.channels.copy()
-        series.rows.append([
-            t,
-            float(np.sum(satisfied_mask(topology, game_state, model, gains_true=gt))),
-            float(np.sum(satisfied_mask(topology, selfish_state, model, gains_true=gt))),
-            float(np.sum(satisfied_mask(topology, random_state, model, gains_true=gt))),
-            float(np.sum(satisfied_mask(topology, bound_state, model, gains_true=gt))),
-            float(game_run.iterations),
-            float(selfish_run.iterations),
-            float(missing),
-            float(changes),
-        ])
-    return series
+        for t in _timestamps(config):
+            if t > 0:
+                for _ in range(ticks_per_period):
+                    discovery_tick(dstate, kb, network.topology)
+            game_run = run_dynamics(
+                network, game_state, ROUND_ROBIN, BEST_RESPONSE,
+                config.max_iterations, game_rng, knowledge=kb,
+            )
+            _, missing = discovery_complete(kb)
+            changes = int(np.sum(game_state.channels != prev_game_channels))
+            prev_game_channels = game_state.channels.copy()
+            game_rows.append((t, _satisfied(network, game_state), float(game_run.iterations),
+                              float(missing), float(changes)))
+        rows = [
+            [t, game, selfish, random, bound, rounds_game, rounds_selfish, missing, changes]
+            for (t, game, rounds_game, missing, changes), (selfish, random, bound, rounds_selfish)
+            in zip(game_rows, baseline_rows())
+        ]
+    return MetricsSeries(columns=columns, rows=rows)
 
 
 def domino_experiment(
