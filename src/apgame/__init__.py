@@ -30,6 +30,7 @@ from .knowledge import (
     discovery_complete,
     discovery_tick,
     nearest_cover_set,
+    neighbour_order,
 )
 from .schedulers import RunResult, TimingModel, next_movers, run_dynamics
 from .baselines import greedy_admission_bound, random_allocation

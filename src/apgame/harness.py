@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -261,17 +262,20 @@ def _forked(fn: Callable[..., T], *args: Any) -> Iterator[Callable[[], T]]:
     ends with ``os._exit``. The wait reads the pipe, reaps the worker and
     returns the value or raises the worker's exception with its type
     unchanged; one that does not pickle arrives as that ``RuntimeError``.
-    Leaving the context before the wait kills and reaps the worker. Without
+    Leaving the context before the wait kills and reaps the worker. A
+    lifeline pipe, whose write end only the caller holds, ends the worker
+    when the caller dies, even by a signal that runs no cleanup. Without
     ``os.fork``, or if it fails, the wait calls ``fn``.
     """
     pid = -1
     if hasattr(os, "fork"):
         read_fd, write_fd = os.pipe()
+        life_read, life_write = os.pipe()
         try:
             pid = os.fork()
         except OSError:  # no process to spare: this one does the work
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in (read_fd, write_fd, life_read, life_write):
+                os.close(fd)
     if pid < 0:
         yield lambda: fn(*args)
         return
@@ -279,6 +283,10 @@ def _forked(fn: Callable[..., T], *args: Any) -> Iterator[Callable[[], T]]:
         status = 1
         try:
             os.close(read_fd)
+            os.close(life_write)
+            # the lifeline reads EOF, and the worker exits, once the caller is gone
+            threading.Thread(target=lambda: os.read(life_read, 1) or os._exit(1),
+                             daemon=True).start()
             try:
                 message: tuple = ("ok", fn(*args), None)
             except BaseException as exc:  # every failure goes to the caller
@@ -297,6 +305,7 @@ def _forked(fn: Callable[..., T], *args: Any) -> Iterator[Callable[[], T]]:
         finally:
             os._exit(status)
     os.close(write_fd)
+    os.close(life_read)
     reaped = False
 
     def wait() -> T:
@@ -322,6 +331,7 @@ def _forked(fn: Callable[..., T], *args: Any) -> Iterator[Callable[[], T]]:
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.close(life_write)
 
 
 def _satisfied(network: Network, state: AllocationState) -> float:
@@ -356,6 +366,42 @@ def _baseline_rows(
     return rows
 
 
+def _game_rows(
+    network: Network, kb: KnowledgeBase, dstate: DiscoveryState, rng: np.random.Generator,
+    config: ScenarioConfig, num_initial: int, insert_time: float,
+) -> list[list[float]]:
+    """The game's track: discovery and best response, period by period.
+
+    APs ``0..num_initial-1`` start from a random allocation; the rest switch
+    on the same way at the first timestamp at or after ``insert_time``, so
+    the APs on are always a prefix of the ids (``active`` is None once all
+    are). Per timestamp: time, satisfied APs, rounds, missing candidates,
+    channel changes among the APs on at the previous timestamp, and APs on.
+    """
+    total = len(network.topology)
+    state = AllocationState.all_off(total)
+    _draw_allocation(state, range(num_initial), network, rng)
+    on = prev_on = num_initial
+    prev_channels = state.channels.copy()
+    rows = []
+    for t in _timestamps(config):
+        if on < total and t >= insert_time:
+            _draw_allocation(state, range(on, total), network, rng)
+            on = total
+        active = set(range(on)) if on < total else None
+        if t > 0:
+            for _ in range(int(config.allocation_period)):
+                discovery_tick(dstate, kb, network.topology, active=active)
+        run = run_dynamics(network, state, ROUND_ROBIN, BEST_RESPONSE,
+                           config.max_iterations, rng, knowledge=kb, active=active)
+        _, missing = discovery_complete(kb, active=active)
+        changes = int(np.sum(state.channels[:prev_on] != prev_channels[:prev_on]))
+        prev_on, prev_channels = on, state.channels.copy()
+        rows.append([t, _satisfied(network, state), float(run.iterations), float(missing),
+                     float(changes), float(on)])
+    return rows
+
+
 def run_experiment(config: ScenarioConfig) -> MetricsSeries:
     """Discovery-coupled comparison of the game against the baselines.
 
@@ -367,33 +413,16 @@ def run_experiment(config: ScenarioConfig) -> MetricsSeries:
     """
     config.validate()
     network, kb, dstate, streams = _setup(config)
-    game_rng = streams[0]
-    ticks_per_period = int(config.allocation_period)
     columns = [
         "time", "satisfied_game", "satisfied_selfish", "satisfied_random",
         "satisfied_bound", "rounds_game", "rounds_selfish",
         "missing_candidates", "channel_changes",
     ]
-    game_rows = []
     with _forked(_baseline_rows, network, streams, config) as baseline_rows:
-        game_state = random_allocation(network, game_rng)
-        prev_game_channels = game_state.channels.copy()
-        for t in _timestamps(config):
-            if t > 0:
-                for _ in range(ticks_per_period):
-                    discovery_tick(dstate, kb, network.topology)
-            game_run = run_dynamics(
-                network, game_state, ROUND_ROBIN, BEST_RESPONSE,
-                config.max_iterations, game_rng, knowledge=kb,
-            )
-            _, missing = discovery_complete(kb)
-            changes = int(np.sum(game_state.channels != prev_game_channels))
-            prev_game_channels = game_state.channels.copy()
-            game_rows.append((t, _satisfied(network, game_state), float(game_run.iterations),
-                              float(missing), float(changes)))
+        game_rows = _game_rows(network, kb, dstate, streams[0], config, config.num_aps, math.inf)
         rows = [
-            [t, game, selfish, random, bound, rounds_game, rounds_selfish, missing, changes]
-            for (t, game, rounds_game, missing, changes), (selfish, random, bound, rounds_selfish)
+            [t, game, selfish, random, bound, rounds, rounds_selfish, missing, changes]
+            for (t, game, rounds, missing, changes, _), (selfish, random, bound, rounds_selfish)
             in zip(game_rows, baseline_rows())
         ]
     return MetricsSeries(columns=columns, rows=rows)
@@ -417,49 +446,10 @@ def domino_experiment(
     total = config.num_aps + num_inserted
     check_count("num_aps + num_inserted", total, "num_aps")
     network, kb, dstate, streams = _setup(config, total)
-    topology = network.topology
-    game_rng = streams[0]
-
-    active = set(range(config.num_aps))
-    state = AllocationState.all_off(total)
-    _draw_allocation(state, sorted(active), network, game_rng)
-
-    ticks_per_period = int(config.allocation_period)
     columns = ["time", "satisfied_game", "rounds_game", "missing_candidates",
                "channel_changes", "active_aps"]
-    series = MetricsSeries(columns=columns)
-    prev_channels = state.channels.copy()
-    prev_active = set(active)
-    inserted = False
-
-    for t in _timestamps(config):
-        if not inserted and t >= insert_time and num_inserted > 0:
-            newcomers = range(config.num_aps, total)
-            _draw_allocation(state, newcomers, network, game_rng)
-            active |= set(newcomers)
-            inserted = True
-        if t > 0:
-            for _ in range(ticks_per_period):
-                discovery_tick(dstate, kb, topology, active=active)
-        run = run_dynamics(
-            network, state, ROUND_ROBIN, BEST_RESPONSE,
-            config.max_iterations, game_rng, knowledge=kb, active=active,
-        )
-        _, missing = discovery_complete(kb, active=active)
-        stable_ids = sorted(prev_active)
-        changes = int(np.sum(state.channels[stable_ids] != prev_channels[stable_ids]))
-        prev_channels = state.channels.copy()
-        prev_active = set(active)
-        sat = satisfied_mask(topology, state, network.model, gains_true=network.gains_true)
-        series.rows.append([
-            t,
-            float(np.sum(sat[sorted(active)])),
-            float(run.iterations),
-            float(missing),
-            float(changes),
-            float(len(active)),
-        ])
-    return series
+    return MetricsSeries(columns, _game_rows(network, kb, dstate, streams[0], config,
+                                             config.num_aps, insert_time))
 
 
 _FIGURE_FAMILIES = {

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import OFF, AccessPoint, AllocationState, distance, pairwise_distances
+from .model import AccessPoint, AllocationState, ap_positions, pairwise_distances
 
 
 @dataclass
@@ -34,7 +34,8 @@ class KnowledgeBase:
     @classmethod
     def from_topology(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
         r = np.array([ap.coordination_radius for ap in topology])
-        candidates = pairwise_distances(topology) < r[:, None] + r[None, :]
+        pos = ap_positions(topology)
+        candidates = pairwise_distances(pos, pos) < r[:, None] + r[None, :]
         np.fill_diagonal(candidates, False)
         return cls(known=np.zeros_like(candidates), candidates=candidates)
 
@@ -56,36 +57,25 @@ class DiscoveryState:
     exchange_log: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def nearest_cover_set(
-    i: int,
-    topology: list[AccessPoint],
-    state: AllocationState,
-) -> set[int]:
-    """Smallest distance-prefix of other APs jointly using every busy channel.
+def neighbour_order(positions: np.ndarray, i: int) -> np.ndarray:
+    """The other APs by ascending distance from AP i, ties broken by id."""
+    order = np.argsort(pairwise_distances(positions[i:i + 1], positions)[0], kind="stable")
+    return order[order != i]
 
-    A channel counts as busy when some other AP transmits on it; channels
-    unused by everyone else impose no requirement. Returns the prefix as a
-    set of AP ids (possibly empty).
+
+def nearest_cover_set(order: np.ndarray, state: AllocationState) -> np.ndarray:
+    """Shortest prefix of ``order`` whose transmitting members use every busy channel.
+
+    ``order`` is a ``neighbour_order``; a channel counts as busy when one of
+    its APs transmits on it, and channels that none of them uses impose no
+    requirement. The prefix ends at the last of the busy channels' first
+    transmitters; it is empty when none transmits.
     """
-    needed = {
-        int(state.channels[j])
-        for j in range(len(topology))
-        if j != i and state.channels[j] != OFF and state.powers[j] > 0
-    }
-    if not needed:
-        return set()
-    order = sorted(
-        (j for j in range(len(topology)) if j != i),
-        key=lambda j: (distance(topology[i], topology[j]), j),
-    )
-    prefix: set[int] = set()
-    for j in order:
-        prefix.add(j)
-        if state.powers[j] > 0:
-            needed.discard(int(state.channels[j]))
-        if not needed:
-            return prefix
-    return prefix
+    on = np.flatnonzero(state.powers[order] > 0)
+    if not len(on):
+        return order[:0]
+    _, first = np.unique(state.channels[order[on]], return_index=True)
+    return order[:on[first.max()] + 1]
 
 
 def discovery_tick(

@@ -48,11 +48,6 @@ class AccessPoint:
             raise ValueError("channel ids must be nonnegative")
 
 
-def distance(a: AccessPoint, b: AccessPoint) -> float:
-    """Euclidean distance between two APs in meters."""
-    return math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
-
-
 def num_channels(topology: list[AccessPoint]) -> int:
     """Size of the global channel set, inferred as 1 + highest channel id."""
     return 1 + max(max(ap.channels) for ap in topology)
@@ -167,10 +162,18 @@ def edge_gain(i: AccessPoint, model: PropagationModel) -> float:
     return i.coverage_radius ** -model.path_loss_exponent * model.mean_linear_gain
 
 
-def pairwise_distances(topology: list[AccessPoint]) -> np.ndarray:
-    """Matrix D with D[i, j] = distance(i, j) in meters; zero diagonal."""
-    pos = np.array([ap.position for ap in topology], dtype=float)
-    return np.hypot(pos[:, 0:1] - pos[:, 0:1].T, pos[:, 1:2] - pos[:, 1:2].T)
+def ap_positions(topology: list[AccessPoint]) -> np.ndarray:
+    """The N x 2 array of AP coordinates in meters."""
+    return np.array([ap.position for ap in topology], dtype=float)
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix D with D[r, j] the distance in meters from point a[r] to point b[j].
+
+    The one distance kernel: each entry is the same elementwise hypot, so a
+    row computed alone equals that row of the whole matrix bit for bit.
+    """
+    return np.hypot(a[:, 0:1] - b[:, 0], a[:, 1:2] - b[:, 1])
 
 
 def _gain_matrix(
@@ -187,7 +190,8 @@ def _gain_matrix(
     """
     r = np.array([ap.coverage_radius for ap in topology])
     r_rx = r[:, None] if receiver_major else r[None, :]
-    eff = np.maximum(pairwise_distances(topology) - r_rx, model.min_separation)
+    pos = ap_positions(topology)
+    eff = np.maximum(pairwise_distances(pos, pos) - r_rx, model.min_separation)
     g = eff ** -model.path_loss_exponent * shadowing
     np.fill_diagonal(g, 0.0)
     return g
@@ -211,13 +215,14 @@ def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel) 
 class Network:
     """Per-topology arrays that stay fixed while profiles and knowledge change.
 
-    ``edge[i]`` is AP i's ``edge_gain``; ``gains_true`` and ``gains_est`` are
-    ``true_gain_matrix`` and ``estimated_gain_matrix``. All three arrays are
-    read-only.
+    ``positions`` holds the AP coordinates, ``edge[i]`` is AP i's
+    ``edge_gain``; ``gains_true`` and ``gains_est`` are ``true_gain_matrix``
+    and ``estimated_gain_matrix``. All four arrays are read-only.
     """
 
     topology: list[AccessPoint]
     model: PropagationModel
+    positions: np.ndarray = field(init=False, repr=False)
     edge: np.ndarray = field(init=False, repr=False)
     gains_true: np.ndarray = field(init=False, repr=False)
     gains_est: np.ndarray = field(init=False, repr=False)
@@ -226,6 +231,7 @@ class Network:
     def __post_init__(self) -> None:
         topology, model = self.topology, self.model
         arrays = {
+            "positions": ap_positions(topology),
             "edge": np.array([edge_gain(ap, model) for ap in topology]),
             "gains_true": true_gain_matrix(topology, model),
             "gains_est": estimated_gain_matrix(topology, model),

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import game
 from .game import TraceRecord, exact_potential_full
-from .knowledge import KnowledgeBase, nearest_cover_set
+from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order
 from .model import OFF, AllocationState, Network
 
 BEST_RESPONSE = "best-response"
@@ -121,13 +121,14 @@ def run_dynamics(
     # for the generated weight. Only applied updates write to it.
     act, ch, wp = game.profile_arrays(state)
     chl, actl = state.channels.tolist(), act.tolist()
-    topology, channels, powers = network.topology, state.channels, state.powers
+    channels, powers = state.channels, state.powers
     gains_est, num_channels = network.gains_est, network.num_channels
     context, generated_weight, utility = game.context, game.generated_weight, game.utility
     # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
     key = channels.astype(np.min_scalar_type(-num_channels))
     no_information = [0.0] * num_channels  # shared by every selfish context; never written
     known_pairs: dict[int, list[tuple[int, float]]] = {}  # knowledge is fixed within a call
+    orders: dict[int, np.ndarray] = {}  # and so are the positions
 
     def weight(i: int) -> list[float]:
         """Mover i's generated weight over its known row, or every AP (ĝ_ii = 0 adds nothing)."""
@@ -138,8 +139,10 @@ def run_dynamics(
             known = np.flatnonzero(knowledge.known[i])
             pairs = known_pairs[i] = list(zip(known.tolist(), gains_est[i, known].tolist()))
         if enforce_sufficiency:
-            cover = nearest_cover_set(i, topology, state)
-            pairs = sorted(set(pairs).union((j, float(gains_est[i, j])) for j in cover))
+            if i not in orders:
+                orders[i] = neighbour_order(network.positions, i)
+            cover = nearest_cover_set(orders[i], state).tolist()
+            pairs = sorted(set(pairs).union(zip(cover, gains_est[i, cover].tolist())))
         return generated_weight(pairs, chl, actl, num_channels)
 
     def response(i: int) -> tuple[int, int, int, float, game.UtilityContext]:

@@ -4,26 +4,32 @@ Each function computes one quantity for one AP (or one pair of APs) with a
 plain Python loop over the topology. The package computes the same
 quantities with whole-array kernels (``model.true_gain_matrix``,
 ``model.satisfied_mask``, ``game.context``, ``KnowledgeBase.from_topology``,
-...); the tests hold those kernels to these forms, bit for bit where the
-operation order matches.
+``knowledge.nearest_cover_set``, ...); the tests hold those kernels to these
+forms, bit for bit where the operation order matches.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from apgame.game import UtilityContext
-from apgame.knowledge import KnowledgeBase, nearest_cover_set
+from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
     PropagationModel,
-    distance,
     edge_gain,
     num_channels,
     power_demand,
 )
+
+
+def distance(a: AccessPoint, b: AccessPoint) -> float:
+    """Euclidean distance between two APs in meters."""
+    return math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
 
 
 def estimated_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> float:
@@ -167,6 +173,38 @@ def candidate_test(i: AccessPoint, j: AccessPoint) -> bool:
     if i.id == j.id:
         raise ValueError("candidate_test requires two distinct APs")
     return distance(i, j) < i.coordination_radius + j.coordination_radius
+
+
+def nearest_cover_set(
+    i: int,
+    topology: list[AccessPoint],
+    state: AllocationState,
+) -> set[int]:
+    """Smallest distance-prefix of other APs jointly using every busy channel.
+
+    A channel counts as busy when some other AP transmits on it; channels
+    unused by everyone else impose no requirement. Returns the prefix as a
+    set of AP ids (possibly empty).
+    """
+    needed = {
+        int(state.channels[j])
+        for j in range(len(topology))
+        if j != i and state.channels[j] != OFF and state.powers[j] > 0
+    }
+    if not needed:
+        return set()
+    order = sorted(
+        (j for j in range(len(topology)) if j != i),
+        key=lambda j: (distance(topology[i], topology[j]), j),
+    )
+    prefix: set[int] = set()
+    for j in order:
+        prefix.add(j)
+        if state.powers[j] > 0:
+            needed.discard(int(state.channels[j]))
+        if not needed:
+            return prefix
+    return prefix
 
 
 def sufficiency_check(

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgame.game import TraceRecord, profile_arrays
-from apgame.knowledge import KnowledgeBase, nearest_cover_set
+from apgame.knowledge import KnowledgeBase, nearest_cover_set, neighbour_order
 from apgame.model import (
     OFF,
     AccessPoint,
@@ -136,7 +136,7 @@ def ref_run_dynamics(network, state, timing, responder, max_rounds, rng, *,
             for i in next_movers(timing, iteration, ids, rng):
                 known = act if knowledge is None else act & knowledge.known[i]
                 if enforce_sufficiency:
-                    cover = list(nearest_cover_set(i, network.topology, state))
+                    cover = nearest_cover_set(neighbour_order(network.positions, i), state)
                     known[cover] |= act[cover]
                 if responder == SELFISH:  # the game without neighbour information
                     known = np.zeros_like(act)

@@ -175,6 +175,20 @@ class TestDominoExperiment:
         with pytest.raises(ValueError):
             domino_experiment(cfg, -1, 50.0)
 
+    @pytest.mark.parametrize("cfg", [
+        small_config(duration=100.0),
+        small_config(num_aps=60, num_channels=3, clustered=True, num_clusters=3,
+                     duration=80.0, seed=4),
+    ], ids=["uniform", "clustered"])
+    def test_without_insertions_its_rows_are_run_experiments_game_columns(self, cfg):
+        # one game loop serves both: no insertion leaves the game track of run
+        game = ["time", "satisfied_game", "rounds_game", "missing_candidates", "channel_changes"]
+        run = run_experiment(cfg)
+        domino = domino_experiment(cfg, 0, cfg.duration / 2)
+        for name in game:
+            assert run.column(name) == domino.column(name)
+        assert domino.column("active_aps") == [cfg.num_aps] * len(domino.rows)
+
 
 def full_scan_completion_ticks(config, num_aps, rep, max_ticks):
     """The completion loop that rescans every row after each tick."""

@@ -12,9 +12,11 @@ from apgame.knowledge import (
     discovery_complete,
     discovery_tick,
     nearest_cover_set,
+    neighbour_order,
 )
-from apgame.model import OFF, AccessPoint, AllocationState
+from apgame.model import OFF, AccessPoint, AllocationState, ap_positions, pairwise_distances
 from oracles import candidate_test, sufficiency_check
+from oracles import nearest_cover_set as oracle_cover_set
 
 
 def make_ap(i, x, y, radius=10.0, coord=40.0, channels=(0, 1)):
@@ -31,6 +33,11 @@ def make_ap(i, x, y, radius=10.0, coord=40.0, channels=(0, 1)):
 
 def line_topology(xs, coord=40.0):
     return [make_ap(i, float(x), 0.0, coord=coord) for i, x in enumerate(xs)]
+
+
+def cover(i, topo, state):
+    """The package's nearest cover set of AP i as an id set."""
+    return set(nearest_cover_set(neighbour_order(ap_positions(topo), i), state).tolist())
 
 
 class TestCandidateTest:
@@ -69,7 +76,7 @@ class TestCandidateTest:
 class TestNearestCoverSet:
     def test_all_off_is_empty(self):
         topo = line_topology([0, 10, 20])
-        assert nearest_cover_set(0, topo, AllocationState.all_off(3)) == set()
+        assert cover(0, topo, AllocationState.all_off(3)) == set()
 
     def test_two_nearest_cover_both_channels(self):
         # others at distances 10/20/30 on channels 0/1/0
@@ -77,7 +84,7 @@ class TestNearestCoverSet:
         state = AllocationState(
             np.array([OFF, 0, 1, 0]), np.array([0.0, 0.01, 0.01, 0.01])
         )
-        assert nearest_cover_set(0, topo, state) == {1, 2}
+        assert cover(0, topo, state) == {1, 2}
 
     def test_matches_bruteforce_prefix_scan(self):
         rng = np.random.default_rng(2)
@@ -90,7 +97,7 @@ class TestNearestCoverSet:
         channels[powers == 0.0] = OFF
         state = AllocationState(channels, powers)
         for i in range(20):
-            got = nearest_cover_set(i, topo, state)
+            got = cover(i, topo, state)
             # oracle: scan every prefix of the distance-sorted order and take
             # the first whose active members use all busy channels
             busy = {
@@ -114,6 +121,77 @@ class TestNearestCoverSet:
                     if busy <= seen:
                         break
             assert got == expect
+
+
+class TestCoverSetAgainstOracle:
+    """The array cover set over one cached order equals the scalar prefix scan."""
+
+    @staticmethod
+    def random_state(rng, n, k):
+        # some APs silent, one holding a channel at zero power
+        channels = rng.integers(0, k, size=n).astype(np.int64)
+        powers = rng.uniform(0.001, 0.1, size=n)
+        silent = rng.random(n) < 0.2
+        channels[silent], powers[silent] = OFF, 0.0
+        powers[np.flatnonzero(~silent)[0]] = 0.0
+        return AllocationState(channels, powers)
+
+    def assert_equals_oracle(self, topo, state):
+        pos = ap_positions(topo)
+        for i in range(len(topo)):
+            got = nearest_cover_set(neighbour_order(pos, i), state)
+            assert len(set(got.tolist())) == len(got)
+            assert set(got.tolist()) == oracle_cover_set(i, topo, state)
+
+    @pytest.mark.parametrize("clustered, seed", [(False, 5), (False, 6), (True, 7), (True, 8)])
+    def test_seeded_instances(self, clustered, seed):
+        rng = np.random.default_rng(seed)
+        cfg = ScenarioConfig(num_aps=150, num_channels=6, clustered=clustered,
+                             num_clusters=4, seed=seed)
+        topo, _ = generate_topology(cfg, rng)
+        self.assert_equals_oracle(topo, self.random_state(rng, 150, 6))
+
+    def test_exact_distance_ties_on_a_grid(self):
+        topo = [make_ap(5 * r + c, 10.0 * c, 10.0 * r) for r in range(5) for c in range(5)]
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            self.assert_equals_oracle(topo, self.random_state(rng, 25, 4))
+
+    def test_ap_sharing_a_position_is_not_first_in_its_own_order(self):
+        topo = line_topology([0, 10, 20, 0, 30])
+        order = neighbour_order(ap_positions(topo), 3)
+        assert order.tolist() == [0, 1, 2, 4]
+        state = AllocationState(np.array([1, 0, 1, OFF, 2]),
+                                np.array([0.01, 0.01, 0.01, 0.0, 0.01]))
+        assert nearest_cover_set(order, state).tolist() == [0, 1, 2, 4]
+        self.assert_equals_oracle(topo, state)
+
+    def test_all_off(self):
+        topo = line_topology([0, 10, 20, 30])
+        state = AllocationState.all_off(4)
+        for i in range(4):
+            assert nearest_cover_set(neighbour_order(ap_positions(topo), i), state).size == 0
+        self.assert_equals_oracle(topo, state)
+
+    def test_one_busy_channel(self):
+        # the prefix ends at the nearest transmitter
+        topo = line_topology([0, 10, 20, 30, 40])
+        state = AllocationState(np.array([OFF, 1, OFF, 1, 1]),
+                                np.array([0.0, 0.0, 0.0, 0.01, 0.01]))
+        order = neighbour_order(ap_positions(topo), 0)
+        assert nearest_cover_set(order, state).tolist() == [1, 2, 3]
+        self.assert_equals_oracle(topo, state)
+
+    def test_order_reads_the_one_distance_kernel(self):
+        rng = np.random.default_rng(11)
+        cfg = ScenarioConfig(num_aps=80, clustered=True, num_clusters=3, seed=11)
+        pos = ap_positions(generate_topology(cfg, rng)[0])
+        full = pairwise_distances(pos, pos)
+        for i in range(80):
+            row = pairwise_distances(pos[i:i + 1], pos)[0]
+            assert row.tobytes() == full[i].tobytes()
+            order = neighbour_order(pos, i)
+            assert sorted(order.tolist(), key=lambda j: (full[i, j], j)) == order.tolist()
 
 
 class TestSufficiency:

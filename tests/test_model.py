@@ -14,6 +14,7 @@ from apgame.model import (
     AllocationState,
     Network,
     PropagationModel,
+    ap_positions,
     co_channel_mask,
     edge_gain,
     estimated_gain_matrix,
@@ -188,7 +189,8 @@ class TestNetwork:
         topo, m = generate_topology(cfg, rng)
         net = Network(topo, m)
         r = np.array([ap.coverage_radius for ap in topo])
-        eff = np.maximum(pairwise_distances(topo) - r[None, :], m.min_separation)
+        pos = ap_positions(topo)
+        eff = np.maximum(pairwise_distances(pos, pos) - r[None, :], m.min_separation)
         expected = eff ** -m.path_loss_exponent * m.shadow_samples
         np.fill_diagonal(expected, 0.0)
         assert net.gains_true.tobytes(order="C") == expected.tobytes()

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from apgame import game
 from apgame.baselines import random_allocation
 from apgame.harness import ScenarioConfig, generate_topology
-from apgame.knowledge import DiscoveryState, KnowledgeBase, discovery_tick, nearest_cover_set
+from apgame.knowledge import (
+    DiscoveryState,
+    KnowledgeBase,
+    discovery_tick,
+    nearest_cover_set,
+    neighbour_order,
+)
 from apgame.model import (
     OFF,
     AccessPoint,
@@ -368,7 +374,8 @@ class TestSufficiencyEnforcement:
         n = len(topo)
         for t in range(result.iterations * n):
             i = t % n
-            known = known_set(kb, i) | nearest_cover_set(i, topo, oracle)
+            known = known_set(kb, i) | set(
+                nearest_cover_set(neighbour_order(net.positions, i), oracle).tolist())
             ctx = utility_context(i, topo, oracle, model, known,
                                        gains_true=gt, gains_est=ge)
             old_k = int(oracle.channels[i])
@@ -425,7 +432,8 @@ class TestEngineContexts:
                 if mode == "partial":
                     known = known_set(kb, i)
                 elif mode == "sufficiency":
-                    known = known_set(kb, i) | nearest_cover_set(i, topo, state)
+                    known = known_set(kb, i) | set(
+                        nearest_cover_set(neighbour_order(net.positions, i), state).tolist())
                 oracle = utility_context(i, topo, state, model, known,
                                               gains_true=gt, gains_est=ge)
                 assert np.array_equal(ctx.interference, oracle.interference)
@@ -472,7 +480,8 @@ class TestListContextsBitEqual:
                 i = ctx.player.id
                 known = None if kb is None else known_set(kb, i)
                 if level == "sufficiency":
-                    known |= nearest_cover_set(i, topo, state)
+                    known |= set(
+                        nearest_cover_set(neighbour_order(network.positions, i), state).tolist())
                 oracle = utility_context(i, topo, state, model, known,
                                          gains_true=gt, gains_est=ge)
                 assert type(ctx.interference) is list

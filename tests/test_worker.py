@@ -1,5 +1,6 @@
 """The forked worker of ``run`` and ``sweep``: failures surface, no process is
-left behind, and the inline path (no ``os.fork``) writes the same bytes.
+left behind, not even when the parent is killed, and the inline path (no
+``os.fork``) writes the same bytes.
 
 Every test ends with no child process at all, running or unreaped: the
 autouse fixture requires ``os.waitpid(-1, os.WNOHANG)`` to raise
@@ -8,8 +9,11 @@ autouse fixture requires ``os.waitpid(-1, os.WNOHANG)`` to raise
 
 from __future__ import annotations
 
+import ctypes
 import errno
 import os
+import signal
+import sys
 import time
 
 import pytest
@@ -136,6 +140,54 @@ class TestParentFails:
         with _forked(time.sleep, 60):
             pass
         assert time.monotonic() - start < 30
+
+
+def write_pid_and_sleep(path: str) -> None:
+    with open(path + ".part", "w") as f:
+        f.write(str(os.getpid()))
+    os.replace(path + ".part", path)
+    time.sleep(8)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs prctl(PR_SET_CHILD_SUBREAPER) to reap an orphan")
+def test_worker_exits_when_its_parent_is_killed(tmp_path):
+    """A parent killed by SIGKILL runs no cleanup; its worker must end anyway.
+
+    This process becomes the subreaper of its descendants, so the orphaned
+    worker is reparented here and can be reaped.
+    """
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    libc.prctl.restype = ctypes.c_int
+    set_child_subreaper = 36  # PR_SET_CHILD_SUBREAPER
+    assert libc.prctl(set_child_subreaper, 1, 0, 0, 0) == 0
+    path, worker = tmp_path / "worker.pid", 0
+    try:
+        parent = os.fork()
+        if parent == 0:
+            try:
+                with _forked(write_pid_and_sleep, str(path)) as wait:
+                    wait()
+            finally:
+                os._exit(0)
+        deadline = time.monotonic() + 30
+        while not path.exists():
+            assert time.monotonic() < deadline, "the worker never started"
+            time.sleep(0.01)
+        worker = int(path.read_text())
+        os.kill(parent, signal.SIGKILL)
+        os.waitpid(parent, 0)
+        deadline = time.monotonic() + 3
+        while os.waitpid(worker, os.WNOHANG)[0] == 0:
+            assert time.monotonic() < deadline, "the worker outlived its killed parent"
+            time.sleep(0.01)
+        worker = 0
+    finally:
+        if worker:  # failed: end and reap it here, for the fixture
+            os.kill(worker, signal.SIGKILL)
+            os.waitpid(worker, 0)
+        libc.prctl(set_child_subreaper, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("no_fork", ["absent", "failing"])
