@@ -11,15 +11,7 @@ import bisect
 
 import numpy as np
 
-from .model import (
-    AccessPoint,
-    AllocationState,
-    Network,
-    PropagationModel,
-    edge_gain,
-    num_channels,
-    power_demand,
-)
+from .model import AllocationState, Network, power_demand
 
 # Headroom applied to solved admission powers so edge SINR clears the target
 # strictly despite rounding.
@@ -103,42 +95,36 @@ def _solve_channel_powers(
 
 
 def greedy_admission_bound(
-    topology: list[AccessPoint],
-    model: PropagationModel,
-    rng: np.random.Generator,
-    *,
-    gains_true: np.ndarray,
+    network: Network, rng: np.random.Generator
 ) -> tuple[AllocationState, int]:
     """Admit APs in random order while every admitted AP stays satisfiable.
 
     Each AP is tried only on the channel that minimizes its necessary power
     against the interference of the already admitted set; if admission there
-    breaks feasibility, the AP is powered off. Returned powers keep all
-    admitted APs simultaneously satisfied. ``gains_true`` is the topology's
-    ``true_gain_matrix``.
+    breaks feasibility, or no channel asks a finite power, the AP is powered
+    off. Returned powers keep all admitted APs simultaneously satisfied.
     """
+    topology, gt, noise_power = network.topology, network.gains_true, network.model.noise_power
     n = len(topology)
-    beta = np.array([ap.sinr_target for ap in topology])
-    edge = np.array([edge_gain(ap, model) for ap in topology])
-    caps = np.array([ap.max_power for ap in topology])
     state = AllocationState.all_off(n)
-    members: list[list[int]] = [[] for _ in range(num_channels(topology))]  # admitted, ascending
-    order = [int(i) for i in rng.permutation(n)]
-    for i in order:
+    members: list[list[int]] = [[] for _ in range(network.num_channels)]  # admitted, ascending
+    for i in rng.permutation(n).tolist():
         ap = topology[i]
         best_k = None
         best_demand = np.inf
         for k in sorted(ap.channels):
-            interference = _received(state.powers, gains_true[:, i], members[k])
-            demand = power_demand(ap, model.noise_power, interference, float(edge[i]))
+            interference = _received(state.powers, gt[:, i], members[k])
+            demand = power_demand(ap, noise_power, interference, float(network.edge[i]))
             if demand < best_demand:
                 best_k, best_demand = k, demand
+        if best_k is None:
+            continue
         group = members[best_k] + [i]
-        solved = _solve_channel_powers(group, beta, edge, caps, model.noise_power, gains_true)
+        solved = _solve_channel_powers(group, network.beta, network.edge, network.caps,
+                                       noise_power, gt)
         if solved is None:
             continue
         state.channels[i] = best_k
         state.powers[group] = solved
         bisect.insort(members[best_k], i)
-    admitted = int(np.sum(state.powers > 0))
-    return state, admitted
+    return state, int(np.sum(state.powers > 0))

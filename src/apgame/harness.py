@@ -24,7 +24,14 @@ import numpy as np
 
 from .baselines import _draw_allocation, greedy_admission_bound, random_allocation
 from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
-from .model import AccessPoint, AllocationState, Network, PropagationModel, satisfied_mask
+from .model import (
+    AccessPoint,
+    AllocationState,
+    Network,
+    PropagationModel,
+    lognormal_mean_linear,
+    satisfied_mask,
+)
 from .schedulers import BEST_RESPONSE, ROUND_ROBIN, SELFISH, run_dynamics
 
 T = TypeVar("T")
@@ -98,6 +105,16 @@ class ScenarioConfig:
             raise ValueError("coverage radius exceeds the area scale")
         if self.shadow_std_db < 0:
             raise ValueError("shadow_std_db must be nonnegative")
+        try:  # the edge gains fall from the smallest coverage radius to the largest
+            mean = lognormal_mean_linear(self.shadow_mean_db, self.shadow_std_db)
+            gains = [mean] + [r ** -self.path_loss_exponent * mean
+                              for r in (self.coverage_radius_min, self.coverage_radius_max)]
+        except OverflowError:
+            gains = [math.inf]
+        if not all(0 < g < math.inf for g in gains):
+            raise ValueError("shadow_mean_db, shadow_std_db, path_loss_exponent and "
+                             "coverage_radius_min/max give a shadowing mean gain or an edge "
+                             "gain that is zero or not finite")
         for name in MAX_COUNTS:
             check_count(f"config field {name}", getattr(self, name), name)
         if self.duration > MAX_DURATION:
@@ -248,7 +265,7 @@ def _setup(config: ScenarioConfig, num_aps: int | None = None) -> tuple[
     seeds = np.random.default_rng(config.seed).integers(2**63, size=8)
     topo_rng, discovery_rng, *streams = [np.random.default_rng(s) for s in seeds]
     network = Network(*generate_topology(config, topo_rng, num_aps=num_aps))
-    kb = KnowledgeBase.from_topology(network.topology)
+    kb = KnowledgeBase(known=np.zeros_like(network.candidates), candidates=network.candidates)
     dstate = DiscoveryState(rng=discovery_rng, samples_per_tick=config.samples_per_tick)
     return network, kb, dstate, streams
 
@@ -336,8 +353,7 @@ def _forked(fn: Callable[..., T], *args: Any) -> Iterator[Callable[[], T]]:
 
 def _satisfied(network: Network, state: AllocationState) -> float:
     """How many APs meet their SINR target under ``state``."""
-    mask = satisfied_mask(network.topology, state, network.model, gains_true=network.gains_true)
-    return float(np.sum(mask))
+    return float(np.sum(satisfied_mask(network, state)))
 
 
 def _baseline_rows(
@@ -351,8 +367,7 @@ def _baseline_rows(
     """
     selfish_rng, random_rng, bound_rng = streams[1:4]
     selfish_state = random_allocation(network, selfish_rng)
-    bound_state, _ = greedy_admission_bound(network.topology, network.model, bound_rng,
-                                            gains_true=network.gains_true)
+    bound_state, _ = greedy_admission_bound(network, bound_rng)
     satisfied_bound = _satisfied(network, bound_state)  # the bound never changes
     rows = []
     for _ in _timestamps(config):

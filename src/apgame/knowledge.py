@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import AccessPoint, AllocationState, ap_positions, pairwise_distances
+from .model import AccessPoint, AllocationState, ap_positions, candidate_matrix, pairwise_distances
 
 
 @dataclass
@@ -33,10 +33,8 @@ class KnowledgeBase:
 
     @classmethod
     def from_topology(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
-        r = np.array([ap.coordination_radius for ap in topology])
         pos = ap_positions(topology)
-        candidates = pairwise_distances(pos, pos) < r[:, None] + r[None, :]
-        np.fill_diagonal(candidates, False)
+        candidates = candidate_matrix(topology, pairwise_distances(pos, pos))
         return cls(known=np.zeros_like(candidates), candidates=candidates)
 
     @classmethod

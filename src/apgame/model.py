@@ -48,11 +48,6 @@ class AccessPoint:
             raise ValueError("channel ids must be nonnegative")
 
 
-def num_channels(topology: list[AccessPoint]) -> int:
-    """Size of the global channel set, inferred as 1 + highest channel id."""
-    return 1 + max(max(ap.channels) for ap in topology)
-
-
 def lognormal_mean_linear(mean_db: float, std_db: float) -> float:
     """Mean of the linear gain 10**(X/10) for X ~ Normal(mean_db, std_db)."""
     scale = math.log(10.0) / 10.0
@@ -176,12 +171,8 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(a[:, 0:1] - b[:, 0], a[:, 1:2] - b[:, 1])
 
 
-def _gain_matrix(
-    topology: list[AccessPoint],
-    model: PropagationModel,
-    shadowing: np.ndarray | float,
-    receiver_major: bool,
-) -> np.ndarray:
+def _gain_matrix(topology: list[AccessPoint], model: PropagationModel, distances: np.ndarray,
+                 shadowing: np.ndarray | float, receiver_major: bool) -> np.ndarray:
     """Path loss to the receiver's coverage edge times ``shadowing``; zero diagonal.
 
     Entry [i, j] is the gain from transmitter i at receiver j, or, with
@@ -190,56 +181,76 @@ def _gain_matrix(
     """
     r = np.array([ap.coverage_radius for ap in topology])
     r_rx = r[:, None] if receiver_major else r[None, :]
-    pos = ap_positions(topology)
-    eff = np.maximum(pairwise_distances(pos, pos) - r_rx, model.min_separation)
+    eff = np.maximum(distances - r_rx, model.min_separation)
     g = eff ** -model.path_loss_exponent * shadowing
     np.fill_diagonal(g, 0.0)
     return g
 
 
-def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
+def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel,
+                     distances: np.ndarray) -> np.ndarray:
     """Gain G[i, j] from transmitter i at receiver j, sampled shadowing; zero diagonal.
 
-    G is the ``.T`` view of a C-ordered receiver-major matrix, so each
-    receiver's incoming gains ``G[:, j]`` are contiguous.
+    ``distances`` is the APs' ``pairwise_distances``. G is the ``.T`` view of
+    a C-ordered receiver-major matrix, so each receiver's incoming gains
+    ``G[:, j]`` are contiguous.
     """
-    return _gain_matrix(topology, model, model.shadow_samples, True).T
+    return _gain_matrix(topology, model, distances, model.shadow_samples, True).T
 
 
-def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
+def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel,
+                          distances: np.ndarray) -> np.ndarray:
     """``true_gain_matrix`` with the mean shadowing gain, C-ordered; zero diagonal."""
-    return _gain_matrix(topology, model, model.mean_linear_gain, False)
+    return _gain_matrix(topology, model, distances, model.mean_linear_gain, False)
+
+
+def candidate_matrix(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
+    """Whether the coordination areas of distinct APs, ``distances`` apart, overlap."""
+    r = np.array([ap.coordination_radius for ap in topology])
+    candidates = distances < r[:, None] + r[None, :]
+    np.fill_diagonal(candidates, False)
+    return candidates
 
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Per-topology arrays that stay fixed while profiles and knowledge change.
+    """Per-topology constants that stay fixed while profiles and knowledge change.
 
-    ``positions`` holds the AP coordinates, ``edge[i]`` is AP i's
-    ``edge_gain``; ``gains_true`` and ``gains_est`` are ``true_gain_matrix``
-    and ``estimated_gain_matrix``. All four arrays are read-only.
+    ``positions`` holds the AP coordinates; ``edge[i]``, ``beta[i]`` and
+    ``caps[i]`` are AP i's ``edge_gain``, SINR target and power cap;
+    ``gains_true``, ``gains_est`` and ``candidates`` are the three matrix
+    kernels of one distance matrix, which is not kept. Every array is
+    read-only. ``num_channels`` is one more than the highest channel id.
     """
 
     topology: list[AccessPoint]
     model: PropagationModel
     positions: np.ndarray = field(init=False, repr=False)
     edge: np.ndarray = field(init=False, repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
+    caps: np.ndarray = field(init=False, repr=False)
     gains_true: np.ndarray = field(init=False, repr=False)
     gains_est: np.ndarray = field(init=False, repr=False)
+    candidates: np.ndarray = field(init=False, repr=False)
     num_channels: int = field(init=False)
 
     def __post_init__(self) -> None:
         topology, model = self.topology, self.model
+        positions = ap_positions(topology)
+        distances = pairwise_distances(positions, positions)
         arrays = {
-            "positions": ap_positions(topology),
+            "positions": positions,
             "edge": np.array([edge_gain(ap, model) for ap in topology]),
-            "gains_true": true_gain_matrix(topology, model),
-            "gains_est": estimated_gain_matrix(topology, model),
+            "beta": np.array([ap.sinr_target for ap in topology]),
+            "caps": np.array([ap.max_power for ap in topology]),
+            "gains_true": true_gain_matrix(topology, model, distances),
+            "gains_est": estimated_gain_matrix(topology, model, distances),
+            "candidates": candidate_matrix(topology, distances),
         }
         for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "num_channels", num_channels(topology))
+        object.__setattr__(self, "num_channels", 1 + max(max(ap.channels) for ap in topology))
 
 
 def power_demand(
@@ -276,19 +287,8 @@ def received_interference(state: AllocationState, gains_true: np.ndarray) -> np.
     return interference
 
 
-def satisfied_mask(
-    topology: list[AccessPoint],
-    state: AllocationState,
-    model: PropagationModel,
-    *,
-    gains_true: np.ndarray,
-) -> np.ndarray:
-    """Whether each AP transmits and meets its SINR target at its coverage edge.
-
-    ``gains_true`` is the topology's ``true_gain_matrix``.
-    """
-    beta = np.array([ap.sinr_target for ap in topology])
-    edge = np.array([edge_gain(ap, model) for ap in topology])
+def satisfied_mask(network: Network, state: AllocationState) -> np.ndarray:
+    """Whether each AP transmits and meets its SINR target at its coverage edge."""
     # a silent AP has zero power, so an SINR of zero, below its positive target
-    noise_plus_i = model.noise_power + received_interference(state, gains_true)
-    return edge * state.powers / noise_plus_i >= beta
+    noise_plus_i = network.model.noise_power + received_interference(state, network.gains_true)
+    return network.edge * state.powers / noise_plus_i >= network.beta

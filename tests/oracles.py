@@ -21,10 +21,17 @@ from apgame.model import (
     AccessPoint,
     AllocationState,
     PropagationModel,
+    ap_positions,
     edge_gain,
-    num_channels,
+    pairwise_distances,
     power_demand,
 )
+
+
+def topology_distances(topology: list[AccessPoint]) -> np.ndarray:
+    """The distance matrix ``Network`` builds its gain matrices and candidates from."""
+    pos = ap_positions(topology)
+    return pairwise_distances(pos, pos)
 
 
 def distance(a: AccessPoint, b: AccessPoint) -> float:
@@ -128,7 +135,7 @@ def utility_context(
     ``known=None`` means full knowledge of all other APs.
     """
     ap = topology[i]
-    k_total = num_channels(topology)
+    k_total = 1 + max(max(ap.channels) for ap in topology)
     interference = np.zeros(k_total)
     generated = np.zeros(k_total)
     for j, other in enumerate(topology):

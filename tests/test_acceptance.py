@@ -28,7 +28,6 @@ from apgame.model import (
     PropagationModel,
     edge_gain,
     satisfied_mask,
-    true_gain_matrix,
 )
 from apgame.schedulers import (
     BEST_RESPONSE,
@@ -333,12 +332,9 @@ def test_criterion_10_bound_feasibility(experiment_batch):
         # reproduce the experiment's bound run from its published seeding
         master = np.random.default_rng(cfg.seed)
         seeds = master.integers(2 ** 63, size=8)
-        topo, model = generate_topology(cfg, np.random.default_rng(seeds[0]))
-        gt = true_gain_matrix(topo, model)
-        state, admitted = greedy_admission_bound(
-            topo, model, np.random.default_rng(seeds[5]), gains_true=gt
-        )
-        sat = satisfied_mask(topo, state, model, gains_true=gt)
+        net = Network(*generate_topology(cfg, np.random.default_rng(seeds[0])))
+        state, admitted = greedy_admission_bound(net, np.random.default_rng(seeds[5]))
+        sat = satisfied_mask(net, state)
         admitted_mask = state.powers > 0
         total_admitted += admitted
         all_ok = all_ok and admitted == int(np.sum(admitted_mask))

@@ -28,6 +28,7 @@ from apgame.model import (
     true_gain_matrix,
 )
 from apgame.schedulers import ROUND_ROBIN, SELFISH, run_dynamics
+from oracles import topology_distances
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -86,7 +87,7 @@ class TestRandomAllocation:
                              area_height=150.0, seed=4)
         topo, model = generate_topology(cfg, rng)
         state = random_allocation(Network(topo, model), np.random.default_rng(5))
-        gt = true_gain_matrix(topology=topo, model=model)
+        gt = true_gain_matrix(topology=topo, model=model, distances=topology_distances(topo))
         for i, ap in enumerate(topo):
             interference = sum(
                 float(state.powers[j]) * gt[j, i]
@@ -123,7 +124,7 @@ class TestRunSelfish:
 def brute_force_admission_optimum(topo, model):
     """Exhaustive search over channel assignments including powering off."""
     n = len(topo)
-    gt = true_gain_matrix(topo, model)
+    gt = true_gain_matrix(topo, model, topology_distances(topo))
     k_all = sorted(set().union(*(ap.channels for ap in topo)))
     best = 0
     for assignment in itertools.product([OFF] + k_all, repeat=n):
@@ -160,18 +161,15 @@ def brute_force_admission_optimum(topo, model):
 
 class TestGreedyAdmissionBound:
     def test_single_ap_admitted(self):
-        topo = [make_ap(0, 0.0, 0.0)]
-        gt = true_gain_matrix(topo, flat_model(1))
-        state, count = greedy_admission_bound(topo, flat_model(1),
-                                              np.random.default_rng(0), gains_true=gt)
+        net = Network([make_ap(0, 0.0, 0.0)], flat_model(1))
+        state, count = greedy_admission_bound(net, np.random.default_rng(0))
         assert count == 1
-        assert satisfied_mask(topo, state, flat_model(1), gains_true=gt)[0]
+        assert satisfied_mask(net, state)[0]
 
     def test_two_aps_get_orthogonal_channels(self):
         topo = [make_ap(0, 0.0, 0.0), make_ap(1, 25.0, 0.0)]
         model = flat_model(2)
-        state, count = greedy_admission_bound(topo, model, np.random.default_rng(1),
-                                              gains_true=true_gain_matrix(topo, model))
+        state, count = greedy_admission_bound(Network(topo, model), np.random.default_rng(1))
         assert count == 2
         assert state.channels[0] != state.channels[1]
 
@@ -180,10 +178,9 @@ class TestGreedyAdmissionBound:
             rng = np.random.default_rng((72, seed))
             cfg = ScenarioConfig(num_aps=40, num_channels=3, area_width=200.0,
                                  area_height=200.0, seed=72)
-            topo, model = generate_topology(cfg, rng)
-            gt = true_gain_matrix(topo, model)
-            state, count = greedy_admission_bound(topo, model, rng, gains_true=gt)
-            sat = satisfied_mask(topo, state, model, gains_true=gt)
+            net = Network(*generate_topology(cfg, rng))
+            state, count = greedy_admission_bound(net, rng)
+            sat = satisfied_mask(net, state)
             admitted = state.powers > 0
             assert count == int(np.sum(admitted))
             assert np.all(sat[admitted])
@@ -197,10 +194,21 @@ class TestGreedyAdmissionBound:
                                  coverage_radius_max=12.0, sinr_target_low=3.0,
                                  sinr_target_high=6.0, seed=73)
             topo, model = generate_topology(cfg, rng)
-            _, count = greedy_admission_bound(topo, model, rng,
-                                              gains_true=true_gain_matrix(topo, model))
+            _, count = greedy_admission_bound(Network(topo, model), rng)
             optimum = brute_force_admission_optimum(topo, model)
             assert count <= optimum
+
+    def test_ap_without_a_finite_demand_stays_off(self):
+        # the first AP admitted needs about 1e295 W; against it the other's
+        # demand on their one channel overflows to inf
+        topo = [make_ap(i, 10.1 * i, 0.0, beta=1e300, pmax=1e308, channels=(0,))
+                for i in range(2)]
+        net = Network(topo, flat_model(2))
+        for seed in range(2):
+            state, count = greedy_admission_bound(net, np.random.default_rng(seed))
+            assert count == 1
+            assert np.array_equal(satisfied_mask(net, state), state.powers > 0)
+            assert sorted(state.channels.tolist()) == [OFF, 0]
 
 
 def guarded_channel_powers(members, beta, edge, caps, noise_power, gt):
@@ -289,6 +297,8 @@ def masked_greedy_admission_bound(topology, model, rng, gt):
             demand = power_demand(ap, model.noise_power, interference, float(edge[i]))
             if demand < best_demand:
                 best_k, best_demand = k, demand
+        if best_k is None:
+            continue
         on_k = (state.channels == best_k) & (state.powers > 0)
         members = np.flatnonzero(on_k).tolist() + [i]
         solved = _solve_channel_powers(members, beta, edge, caps, model.noise_power, gt)
@@ -378,8 +388,7 @@ class TestMemberListOracle:
         network, _ = instance
         topology, model = network.topology, network.model
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        state, admitted = greedy_admission_bound(topology, model, rng_a,
-                                                 gains_true=network.gains_true)
+        state, admitted = greedy_admission_bound(network, rng_a)
         expected, expected_admitted = masked_greedy_admission_bound(
             topology, model, rng_b, np.ascontiguousarray(network.gains_true))
         assert admitted == expected_admitted

@@ -30,6 +30,7 @@ from apgame.model import (
     co_channel_mask,
     edge_gain,
     estimated_gain_matrix,
+    received_interference,
     satisfied_mask,
     true_gain_matrix,
 )
@@ -37,6 +38,7 @@ from oracles import (
     estimated_gain,
     local_optimality_check,
     necessary_power,
+    topology_distances,
     true_gain,
     utility_context,
 )
@@ -357,10 +359,10 @@ class TestReceiverMajorLayout:
         beta = np.array([ap.sinr_target for ap in topology])
         expected_mask = ratio >= beta
         assert expected_mask.sum() == np.count_nonzero(p)
-        assert np.array_equal(satisfied_mask(topology, state, net.model,
-                                             gains_true=net.gains_true), expected_mask)
-        assert np.array_equal(satisfied_mask(topology, state, net.model, gains_true=gt),
-                              expected_mask)
+        assert np.array_equal(satisfied_mask(Network(topology, net.model), state), expected_mask)
+        # the mask reads the F-ordered gains; its interference equals the C-ordered one's
+        assert (received_interference(state, net.gains_true).tobytes()
+                == received_interference(state, gt).tobytes())
 
         received = float(np.sum(co * (p[:, None] * gt)))
         generated = float(np.sum(co * (p[:, None] * ge)))
@@ -411,8 +413,8 @@ def sweep_is_nash_equilibrium(topology, state, model):
     """Deviation sweep over ``utility_context`` that ``is_nash_equilibrium``
     must reproduce: it builds both gain matrices and every context with the
     per-AP loop."""
-    gt = true_gain_matrix(topology, model)
-    ge = estimated_gain_matrix(topology, model)
+    gt = true_gain_matrix(topology, model, topology_distances(topology))
+    ge = estimated_gain_matrix(topology, model, topology_distances(topology))
     for i, ap in enumerate(topology):
         ctx = utility_context(i, topology, state, model, gains_true=gt, gains_est=ge)
         cur = int(state.channels[i])

@@ -1,13 +1,18 @@
 """Physical-layer math: gains, interference, SINR and necessary power."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apgame import harness
+from apgame import model as model_module
 from apgame.harness import ScenarioConfig, generate_topology
+from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
     AccessPoint,
@@ -24,7 +29,15 @@ from apgame.model import (
     satisfied_mask,
     true_gain_matrix,
 )
-from oracles import estimated_gain, interference_at, is_satisfied, necessary_power, sinr, true_gain
+from oracles import (
+    estimated_gain,
+    interference_at,
+    is_satisfied,
+    necessary_power,
+    sinr,
+    topology_distances,
+    true_gain,
+)
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1), coord=None):
@@ -154,8 +167,8 @@ class TestGains:
         rng = np.random.default_rng(9)
         m = PropagationModel.sample(5, rng)
         topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=3.0 + i) for i in range(5)]
-        gt = true_gain_matrix(topo, m)
-        ge = estimated_gain_matrix(topo, m)
+        gt = true_gain_matrix(topo, m, topology_distances(topo))
+        ge = estimated_gain_matrix(topo, m, topology_distances(topo))
         for i in range(5):
             for j in range(5):
                 if i == j:
@@ -172,13 +185,56 @@ class TestNetwork:
         topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=3.0 + i, beta=1.0 + i,
                         channels=(0, 2)) for i in range(5)]
         net = Network(topo, m)
-        assert np.array_equal(net.gains_true, true_gain_matrix(topo, m))
-        assert np.array_equal(net.gains_est, estimated_gain_matrix(topo, m))
+        assert np.array_equal(net.gains_true, true_gain_matrix(topo, m, topology_distances(topo)))
+        assert np.array_equal(net.gains_est,
+                              estimated_gain_matrix(topo, m, topology_distances(topo)))
         assert net.edge.tolist() == [edge_gain(ap, m) for ap in topo]
         assert net.num_channels == 3
-        for name in ("edge", "gains_true", "gains_est"):
+        for name in ("edge", "beta", "caps", "gains_true", "gains_est", "candidates"):
             with pytest.raises(ValueError):
                 getattr(net, name)[0] = 1.0
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_columns_and_candidates_equal_the_per_ap_forms(self, clustered):
+        rng = np.random.default_rng(11)
+        cfg = ScenarioConfig(num_aps=150, clustered=clustered, num_clusters=3, seed=0)
+        topo, m = generate_topology(cfg, rng)
+        # coordination radii that differ per AP, so the overlap test is not one threshold
+        topo = [replace(ap, coordination_radius=ap.coverage_radius * (1 + i % 7),
+                        max_power=0.01 * (1 + i % 5)) for i, ap in enumerate(topo)]
+        net = Network(topo, m)
+        candidates = KnowledgeBase.from_topology(topo).candidates
+        assert net.candidates.dtype == bool and np.array_equal(net.candidates, candidates)
+        assert 0 < net.candidates.sum() < len(topo) * (len(topo) - 1)
+        assert net.beta.tolist() == [ap.sinr_target for ap in topo]
+        assert net.caps.tolist() == [ap.max_power for ap in topo]
+        # no distance matrix is kept: the only N x N arrays are these three
+        assert {name for name, v in vars(net).items()
+                if isinstance(v, np.ndarray) and v.shape == (len(topo),) * 2} == \
+            {"gains_true", "gains_est", "candidates"}
+
+    def test_one_distance_matrix_per_network_and_per_experiment_setup(self, monkeypatch):
+        calls = []
+        original = model_module.pairwise_distances
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return original(a, b)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("apgame") and getattr(mod, "pairwise_distances", None) is original:
+                monkeypatch.setattr(mod, "pairwise_distances", counted)
+        cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0, area_height=300.0,
+                             duration=20.0, seed=4)
+        Network(*generate_topology(cfg, np.random.default_rng(4)))
+        assert calls == [(40, 2)]
+        calls.clear()
+        network, kb, _, _ = harness._setup(cfg)
+        assert calls == [(40, 2)]
+        assert kb.candidates is network.candidates and not kb.known.any()
+        calls.clear()
+        harness.run_experiment(cfg)
+        assert calls == [(40, 2)]
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_receiver_major_build_is_the_exact_transpose(self, clustered):
@@ -339,10 +395,7 @@ class TestSatisfaction:
                                              min_size=n, max_size=n)))
         powers[channels == OFF] = 0.0
         state = AllocationState(channels, powers)
-        gains = true_gain_matrix(topo, m)
-        if data.draw(st.booleans()):
-            gains = np.ascontiguousarray(gains)
-        mask = satisfied_mask(topo, state, m, gains_true=gains)
+        mask = satisfied_mask(Network(topo, m), state)
         for i in range(n):
             assert bool(mask[i]) == is_satisfied(topo[i], topo, state, m)
 

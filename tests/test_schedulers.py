@@ -34,7 +34,7 @@ from apgame.schedulers import (
     next_movers,
     run_dynamics,
 )
-from oracles import necessary_power, utility_context
+from oracles import necessary_power, topology_distances, utility_context
 from test_engine_oracle import instances
 
 
@@ -367,8 +367,8 @@ class TestSufficiencyEnforcement:
 
         # replay the same activations: the player knows its known set plus
         # its nearest channel-covering neighbors at the current profile
-        gt = true_gain_matrix(topo, model)
-        ge = estimated_gain_matrix(topo, model)
+        gt = true_gain_matrix(topo, model, topology_distances(topo))
+        ge = estimated_gain_matrix(topo, model, topology_distances(topo))
         oracle = start.copy()
         moves = []
         n = len(topo)
@@ -421,8 +421,8 @@ class TestEngineContexts:
             dstate = DiscoveryState(rng=np.random.default_rng(74))
             for _ in range(3):
                 discovery_tick(dstate, kb, topo)
-        gt = true_gain_matrix(topo, model)
-        ge = estimated_gain_matrix(topo, model)
+        gt = true_gain_matrix(topo, model, topology_distances(topo))
+        ge = estimated_gain_matrix(topo, model, topology_distances(topo))
         seen = []
 
         def checked(respond):
@@ -471,8 +471,8 @@ class TestListContextsBitEqual:
             kb = KnowledgeBase.complete(topo)
             if level != "full":
                 kb.known &= rng.random((n, n)) < 0.5
-        gt = true_gain_matrix(topo, model)
-        ge = estimated_gain_matrix(topo, model)
+        gt = true_gain_matrix(topo, model, topology_distances(topo))
+        ge = estimated_gain_matrix(topo, model, topology_distances(topo))
         seen = []
 
         def checked(respond):
