@@ -101,8 +101,8 @@ def greedy_admission_bound(
 
     Each AP is tried only on the channel that minimizes its necessary power
     against the interference of the already admitted set; if admission there
-    breaks feasibility, or no channel asks a finite power, the AP is powered
-    off. Returned powers keep all admitted APs simultaneously satisfied.
+    breaks feasibility, the AP is powered off. ``Network`` keeps every demand
+    finite. Returned powers keep all admitted APs simultaneously satisfied.
     """
     topology, gt, noise_power = network.topology, network.gains_true, network.model.noise_power
     n = len(topology)
@@ -110,15 +110,12 @@ def greedy_admission_bound(
     members: list[list[int]] = [[] for _ in range(network.num_channels)]  # admitted, ascending
     for i in rng.permutation(n).tolist():
         ap = topology[i]
-        best_k = None
-        best_demand = np.inf
+        best_k, best_demand = None, np.inf
         for k in sorted(ap.channels):
             interference = _received(state.powers, gt[:, i], members[k])
             demand = power_demand(ap, noise_power, interference, float(network.edge[i]))
             if demand < best_demand:
                 best_k, best_demand = k, demand
-        if best_k is None:
-            continue
         group = members[best_k] + [i]
         solved = _solve_channel_powers(group, network.beta, network.edge, network.caps,
                                        noise_power, gt)

@@ -27,8 +27,9 @@ from .harness import (
     generate_topology,
     run_experiment,
 )
+from .knowledge import KnowledgeBase
 from .model import Network
-from .schedulers import BEST_RESPONSE, ROUND_ROBIN, run_dynamics
+from .schedulers import ROUND_ROBIN, run_dynamics
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -91,19 +92,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--repeats must be in [1, {MAX_REPEATS}], got {args.repeats}")
     if not 0 <= args.max_ticks <= MAX_DURATION:
         raise ValueError(f"--max-ticks must be in [0, {MAX_DURATION:.0f}], got {args.max_ticks}")
-    # every (size, repetition) is seeded on its own: a forked worker takes every second one
+    # every (size, repetition) is seeded on its own: this process and a forked worker
+    # take them largest first, each to the side with less work so far (size squared)
     pairs = [(n, rep) for n in sizes for rep in range(args.repeats)]
+    shares, work = ([], []), [0, 0]
+    for x in sorted(range(len(pairs)), key=lambda x: -pairs[x][0]):
+        side = work.index(min(work))
+        shares[side].append(x)
+        work[side] += pairs[x][0] ** 2
 
-    def ticks(share: list[tuple[int, int]]) -> list[int]:
-        return [discovery_completion_ticks(cfg, n, rep, args.max_ticks) for n, rep in share]
+    def ticks(share: list[int]) -> list[int]:
+        return [discovery_completion_ticks(cfg, *pairs[x], args.max_ticks) for x in share]
 
-    all_times = [0] * len(pairs)
-    with _forked(ticks, pairs[1::2]) as worker_ticks:
-        all_times[0::2] = ticks(pairs[0::2])
-        all_times[1::2] = worker_ticks()
+    with _forked(ticks, shares[1]) as worker_ticks:
+        by_pair = dict(zip(shares[0] + shares[1], ticks(shares[0]) + worker_ticks()))
     rows = []
     for i, n in enumerate(sizes):
-        times = all_times[i * args.repeats:(i + 1) * args.repeats]
+        times = [by_pair[x] for x in range(i * args.repeats, (i + 1) * args.repeats)]
         mean_time = sum(times) / len(times)
         rows.append([n, mean_time])
         print(f"num_aps={n} mean_completion_ticks={mean_time:.12g}")
@@ -149,7 +154,8 @@ def _verify_ordinal(seed: int) -> tuple[bool, str]:
     for rng, network in _instances(seed, 1000, 10, num_aps=20, num_channels=3,
                                    area_width=300.0, area_height=300.0, shadow_std_db=0.0):
         state = random_allocation(network, rng)
-        result = run_dynamics(network, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng,
+        result = run_dynamics(network, state, ROUND_ROBIN, 50, rng,
+                              knowledge=KnowledgeBase.full(len(network.topology)),
                               record_potential=True)
         report = game.verify_ordinal_improvement(result.trace)
         violations += len(report.violations())
@@ -161,7 +167,8 @@ def _verify_nash(seed: int) -> tuple[bool, str]:
     for rng, network in _instances(seed, 2000, 20, num_aps=5, num_channels=3,
                                    area_width=150.0, area_height=150.0):
         state = random_allocation(network, rng)
-        result = run_dynamics(network, state, ROUND_ROBIN, BEST_RESPONSE, 100, rng)
+        result = run_dynamics(network, state, ROUND_ROBIN, 100, rng,
+                              knowledge=KnowledgeBase.full(len(network.topology)))
         if result.converged and not game.is_nash_equilibrium(network, state):
             failures += 1
     return failures == 0, f"converged-profile NE failures={failures}"

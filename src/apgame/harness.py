@@ -32,7 +32,7 @@ from .model import (
     lognormal_mean_linear,
     satisfied_mask,
 )
-from .schedulers import BEST_RESPONSE, ROUND_ROBIN, SELFISH, run_dynamics
+from .schedulers import ROUND_ROBIN, run_dynamics
 
 T = TypeVar("T")
 
@@ -194,14 +194,10 @@ def generate_topology(
         )
         for i in range(n)
     ]
-    model = PropagationModel.sample(
-        n,
-        rng,
-        path_loss_exponent=config.path_loss_exponent,
-        shadow_mean_db=config.shadow_mean_db,
-        shadow_std_db=config.shadow_std_db,
-        noise_power=config.noise_power,
-    )
+    model = PropagationModel.sample(n, rng, path_loss_exponent=config.path_loss_exponent,
+                                   shadow_mean_db=config.shadow_mean_db,
+                                   shadow_std_db=config.shadow_std_db,
+                                   noise_power=config.noise_power)
     return topology, model
 
 
@@ -361,9 +357,10 @@ def _baseline_rows(
 ) -> list[list[float]]:
     """The schemes that never read the game's state, knowledge or discovery.
 
-    Per timestamp: satisfied selfish, random and bound APs, and the selfish
-    rounds. Each scheme draws only from its own stream (``streams[1:4]`` of
-    ``_setup``), so this track runs apart from the game's.
+    Per timestamp: satisfied selfish (best response with ``knowledge=None``),
+    random and bound APs, and the selfish rounds. Each scheme draws only
+    from its own stream (``streams[1:4]`` of ``_setup``), so this track runs
+    apart from the game's.
     """
     selfish_rng, random_rng, bound_rng = streams[1:4]
     selfish_state = random_allocation(network, selfish_rng)
@@ -371,10 +368,8 @@ def _baseline_rows(
     satisfied_bound = _satisfied(network, bound_state)  # the bound never changes
     rows = []
     for _ in _timestamps(config):
-        selfish_run = run_dynamics(
-            network, selfish_state, ROUND_ROBIN, SELFISH,
-            config.max_iterations, selfish_rng,
-        )
+        selfish_run = run_dynamics(network, selfish_state, ROUND_ROBIN, config.max_iterations,
+                                   selfish_rng, knowledge=None)
         random_state = random_allocation(network, random_rng)
         rows.append([_satisfied(network, selfish_state), _satisfied(network, random_state),
                      satisfied_bound, float(selfish_run.iterations)])
@@ -407,8 +402,8 @@ def _game_rows(
         if t > 0:
             for _ in range(int(config.allocation_period)):
                 discovery_tick(dstate, kb, network.topology, active=active)
-        run = run_dynamics(network, state, ROUND_ROBIN, BEST_RESPONSE,
-                           config.max_iterations, rng, knowledge=kb, active=active)
+        run = run_dynamics(network, state, ROUND_ROBIN, config.max_iterations, rng,
+                           knowledge=kb, active=active)
         _, missing = discovery_complete(kb, active=active)
         changes = int(np.sum(state.channels[:prev_on] != prev_channels[:prev_on]))
         prev_on, prev_channels = on, state.channels.copy()

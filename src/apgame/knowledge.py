@@ -44,6 +44,11 @@ class KnowledgeBase:
         kb.known = kb.candidates.copy()
         return kb
 
+    @classmethod
+    def full(cls, n: int) -> "KnowledgeBase":
+        """Full knowledge: each of ``n`` APs knows every other as a candidate."""
+        return cls(known=~np.eye(n, dtype=bool), candidates=~np.eye(n, dtype=bool))
+
 
 @dataclass
 class DiscoveryState:

@@ -69,8 +69,6 @@ class PropagationModel:
     shadow_samples: np.ndarray
     noise_power: float
     min_separation: float = 0.1
-    shadow_mean_db: float = 0.0
-    shadow_std_db: float = 8.0
 
     def __post_init__(self) -> None:
         z = np.asarray(self.shadow_samples, dtype=float)
@@ -101,7 +99,6 @@ class PropagationModel:
         shadow_mean_db: float = 0.0,
         shadow_std_db: float = 8.0,
         noise_power: float = 1e-8,
-        min_separation: float = 0.1,
     ) -> "PropagationModel":
         """Draw one symmetric shadowing matrix and bundle the parameters."""
         x_db = rng.normal(shadow_mean_db, shadow_std_db, size=(num_aps, num_aps))
@@ -112,9 +109,6 @@ class PropagationModel:
             mean_linear_gain=lognormal_mean_linear(shadow_mean_db, shadow_std_db),
             shadow_samples=z,
             noise_power=noise_power,
-            min_separation=min_separation,
-            shadow_mean_db=shadow_mean_db,
-            shadow_std_db=shadow_std_db,
         )
 
 
@@ -221,6 +215,7 @@ class Network:
     ``gains_true``, ``gains_est`` and ``candidates`` are the three matrix
     kernels of one distance matrix, which is not kept. Every array is
     read-only. ``num_channels`` is one more than the highest channel id.
+    A topology whose powers times gains, or demands, can overflow raises ValueError.
     """
 
     topology: list[AccessPoint]
@@ -251,6 +246,15 @@ class Network:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "num_channels", 1 + max(max(ap.channels) for ap in topology))
+        # worst cases in Python floats, which overflow to inf without a warning
+        gain = max(float(self.gains_true.max()), float(self.gains_est.max()))
+        received = len(topology) * float(self.caps.max()) * gain
+        edge = float(self.edge.min())
+        demand = (float(self.beta.max()) * (model.noise_power + received) / edge
+                  if edge > 0 else math.inf)
+        if not math.isfinite(demand):
+            raise ValueError(f"the largest received power (APs x max_power x gain), {received}, "
+                             f"or the largest power demand, {demand}, is not finite")
 
 
 def power_demand(

@@ -18,10 +18,6 @@ from .game import TraceRecord, exact_potential_full
 from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order
 from .model import OFF, AllocationState, Network
 
-BEST_RESPONSE = "best-response"
-SELFISH = "selfish"
-RESPONDERS = (BEST_RESPONSE, SELFISH)
-
 POWER_TOLERANCE = 1e-12  # watts
 
 
@@ -75,35 +71,29 @@ def run_dynamics(
     network: Network,
     state: AllocationState,
     timing: TimingModel,
-    responder: str,
     max_rounds: int,
     rng: np.random.Generator,
     *,
-    knowledge: KnowledgeBase | None = None,
+    knowledge: KnowledgeBase | None,
     enforce_sufficiency: bool = False,
     record_potential: bool = False,
     active: set[int] | None = None,
 ) -> RunResult:
-    """Iterate the chosen response rule until convergence or the round cap.
+    """Iterate best response until convergence or the round cap.
 
     Mutates ``state`` in place. Non-convergence is a result, not an error.
     A revisited channel profile after at least one channel change marks a
     cycle; the flag is only reported when the run did not converge. With
     ``record_potential`` every move records ``exact_potential_full``.
 
-    A move's ``u_before``/``u_after`` are the game utility under the
-    knowledge its rule uses. Best response uses the mover's ``known`` row
-    (every AP without ``knowledge``), with its nearest cover set under
-    ``enforce_sufficiency``. The selfish rule is the game without neighbour
-    information: it reads no knowledge, its contexts carry the zero weight,
-    and ``knowledge`` and ``enforce_sufficiency`` change nothing for it.
+    ``knowledge`` is what each mover knows of its neighbours: its ``known``
+    row of a ``KnowledgeBase`` (``KnowledgeBase.full`` for every other AP),
+    or nothing for ``None``, which makes best response the selfish rule.
+    ``enforce_sufficiency`` adds the mover's nearest cover set at the
+    current profile. A move's ``u_before``/``u_after`` are the game utility
+    under that knowledge.
     """
-    if responder not in RESPONDERS:
-        raise ValueError(f"unknown responder: {responder}")
-    if enforce_sufficiency and knowledge is None:
-        raise ValueError("enforce_sufficiency needs knowledge")
-    respond = game.best_response if responder == BEST_RESPONSE else game.selfish_response
-    weighted = responder == BEST_RESPONSE
+    respond = game.best_response
     ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
@@ -126,18 +116,18 @@ def run_dynamics(
     context, generated_weight, utility = game.context, game.generated_weight, game.utility
     # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
     key = channels.astype(np.min_scalar_type(-num_channels))
-    no_information = [0.0] * num_channels  # shared by every selfish context; never written
+    no_information = [0.0] * num_channels  # shared by movers that know nobody; never written
     known_pairs: dict[int, list[tuple[int, float]]] = {}  # knowledge is fixed within a call
     orders: dict[int, np.ndarray] = {}  # and so are the positions
 
     def weight(i: int) -> list[float]:
-        """Mover i's generated weight over its known row, or every AP (ĝ_ii = 0 adds nothing)."""
-        if knowledge is None:
-            return generated_weight(enumerate(gains_est[i].tolist()), chl, actl, num_channels)
+        """Mover i's generated weight over its known row and, if enforced, its cover set."""
+        if knowledge is None and not enforce_sufficiency:
+            return no_information
         pairs = known_pairs.get(i)
         if pairs is None:
-            known = np.flatnonzero(knowledge.known[i])
-            pairs = known_pairs[i] = list(zip(known.tolist(), gains_est[i, known].tolist()))
+            known = np.flatnonzero(knowledge.known[i]).tolist() if knowledge is not None else []
+            pairs = known_pairs[i] = list(zip(known, gains_est[i, known].tolist()))
         if enforce_sufficiency:
             if i not in orders:
                 orders[i] = neighbour_order(network.positions, i)
@@ -147,7 +137,7 @@ def run_dynamics(
 
     def response(i: int) -> tuple[int, int, int, float, game.UtilityContext]:
         """Mover i's update against the profile as it is before any write."""
-        ctx = context(network, i, ch, wp, weight(i) if weighted else no_information)
+        ctx = context(network, i, ch, wp, weight(i))
         old_k = chl[i]
         return i, old_k, *respond(ctx, old_k), ctx
 

@@ -20,6 +20,7 @@ from apgame.harness import (
     generate_topology,
     run_experiment,
 )
+from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
     AccessPoint,
@@ -29,13 +30,7 @@ from apgame.model import (
     edge_gain,
     satisfied_mask,
 )
-from apgame.schedulers import (
-    BEST_RESPONSE,
-    ROUND_ROBIN,
-    SELFISH,
-    SYNCHRONOUS,
-    run_dynamics,
-)
+from apgame.schedulers import ROUND_ROBIN, SYNCHRONOUS, run_dynamics
 from oracles import estimated_gain, necessary_power, true_gain
 
 
@@ -82,9 +77,8 @@ def test_criterion_2_ordinal_monotonicity():
         cfg = ScenarioConfig(num_aps=50, num_channels=5, shadow_std_db=0.0, seed=2024)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(
-            net, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng, record_potential=True,
-        )
+        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
+                              knowledge=KnowledgeBase.full(50), record_potential=True)
         converged += result.converged
         rep = game.verify_ordinal_improvement(result.trace)
         moves += len(rep.findings)
@@ -160,7 +154,8 @@ def test_criterion_3_ne_oracle():
         topo, model = generate_topology(cfg, rng)
         net = Network(topo, model)
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 100, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, 100, rng,
+                              knowledge=KnowledgeBase.full(len(net.topology)))
         if result.converged:
             converged_checked += 1
             oracle_ok = oracle_ok and game.is_nash_equilibrium(net, state)
@@ -212,11 +207,11 @@ def _symmetric_pair():
 def test_criterion_4_synchronous_cycle():
     t0 = time.time()
     topo, model, state = _symmetric_pair()
-    sync = run_dynamics(Network(topo, model), state, SYNCHRONOUS, BEST_RESPONSE, 10,
-                        np.random.default_rng(0))
+    sync = run_dynamics(Network(topo, model), state, SYNCHRONOUS, 10,
+                        np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
     topo, model, state = _symmetric_pair()
-    seq = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10,
-                       np.random.default_rng(0))
+    seq = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 10,
+                       np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
     elapsed = time.time() - t0
     ok = (sync.cycle_detected and not sync.converged and sync.iterations <= 10
           and seq.converged and seq.iterations <= 3 and elapsed < 1.0)
@@ -240,7 +235,7 @@ def test_criterion_5_selfish_convergence():
                              coverage_radius_max=10.0, seed=11)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, SELFISH, 50, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng, knowledge=None)
         equal_converged += result.converged
 
     hetero_failed = 0
@@ -251,7 +246,7 @@ def test_criterion_5_selfish_convergence():
                              coverage_radius_max=20.0, seed=12)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, SELFISH, 50, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng, knowledge=None)
         hetero_failed += not result.converged
     elapsed = time.time() - t0
     ok = equal_converged == 100 and hetero_failed > 0 and elapsed < 60.0

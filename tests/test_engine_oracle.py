@@ -3,9 +3,9 @@
 The reference below is the engine as it was before its hot paths were made
 lean: one frozen context per mover with both bincounts, the mover list from
 ``next_movers`` on every activation, a masked argmax for the tie rule and the
-potential over a C-ordered transmitter-major gain matrix. Selfish moves are
-booked as the game without neighbour information, an empty known set. The
-lean engine must reproduce it bit for bit, generator state included.
+potential over a C-ordered transmitter-major gain matrix. Without knowledge
+the known set is empty: the game without neighbour information, the selfish
+rule. The lean engine must reproduce it bit for bit, generator state included.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from apgame.model import (
     power_demand,
 )
 from apgame.schedulers import (
-    BEST_RESPONSE,
     POWER_TOLERANCE,
-    RESPONDERS,
-    SELFISH,
     RunResult,
     TimingModel,
     next_movers,
@@ -93,11 +90,6 @@ def ref_best_response(ctx, current_channel):
     return k, float(power[k])
 
 
-def ref_selfish_response(ctx, current_channel):
-    k = ref_argmax_channel(ctx, -ctx.interference, current_channel)
-    return k, ctx.necessary_power(k)
-
-
 def ref_exact_potential_full(network, state, gt):
     ge = network.gains_est
     co = co_channel_mask(state)
@@ -107,10 +99,9 @@ def ref_exact_potential_full(network, state, gt):
     return -0.5 * (received + generated)
 
 
-def ref_run_dynamics(network, state, timing, responder, max_rounds, rng, *,
-                     knowledge=None, enforce_sufficiency=False, record_potential=False,
+def ref_run_dynamics(network, state, timing, max_rounds, rng, *,
+                     knowledge, enforce_sufficiency=False, record_potential=False,
                      active=None):
-    respond = ref_best_response if responder == BEST_RESPONSE else ref_selfish_response
     gt = np.ascontiguousarray(network.gains_true)  # transmitter-major, C-ordered
     ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
@@ -134,15 +125,13 @@ def ref_run_dynamics(network, state, timing, responder, max_rounds, rng, *,
         for _ in range(per_round):
             updates = []
             for i in next_movers(timing, iteration, ids, rng):
-                known = act if knowledge is None else act & knowledge.known[i]
+                known = np.zeros_like(act) if knowledge is None else act & knowledge.known[i]
                 if enforce_sufficiency:
                     cover = nearest_cover_set(neighbour_order(network.positions, i), state)
                     known[cover] |= act[cover]
-                if responder == SELFISH:  # the game without neighbour information
-                    known = np.zeros_like(act)
                 ctx = ref_context(network, i, ch, wp, known, gt)
                 old_k = int(state.channels[i])
-                updates.append((i, old_k, *respond(ctx, old_k), ctx))
+                updates.append((i, old_k, *ref_best_response(ctx, old_k), ctx))
             activation_changed = False
             for i, old_k, new_k, new_p, ctx in updates:
                 old_p = float(state.powers[i])
@@ -227,25 +216,24 @@ def instances(draw):
 @given(
     instance=instances(),
     timing=st.sampled_from(TIMINGS),
-    responder=st.sampled_from(RESPONDERS),
-    knowledge_level=st.sampled_from(["none", "partial", "complete"]),
+    knowledge_level=st.sampled_from(["none", "partial", "complete", "full"]),
     enforce_sufficiency=st.booleans(),
     record_potential=st.booleans(),
     subset=st.booleans(),
     max_rounds=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_engine_equals_reference(instance, timing, responder, knowledge_level,
-                                 enforce_sufficiency, record_potential, subset,
-                                 max_rounds, seed):
+def test_engine_equals_reference(instance, timing, knowledge_level, enforce_sufficiency,
+                                 record_potential, subset, max_rounds, seed):
     network, start, rng = instance
     n = len(network.topology)
     knowledge = None
-    if knowledge_level != "none":
+    if knowledge_level == "full":
+        knowledge = KnowledgeBase.full(n)
+    elif knowledge_level != "none":
         knowledge = KnowledgeBase.complete(network.topology)
         if knowledge_level == "partial":
             knowledge.known &= rng.random((n, n)) < 0.5
-    enforce_sufficiency = enforce_sufficiency and knowledge is not None
     active = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) \
         if subset else None
     kwargs = dict(knowledge=knowledge, enforce_sufficiency=enforce_sufficiency,
@@ -253,8 +241,8 @@ def test_engine_equals_reference(instance, timing, responder, knowledge_level,
 
     state, ref_state = start.copy(), start.copy()
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = run_dynamics(network, state, timing, responder, max_rounds, rng_a, **kwargs)
-    want = ref_run_dynamics(network, ref_state, timing, responder, max_rounds, rng_b, **kwargs)
+    got = run_dynamics(network, state, timing, max_rounds, rng_a, **kwargs)
+    want = ref_run_dynamics(network, ref_state, timing, max_rounds, rng_b, **kwargs)
 
     assert (got.converged, got.iterations, got.cycle_detected) \
         == (want.converged, want.iterations, want.cycle_detected)
@@ -268,7 +256,7 @@ def test_engine_equals_reference(instance, timing, responder, knowledge_level,
 
 
 def test_fixed_instance_with_restricted_set_and_zero_power_holder():
-    """A fixed line of APs in which both responders move, with potentials."""
+    """A fixed line of APs in which the game moves with and without knowledge, with potentials."""
     rng = np.random.default_rng(5)
     topology = [
         AccessPoint(id=i, position=(float(x), 0.0), coverage_radius=10.0,
@@ -279,11 +267,11 @@ def test_fixed_instance_with_restricted_set_and_zero_power_holder():
     network = Network(topology, PropagationModel.sample(4, rng))
     # AP 3 holds channel 0 at zero power; AP 2 may only use channel 1
     start = AllocationState(np.array([0, 0, 1, 0]), np.array([0.01, 0.01, 0.01, 0.0]))
-    for responder in RESPONDERS:
+    for knowledge in (None, KnowledgeBase.full(4)):
         state, ref_state = start.copy(), start.copy()
-        got = run_dynamics(network, state, TIMINGS[0], responder, 5,
-                           np.random.default_rng(0), record_potential=True)
-        want = ref_run_dynamics(network, ref_state, TIMINGS[0], responder, 5,
-                                np.random.default_rng(0), record_potential=True)
+        got = run_dynamics(network, state, TIMINGS[0], 5, np.random.default_rng(0),
+                           knowledge=knowledge, record_potential=True)
+        want = ref_run_dynamics(network, ref_state, TIMINGS[0], 5, np.random.default_rng(0),
+                                knowledge=knowledge, record_potential=True)
         assert got.trace and repr(got) == repr(want)
         assert state.powers.tobytes() == ref_state.powers.tobytes()

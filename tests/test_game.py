@@ -133,6 +133,13 @@ class TestUtility:
                 assert utility(ctx, k) == -ctx.interference[k]
             for current in [OFF, *range(net.num_channels)]:
                 assert selfish_response(ctx, current) == best_response(ctx, current)
+        # hand-built: channels 1 and 3 tie at equal interference, 0 and 2 at infinite
+        ctx = game.UtilityContext(make_ap(0, 0, 0, channels=(0, 1, 2, 3)),
+                                  [math.inf, 3e-7, math.inf, 3e-7], [0.0] * 4, 1e-3, 1e-8)
+        for current in [OFF, 0, 1, 2, 3]:
+            assert selfish_response(ctx, current) == best_response(ctx, current)
+        assert [best_response(ctx, current)[0] for current in [OFF, 0, 1, 2, 3]] \
+            == [1, 1, 1, 1, 3]
 
     def test_positive_scaling_keeps_argmax(self):
         # scaling both utility terms by c > 0 is equivalent to scaling the

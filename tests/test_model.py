@@ -213,6 +213,21 @@ class TestNetwork:
                 if isinstance(v, np.ndarray) and v.shape == (len(topo),) * 2} == \
             {"gains_true", "gains_est", "candidates"}
 
+    @pytest.mark.parametrize("pmax, beta, what", [
+        (1e308, 1e300, "received power"),  # 2 x 1e308 W x gain 1e3 overflows
+        (1e300, 1e300, "power demand"),  # 2e303 W received, times beta 1e300
+        (1e300, 2.0, None),  # a demand near 4e306 W is still finite
+    ], ids=["received", "demand", "finite"])
+    def test_powers_times_gains_that_overflow_are_rejected(self, pmax, beta, what):
+        # 10 m radii 10.1 m apart: the largest gain is 0.1 ** -3, about 1e3
+        topo = [make_ap(i, 10.1 * i, 0.0, beta=beta, pmax=pmax, channels=(0,))
+                for i in range(2)]
+        if what is None:
+            Network(topo, make_model(2))
+        else:
+            with pytest.raises(ValueError, match=what):
+                Network(topo, make_model(2))
+
     def test_one_distance_matrix_per_network_and_per_experiment_setup(self, monkeypatch):
         calls = []
         original = model_module.pairwise_distances

@@ -25,10 +25,8 @@ from apgame.model import (
     true_gain_matrix,
 )
 from apgame.schedulers import (
-    BEST_RESPONSE,
     RANDOM_TIMING,
     ROUND_ROBIN,
-    SELFISH,
     SYNCHRONOUS,
     TimingModel,
     next_movers,
@@ -112,7 +110,8 @@ class TestRunDynamics:
         model = flat_model(1)
         state = AllocationState(np.array([1]), np.array([2e-5]))
         rng = np.random.default_rng(0)
-        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
+        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 50, rng,
+                              knowledge=KnowledgeBase.full(1))
         assert result.converged
         assert result.iterations == 1
         assert not result.cycle_detected
@@ -120,7 +119,8 @@ class TestRunDynamics:
     def test_synchronous_pair_cycles(self):
         topo, model, state = symmetric_pair()
         rng = np.random.default_rng(0)
-        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, BEST_RESPONSE, 10, rng)
+        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, 10, rng,
+                              knowledge=KnowledgeBase.full(2))
         assert not result.converged
         assert result.cycle_detected
         # both APs flip together every iteration
@@ -134,8 +134,8 @@ class TestRunDynamics:
         model = flat_model(2)
         p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
         state = AllocationState(np.array([999, 999]), np.array([p, p]))
-        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, BEST_RESPONSE, 10,
-                              np.random.default_rng(0))
+        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, 10,
+                              np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
         assert not result.converged
         assert result.cycle_detected
         assert {rec.new_channel for rec in result.trace} == {998, 999}
@@ -146,8 +146,8 @@ class TestRunDynamics:
         model = flat_model(2)
         p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
         state = AllocationState(np.array([999, 999]), np.array([p, p]))
-        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 1,
-                              np.random.default_rng(0))
+        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 1,
+                              np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
         assert [(r.mover, r.old_channel, r.new_channel) for r in result.trace] == [(0, 999, 743)]
         assert not result.converged
         assert not result.cycle_detected
@@ -155,25 +155,33 @@ class TestRunDynamics:
     def test_round_robin_pair_converges_to_orthogonal_ne(self):
         topo, model, state = symmetric_pair()
         rng = np.random.default_rng(0)
-        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10, rng)
+        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 10, rng,
+                              knowledge=KnowledgeBase.full(2))
         assert result.converged
         assert result.iterations <= 3
         assert sorted(state.channels.tolist()) == [0, 1]
         assert game.is_nash_equilibrium(Network(topo, model), state)
 
-    def test_unknown_responder_rejected(self):
+    def test_knowledge_is_required(self):
+        # no default: a call that forgets what the movers know fails loudly
         topo, model, state = symmetric_pair()
-        with pytest.raises(ValueError):
-            run_dynamics(Network(topo, model), state, ROUND_ROBIN, "greedy", 10,
-                         np.random.default_rng(0))
+        with pytest.raises(TypeError, match="knowledge"):
+            run_dynamics(Network(topo, model), state, ROUND_ROBIN, 10, np.random.default_rng(0))
 
-    def test_sufficiency_without_knowledge_rejected(self):
-        # the nearest cover set extends a knowledge row; with no knowledge
-        # there is no row to extend and the flag would do nothing
-        topo, model, state = symmetric_pair()
-        with pytest.raises(ValueError, match="enforce_sufficiency"):
-            run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 10,
-                         np.random.default_rng(0), enforce_sufficiency=True)
+    def test_sufficiency_without_knowledge_is_the_cover_set_alone(self):
+        # the cover set extends an empty known row: the same run as an empty
+        # KnowledgeBase with the flag, and not the selfish run without it
+        net, start, _ = TestSufficiencyEnforcement.instance()
+        runs = []
+        for kwargs in (dict(knowledge=None, enforce_sufficiency=True),
+                       dict(knowledge=KnowledgeBase.from_topology(net.topology),
+                            enforce_sufficiency=True),
+                       dict(knowledge=None)):
+            state = start.copy()
+            result = run_dynamics(net, state, ROUND_ROBIN, 30, np.random.default_rng(0),
+                                  **kwargs)
+            runs.append((repr(result), state.channels.tobytes(), state.powers.tobytes()))
+        assert runs[0] == runs[1] != runs[2]
 
     def test_converged_run_never_flags_cycle(self):
         for seed in range(20):
@@ -182,8 +190,8 @@ class TestRunDynamics:
                                  area_height=250.0, seed=61)
             net = Network(*generate_topology(cfg, rng))
             state = random_allocation(net, rng)
-            result = run_dynamics(net, state, ROUND_ROBIN,
-                                  BEST_RESPONSE, 100, rng)
+            result = run_dynamics(net, state, ROUND_ROBIN, 100, rng,
+                                  knowledge=KnowledgeBase.full(len(net.topology)))
             if result.converged:
                 assert not result.cycle_detected
             assert result.iterations <= 100
@@ -197,8 +205,8 @@ class TestRunDynamics:
             topo, model = generate_topology(cfg, rng)
             net = Network(topo, model)
             state = random_allocation(net, rng)
-            result = run_dynamics(net, state, ROUND_ROBIN,
-                                  BEST_RESPONSE, 100, rng)
+            result = run_dynamics(net, state, ROUND_ROBIN, 100, rng,
+                                  knowledge=KnowledgeBase.full(len(net.topology)))
             if result.converged:
                 hits += 1
                 assert game.is_nash_equilibrium(net, state)
@@ -210,7 +218,8 @@ class TestRunDynamics:
                              area_height=250.0, seed=63)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
+                              knowledge=KnowledgeBase.full(len(net.topology)))
         for rec in result.trace:
             assert rec.old_channel != rec.new_channel
             assert 0 <= rec.mover < 15
@@ -221,7 +230,8 @@ class TestRunDynamics:
                              area_height=300.0, seed=64)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 50, rng)
+        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
+                              knowledge=KnowledgeBase.full(len(net.topology)))
         assert result.trace  # something must have moved
         for rec in result.trace:
             assert rec.u_after >= rec.u_before
@@ -233,8 +243,8 @@ class TestRunDynamics:
                                  area_height=300.0, seed=seed)
             net = Network(*generate_topology(cfg, np.random.default_rng(9)))
             state = random_allocation(net, rng)
-            result = run_dynamics(net, state, RANDOM_TIMING,
-                                  BEST_RESPONSE, 50, rng)
+            result = run_dynamics(net, state, RANDOM_TIMING, 50, rng,
+                                  knowledge=KnowledgeBase.full(len(net.topology)))
             return state.channels.copy(), state.powers.copy(), result.iterations
 
         ch_a, p_a, it_a = run(5)
@@ -252,32 +262,26 @@ class TestRunDynamics:
         state.channels[:5] = rng.integers(0, 3, size=5)
         state.powers[:5] = 0.01
         before = state.channels[5:].copy()
-        run_dynamics(Network(topo, model), state, ROUND_ROBIN, BEST_RESPONSE, 20, rng,
-                     active=set(range(5)))
+        run_dynamics(Network(topo, model), state, ROUND_ROBIN, 20, rng,
+                     knowledge=KnowledgeBase.full(10), active=set(range(5)))
         assert np.array_equal(state.channels[5:], before)
         assert np.all(state.powers[5:] == 0.0)
 
     @staticmethod
     def assert_selfish_is_empty_knowledge(net, timing, max_rounds):
-        """Best response on an empty KnowledgeBase is the selfish run, trace included.
-
-        The selfish rule reads no knowledge, so a complete one with the
-        cover set enforced changes nothing either.
-        """
+        """Best response on an empty KnowledgeBase, and without knowledge, is
+        the run of the selfish rule, ``game.selfish_response``, trace included."""
         start = random_allocation(net, np.random.default_rng(1))
         empty = KnowledgeBase.from_topology(net.topology)
-        complete = KnowledgeBase.complete(net.topology)
-        runs = [
-            (BEST_RESPONSE, dict(knowledge=empty)),
-            (SELFISH, {}),
-            (SELFISH, dict(knowledge=complete, enforce_sufficiency=True)),
-        ]
         results, powers = [], []
-        for responder, kwargs in runs:
+        for knowledge, respond in [(empty, game.best_response), (None, game.best_response),
+                                   (None, game.selfish_response)]:
             state = start.copy()
-            results.append(run_dynamics(net, state, timing, responder, max_rounds,
-                                        np.random.default_rng(2), record_potential=True,
-                                        **kwargs))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(game, "best_response", respond)
+                results.append(run_dynamics(net, state, timing, max_rounds,
+                                            np.random.default_rng(2), knowledge=knowledge,
+                                            record_potential=True))
             powers.append(state.powers.tobytes())
         assert results[0].trace
         assert repr(results[0]) == repr(results[1]) == repr(results[2])
@@ -307,8 +311,8 @@ class TestRunDynamics:
                              area_height=250.0, seed=67)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 50,
-                              rng, record_potential=True)
+        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
+                              knowledge=KnowledgeBase.full(15), record_potential=True)
         assert result.trace
         for rec in result.trace:
             assert rec.potential_before is not None
@@ -322,8 +326,8 @@ class TestRunDynamics:
         # the second AP would have stayed on the channel the first one left
         topo, model, state = symmetric_pair()
         p = float(state.powers[0])
-        result = run_dynamics(Network(topo, model), state, timing, BEST_RESPONSE, 1,
-                              np.random.default_rng(0))
+        result = run_dynamics(Network(topo, model), state, timing, 1,
+                              np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
         assert state.channels.tolist() == [1, 1]
         assert state.powers.tolist() == [p, p]
         g = 30.0 ** -3.0  # 40 m apart, radius 10 m, no shadowing, mean gain 1
@@ -360,7 +364,7 @@ class TestSufficiencyEnforcement:
         net, state, kb = self.instance()
         topo, model = net.topology, net.model
         start = state.copy()
-        result = run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 30,
+        result = run_dynamics(net, state, ROUND_ROBIN, 30,
                               np.random.default_rng(0), knowledge=kb,
                               enforce_sufficiency=True)
         assert result.trace
@@ -394,9 +398,9 @@ class TestSufficiencyEnforcement:
     def test_flag_changes_the_outcome(self):
         net, state, kb = self.instance()
         plain = state.copy()
-        run_dynamics(net, state, ROUND_ROBIN, BEST_RESPONSE, 30,
+        run_dynamics(net, state, ROUND_ROBIN, 30,
                      np.random.default_rng(0), knowledge=kb, enforce_sufficiency=True)
-        run_dynamics(net, plain, ROUND_ROBIN, BEST_RESPONSE, 30,
+        run_dynamics(net, plain, ROUND_ROBIN, 30,
                      np.random.default_rng(0), knowledge=kb)
         assert not np.array_equal(state.channels, plain.channels)
 
@@ -415,7 +419,7 @@ class TestEngineContexts:
         state = random_allocation(net, rng)
         state.channels[[3, 11, 20]] = OFF  # silent, two of them never move
         state.powers[[3, 11, 20, 25]] = 0.0  # AP 25 keeps a channel at zero power
-        kb = None
+        kb = KnowledgeBase.full(30)
         if mode != "full":
             kb = KnowledgeBase.from_topology(topo)
             dstate = DiscoveryState(rng=np.random.default_rng(74))
@@ -445,7 +449,7 @@ class TestEngineContexts:
             return spy
 
         monkeypatch.setattr(game, "best_response", checked(game.best_response))
-        result = run_dynamics(net, state, timing, BEST_RESPONSE, 4,
+        result = run_dynamics(net, state, timing, 4,
                               np.random.default_rng(0), knowledge=kb,
                               enforce_sufficiency=mode == "sufficiency",
                               active=set(range(30)) - {11, 20})
@@ -459,17 +463,20 @@ class TestListContextsBitEqual:
 
     @settings(max_examples=120, deadline=None)
     @given(instance=instances(),
-           level=st.sampled_from(["none", "partial", "sufficiency", "full"]),
-           responder=st.sampled_from([BEST_RESPONSE, SELFISH]),
+           level=st.sampled_from(["none", "partial", "complete", "full"]),
+           enforce_sufficiency=st.booleans(),
            timing=st.sampled_from([ROUND_ROBIN, SYNCHRONOUS]))
-    def test_contexts_bit_equal_utility_context(self, instance, level, responder, timing):
+    def test_contexts_bit_equal_utility_context(self, instance, level, enforce_sufficiency,
+                                                timing):
         network, state, rng = instance
         topo, model = network.topology, network.model
         n = len(topo)
         kb = None
-        if level != "none":
+        if level == "full":
+            kb = KnowledgeBase.full(n)
+        elif level != "none":
             kb = KnowledgeBase.complete(topo)
-            if level != "full":
+            if level == "partial":
                 kb.known &= rng.random((n, n)) < 0.5
         gt = true_gain_matrix(topo, model, topology_distances(topo))
         ge = estimated_gain_matrix(topo, model, topology_distances(topo))
@@ -478,26 +485,23 @@ class TestListContextsBitEqual:
         def checked(respond):
             def spy(ctx, current):
                 i = ctx.player.id
-                known = None if kb is None else known_set(kb, i)
-                if level == "sufficiency":
+                known = set() if kb is None else known_set(kb, i)
+                if enforce_sufficiency:
                     known |= set(
                         nearest_cover_set(neighbour_order(network.positions, i), state).tolist())
                 oracle = utility_context(i, topo, state, model, known,
                                          gains_true=gt, gains_est=ge)
                 assert type(ctx.interference) is list
                 assert np.array(ctx.interference).tobytes() == oracle.interference.tobytes()
-                if responder == BEST_RESPONSE:
-                    assert type(ctx.generated_weight) is list
-                    assert np.array(ctx.generated_weight).tobytes() \
-                        == oracle.generated_weight.tobytes()
+                assert type(ctx.generated_weight) is list
+                assert np.array(ctx.generated_weight).tobytes() \
+                    == oracle.generated_weight.tobytes()
                 seen.append(i)
                 return respond(ctx, current)
             return spy
 
-        name = "best_response" if responder == BEST_RESPONSE else "selfish_response"
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(game, name, checked(getattr(game, name)))
-            result = run_dynamics(network, state, timing, responder, 3,
-                                  np.random.default_rng(0), knowledge=kb,
-                                  enforce_sufficiency=level == "sufficiency")
+            patch.setattr(game, "best_response", checked(game.best_response))
+            result = run_dynamics(network, state, timing, 3, np.random.default_rng(0),
+                                  knowledge=kb, enforce_sufficiency=enforce_sufficiency)
         assert len(seen) == n * result.iterations
