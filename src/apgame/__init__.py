@@ -18,7 +18,6 @@ from .game import (
     appendixB_potential,
     best_response,
     exact_potential_full,
-    is_nash_equilibrium,
     selfish_response,
     utility,
     verify_exact_potential,
@@ -32,7 +31,7 @@ from .knowledge import (
     nearest_cover_set,
     neighbour_order,
 )
-from .schedulers import RunResult, TimingModel, next_movers, run_dynamics
+from .schedulers import RunResult, is_nash_equilibrium, run_dynamics
 from .baselines import greedy_admission_bound, random_allocation
 from .harness import (
     MetricsSeries,

@@ -29,7 +29,7 @@ from .harness import (
 )
 from .knowledge import KnowledgeBase
 from .model import Network
-from .schedulers import ROUND_ROBIN, run_dynamics
+from .schedulers import is_nash_equilibrium, run_dynamics
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -154,7 +154,7 @@ def _verify_ordinal(seed: int) -> tuple[bool, str]:
     for rng, network in _instances(seed, 1000, 10, num_aps=20, num_channels=3,
                                    area_width=300.0, area_height=300.0, shadow_std_db=0.0):
         state = random_allocation(network, rng)
-        result = run_dynamics(network, state, ROUND_ROBIN, 50, rng,
+        result = run_dynamics(network, state, 50,
                               knowledge=KnowledgeBase.full(len(network.topology)),
                               record_potential=True)
         report = game.verify_ordinal_improvement(result.trace)
@@ -167,9 +167,9 @@ def _verify_nash(seed: int) -> tuple[bool, str]:
     for rng, network in _instances(seed, 2000, 20, num_aps=5, num_channels=3,
                                    area_width=150.0, area_height=150.0):
         state = random_allocation(network, rng)
-        result = run_dynamics(network, state, ROUND_ROBIN, 100, rng,
+        result = run_dynamics(network, state, 100,
                               knowledge=KnowledgeBase.full(len(network.topology)))
-        if result.converged and not game.is_nash_equilibrium(network, state):
+        if result.converged and not is_nash_equilibrium(network, state):
             failures += 1
     return failures == 0, f"converged-profile NE failures={failures}"
 

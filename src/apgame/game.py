@@ -142,26 +142,6 @@ def appendixB_potential(network: Network, state: AllocationState) -> float:
     return float(np.sum(np.multiply(weights, network.gains_true, order="C")))
 
 
-def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:
-    """True iff no AP strictly improves by a unilateral channel change.
-
-    Power is re-optimized to the necessary power on each candidate channel,
-    and every AP knows every other: each AP's ``best_response`` keeps its
-    channel, which a tie allows. Guarded against oversized inputs.
-    """
-    if state.num_aps * network.num_channels > 1_000_000:
-        raise ValueError("instance too large for the NE deviation sweep")
-    act, ch, wp = profile_arrays(state)
-    channels, active = state.channels.tolist(), act.tolist()
-    for i, cur in enumerate(channels):
-        # every AP is a neighbour; i's own pair adds its zero gain
-        pairs = enumerate(network.gains_est[i].tolist())
-        weight = generated_weight(pairs, channels, active, network.num_channels)
-        if best_response(context(network, i, ch, wp, weight), cur)[0] != cur:
-            return False
-    return True
-
-
 class TraceRecord(NamedTuple):
     """One unilateral move: the mover's old/new strategy, utility and potential."""
 

@@ -32,7 +32,7 @@ from .model import (
     lognormal_mean_linear,
     satisfied_mask,
 )
-from .schedulers import ROUND_ROBIN, run_dynamics
+from .schedulers import run_dynamics
 
 T = TypeVar("T")
 
@@ -97,6 +97,8 @@ class ScenarioConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
+        if not math.isfinite(math.hypot(self.area_width, self.area_height)):
+            raise ValueError("area_width and area_height give a diagonal that is not finite")
         if self.sinr_target_high < self.sinr_target_low:
             raise ValueError("sinr_target_high must be >= sinr_target_low")
         if self.coverage_radius_max < self.coverage_radius_min:
@@ -368,8 +370,7 @@ def _baseline_rows(
     satisfied_bound = _satisfied(network, bound_state)  # the bound never changes
     rows = []
     for _ in _timestamps(config):
-        selfish_run = run_dynamics(network, selfish_state, ROUND_ROBIN, config.max_iterations,
-                                   selfish_rng, knowledge=None)
+        selfish_run = run_dynamics(network, selfish_state, config.max_iterations, knowledge=None)
         random_state = random_allocation(network, random_rng)
         rows.append([_satisfied(network, selfish_state), _satisfied(network, random_state),
                      satisfied_bound, float(selfish_run.iterations)])
@@ -402,8 +403,7 @@ def _game_rows(
         if t > 0:
             for _ in range(int(config.allocation_period)):
                 discovery_tick(dstate, kb, network.topology, active=active)
-        run = run_dynamics(network, state, ROUND_ROBIN, config.max_iterations, rng,
-                           knowledge=kb, active=active)
+        run = run_dynamics(network, state, config.max_iterations, knowledge=kb, active=active)
         _, missing = discovery_complete(kb, active=active)
         changes = int(np.sum(state.channels[:prev_on] != prev_channels[:prev_on]))
         prev_on, prev_channels = on, state.channels.copy()

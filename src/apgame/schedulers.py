@@ -1,9 +1,9 @@
-"""Update timing models and the dynamics loop with convergence detection.
+"""The dynamics loop, sequential or synchronous, with convergence detection.
 
-An iteration is one mover-set activation; a round is as many activations as
-it takes every timing model to touch N movers (one activation for
-synchronous timing). Convergence is judged per round: no channel change and
-a maximum power change below the tolerance.
+An activation is one sequential mover, or every mover at once under the
+synchronous schedule; a round is as many activations as it takes to touch
+every mover. Convergence is judged per round: no channel change and a
+maximum power change below the tolerance. No schedule draws at random.
 """
 
 from __future__ import annotations
@@ -21,44 +21,6 @@ from .model import OFF, AllocationState, Network
 POWER_TOLERANCE = 1e-12  # watts
 
 
-@dataclass(frozen=True)
-class TimingModel:
-    variant: str  # round-robin | random | asynchronous | synchronous
-    subset_size: int = 1
-
-    VARIANTS = ("round-robin", "random", "asynchronous", "synchronous")
-
-    def __post_init__(self) -> None:
-        if self.variant not in self.VARIANTS:
-            raise ValueError(f"unknown timing variant: {self.variant}")
-        if self.subset_size < 1:
-            raise ValueError("subset_size must be at least 1")
-
-
-ROUND_ROBIN = TimingModel("round-robin")
-RANDOM_TIMING = TimingModel("random")
-SYNCHRONOUS = TimingModel("synchronous")
-
-
-def next_movers(
-    timing: TimingModel,
-    iteration: int,
-    ids: list[int],
-    rng: np.random.Generator,
-) -> list[int]:
-    """The AP ids activated at this iteration."""
-    n = len(ids)
-    if timing.variant == "round-robin":
-        return [ids[iteration % n]]
-    if timing.variant == "random":
-        return [ids[int(rng.integers(n))]]
-    if timing.variant == "asynchronous":
-        size = min(timing.subset_size, n)
-        picks = rng.choice(n, size=size, replace=False)
-        return [ids[p] for p in sorted(int(p) for p in picks)]
-    return list(ids)  # synchronous
-
-
 @dataclass
 class RunResult:
     converged: bool
@@ -70,21 +32,22 @@ class RunResult:
 def run_dynamics(
     network: Network,
     state: AllocationState,
-    timing: TimingModel,
     max_rounds: int,
-    rng: np.random.Generator,
     *,
     knowledge: KnowledgeBase | None,
+    synchronous: bool = False,
     enforce_sufficiency: bool = False,
     record_potential: bool = False,
     active: set[int] | None = None,
 ) -> RunResult:
     """Iterate best response until convergence or the round cap.
 
-    Mutates ``state`` in place. Non-convergence is a result, not an error.
-    A revisited channel profile after at least one channel change marks a
-    cycle; the flag is only reported when the run did not converge. With
-    ``record_potential`` every move records ``exact_potential_full``.
+    Movers act one at a time in ascending id order or, when ``synchronous``,
+    all at once, each responding to the profile as it was before the
+    activation. Mutates ``state`` in place. Non-convergence is a result, not
+    an error. A revisited channel profile after at least one channel change
+    marks a cycle; the flag is only reported when the run did not converge.
+    With ``record_potential`` every move records ``exact_potential_full``.
 
     ``knowledge`` is what each mover knows of its neighbours: its ``known``
     row of a ``KnowledgeBase`` (``KnowledgeBase.full`` for every other AP),
@@ -98,14 +61,7 @@ def run_dynamics(
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
 
-    n = len(ids)
-    if timing.variant == "synchronous":
-        per_round = 1
-    elif timing.variant == "asynchronous":
-        per_round = math.ceil(n / min(timing.subset_size, n))
-    else:
-        per_round = n
-    round_robin = timing.variant == "round-robin"
+    per_round = 1 if synchronous else len(ids)
 
     # The engine's view of the profile: arrays for the interference, lists
     # for the generated weight. Only applied updates write to it.
@@ -146,18 +102,14 @@ def run_dynamics(
     revisit = False
     converged = False
     rounds = 0
-    iteration = 0
 
     for rnd in range(max_rounds):
         round_channel_change = False
         round_max_dp = 0.0
-        for _ in range(per_round):
-            if round_robin:
-                updates = (response(ids[iteration % n]),)
-            else:
-                # every mover responds to the pre-activation profile: all
-                # responses are computed before the first write
-                updates = [response(i) for i in next_movers(timing, iteration, ids, rng)]
+        for a in range(per_round):
+            # synchronous movers respond to the pre-activation profile: all
+            # responses are computed before the first write
+            updates = [response(i) for i in ids] if synchronous else (response(ids[a]),)
             activation_changed = False
             for i, old_k, new_k, new_p, ctx in updates:
                 old_p = float(powers[i])
@@ -184,7 +136,6 @@ def run_dynamics(
                 actl[i] = new_p > 0
                 ch[i] = new_k
                 wp[i] = new_p
-            iteration += 1
             if activation_changed:
                 k = key.tobytes()
                 if k in seen:
@@ -202,3 +153,18 @@ def run_dynamics(
         trace=trace,
         cycle_detected=revisit and not converged,
     )
+
+
+def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:
+    """True iff no AP strictly improves by a unilateral channel change.
+
+    Power is re-optimized to the necessary power on each candidate channel,
+    and every AP knows every other: one synchronous activation of
+    ``run_dynamics`` on a copy of ``state`` moves no AP, which a tie allows.
+    Guarded against oversized inputs.
+    """
+    if state.num_aps * network.num_channels > 1_000_000:
+        raise ValueError("instance too large for the NE deviation sweep")
+    result = run_dynamics(network, state.copy(), 1, knowledge=KnowledgeBase.full(state.num_aps),
+                          synchronous=True)
+    return not result.trace

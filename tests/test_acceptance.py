@@ -30,7 +30,7 @@ from apgame.model import (
     edge_gain,
     satisfied_mask,
 )
-from apgame.schedulers import ROUND_ROBIN, SYNCHRONOUS, run_dynamics
+from apgame.schedulers import is_nash_equilibrium, run_dynamics
 from oracles import estimated_gain, necessary_power, true_gain
 
 
@@ -77,8 +77,8 @@ def test_criterion_2_ordinal_monotonicity():
         cfg = ScenarioConfig(num_aps=50, num_channels=5, shadow_std_db=0.0, seed=2024)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
-                              knowledge=KnowledgeBase.full(50), record_potential=True)
+        result = run_dynamics(net, state, 50, knowledge=KnowledgeBase.full(50),
+                              record_potential=True)
         converged += result.converged
         rep = game.verify_ordinal_improvement(result.trace)
         moves += len(rep.findings)
@@ -154,11 +154,10 @@ def test_criterion_3_ne_oracle():
         topo, model = generate_topology(cfg, rng)
         net = Network(topo, model)
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 100, rng,
-                              knowledge=KnowledgeBase.full(len(net.topology)))
+        result = run_dynamics(net, state, 100, knowledge=KnowledgeBase.full(len(net.topology)))
         if result.converged:
             converged_checked += 1
-            oracle_ok = oracle_ok and game.is_nash_equilibrium(net, state)
+            oracle_ok = oracle_ok and is_nash_equilibrium(net, state)
 
     bruteforce_ok = True
     for seed in range(20):
@@ -172,7 +171,7 @@ def test_criterion_3_ne_oracle():
                 [(code // 3 ** i) % 3 for i in range(4)], dtype=np.int64
             )
             state = _power_fixed_point(topo, model, channels)
-            oracle = game.is_nash_equilibrium(net, state)
+            oracle = is_nash_equilibrium(net, state)
             naive = _naive_is_ne(topo, model, state)
             bruteforce_ok = bruteforce_ok and (oracle == naive)
     elapsed = time.time() - t0
@@ -207,11 +206,10 @@ def _symmetric_pair():
 def test_criterion_4_synchronous_cycle():
     t0 = time.time()
     topo, model, state = _symmetric_pair()
-    sync = run_dynamics(Network(topo, model), state, SYNCHRONOUS, 10,
-                        np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
+    sync = run_dynamics(Network(topo, model), state, 10, knowledge=KnowledgeBase.full(2),
+                        synchronous=True)
     topo, model, state = _symmetric_pair()
-    seq = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 10,
-                       np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
+    seq = run_dynamics(Network(topo, model), state, 10, knowledge=KnowledgeBase.full(2))
     elapsed = time.time() - t0
     ok = (sync.cycle_detected and not sync.converged and sync.iterations <= 10
           and seq.converged and seq.iterations <= 3 and elapsed < 1.0)
@@ -235,7 +233,7 @@ def test_criterion_5_selfish_convergence():
                              coverage_radius_max=10.0, seed=11)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng, knowledge=None)
+        result = run_dynamics(net, state, 50, knowledge=None)
         equal_converged += result.converged
 
     hetero_failed = 0
@@ -246,7 +244,7 @@ def test_criterion_5_selfish_convergence():
                              coverage_radius_max=20.0, seed=12)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng, knowledge=None)
+        result = run_dynamics(net, state, 50, knowledge=None)
         hetero_failed += not result.converged
     elapsed = time.time() - t0
     ok = equal_converged == 100 and hetero_failed > 0 and elapsed < 60.0

@@ -27,7 +27,7 @@ from apgame.model import (
     satisfied_mask,
     true_gain_matrix,
 )
-from apgame.schedulers import ROUND_ROBIN, run_dynamics
+from apgame.schedulers import run_dynamics
 from oracles import topology_distances
 
 
@@ -106,7 +106,7 @@ class TestRunSelfish:
                              area_height=300.0, seed=6)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng, knowledge=None)
+        result = run_dynamics(net, state, 50, knowledge=None)
         assert state.num_aps == 15
         assert result.iterations <= 50
 
@@ -117,8 +117,7 @@ class TestRunSelfish:
                                  area_height=300.0, coverage_radius_min=10.0,
                                  coverage_radius_max=10.0, seed=71)
             net = Network(*generate_topology(cfg, rng))
-            result = run_dynamics(net, random_allocation(net, rng), ROUND_ROBIN, 50, rng,
-                                  knowledge=None)
+            result = run_dynamics(net, random_allocation(net, rng), 50, knowledge=None)
             assert result.converged
 
 

@@ -1,11 +1,11 @@
 """The dynamics engine against a reference copy of its straightforward form.
 
 The reference below is the engine as it was before its hot paths were made
-lean: one frozen context per mover with both bincounts, the mover list from
-``next_movers`` on every activation, a masked argmax for the tie rule and the
-potential over a C-ordered transmitter-major gain matrix. Without knowledge
-the known set is empty: the game without neighbour information, the selfish
-rule. The lean engine must reproduce it bit for bit, generator state included.
+lean: one frozen context per mover with both bincounts, a mover list built
+on every activation, a masked argmax for the tie rule and the potential over
+a C-ordered transmitter-major gain matrix. Without knowledge the known set is
+empty: the game without neighbour information, the selfish rule. The lean
+engine must reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from apgame.model import (
     co_channel_mask,
     power_demand,
 )
-from apgame.schedulers import (
-    POWER_TOLERANCE,
-    RunResult,
-    TimingModel,
-    next_movers,
-    run_dynamics,
-)
+from apgame.schedulers import POWER_TOLERANCE, RunResult, run_dynamics
 
 
 @dataclass(frozen=True)
@@ -99,19 +93,13 @@ def ref_exact_potential_full(network, state, gt):
     return -0.5 * (received + generated)
 
 
-def ref_run_dynamics(network, state, timing, max_rounds, rng, *,
-                     knowledge, enforce_sufficiency=False, record_potential=False,
-                     active=None):
+def ref_run_dynamics(network, state, max_rounds, *, knowledge, synchronous=False,
+                     enforce_sufficiency=False, record_potential=False, active=None):
     gt = np.ascontiguousarray(network.gains_true)  # transmitter-major, C-ordered
     ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
-    if timing.variant == "synchronous":
-        per_round = 1
-    elif timing.variant == "asynchronous":
-        per_round = math.ceil(len(ids) / min(timing.subset_size, len(ids)))
-    else:
-        per_round = len(ids)
+    per_round = 1 if synchronous else len(ids)
     act, ch, wp = profile_arrays(state)
     trace = []
     seen = {state.channels.tobytes()}
@@ -124,7 +112,8 @@ def ref_run_dynamics(network, state, timing, max_rounds, rng, *,
         round_max_dp = 0.0
         for _ in range(per_round):
             updates = []
-            for i in next_movers(timing, iteration, ids, rng):
+            movers = ids if synchronous else [ids[iteration % len(ids)]]
+            for i in movers:
                 known = np.zeros_like(act) if knowledge is None else act & knowledge.known[i]
                 if enforce_sufficiency:
                     cover = nearest_cover_set(neighbour_order(network.positions, i), state)
@@ -175,11 +164,6 @@ def ref_run_dynamics(network, state, timing, max_rounds, rng, *,
                      cycle_detected=revisit and not converged)
 
 
-TIMINGS = [TimingModel("round-robin"), TimingModel("random"), TimingModel("synchronous")] + [
-    TimingModel("asynchronous", subset_size=s) for s in (1, 2, 3)
-]
-
-
 @st.composite
 def instances(draw):
     """A small network with some restricted channel sets and a mixed profile.
@@ -215,16 +199,15 @@ def instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(
     instance=instances(),
-    timing=st.sampled_from(TIMINGS),
+    synchronous=st.booleans(),
     knowledge_level=st.sampled_from(["none", "partial", "complete", "full"]),
     enforce_sufficiency=st.booleans(),
     record_potential=st.booleans(),
     subset=st.booleans(),
     max_rounds=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
 )
-def test_engine_equals_reference(instance, timing, knowledge_level, enforce_sufficiency,
-                                 record_potential, subset, max_rounds, seed):
+def test_engine_equals_reference(instance, synchronous, knowledge_level, enforce_sufficiency,
+                                 record_potential, subset, max_rounds):
     network, start, rng = instance
     n = len(network.topology)
     knowledge = None
@@ -236,13 +219,13 @@ def test_engine_equals_reference(instance, timing, knowledge_level, enforce_suff
             knowledge.known &= rng.random((n, n)) < 0.5
     active = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) \
         if subset else None
-    kwargs = dict(knowledge=knowledge, enforce_sufficiency=enforce_sufficiency,
-                  record_potential=record_potential, active=active)
+    kwargs = dict(knowledge=knowledge, synchronous=synchronous,
+                  enforce_sufficiency=enforce_sufficiency, record_potential=record_potential,
+                  active=active)
 
     state, ref_state = start.copy(), start.copy()
-    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = run_dynamics(network, state, timing, max_rounds, rng_a, **kwargs)
-    want = ref_run_dynamics(network, ref_state, timing, max_rounds, rng_b, **kwargs)
+    got = run_dynamics(network, state, max_rounds, **kwargs)
+    want = ref_run_dynamics(network, ref_state, max_rounds, **kwargs)
 
     assert (got.converged, got.iterations, got.cycle_detected) \
         == (want.converged, want.iterations, want.cycle_detected)
@@ -252,7 +235,6 @@ def test_engine_equals_reference(instance, timing, knowledge_level, enforce_suff
         assert repr(a) == repr(b)
     assert state.channels.tobytes() == ref_state.channels.tobytes()
     assert state.powers.tobytes() == ref_state.powers.tobytes()
-    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_fixed_instance_with_restricted_set_and_zero_power_holder():
@@ -269,9 +251,8 @@ def test_fixed_instance_with_restricted_set_and_zero_power_holder():
     start = AllocationState(np.array([0, 0, 1, 0]), np.array([0.01, 0.01, 0.01, 0.0]))
     for knowledge in (None, KnowledgeBase.full(4)):
         state, ref_state = start.copy(), start.copy()
-        got = run_dynamics(network, state, TIMINGS[0], 5, np.random.default_rng(0),
-                           knowledge=knowledge, record_potential=True)
-        want = ref_run_dynamics(network, ref_state, TIMINGS[0], 5, np.random.default_rng(0),
-                                knowledge=knowledge, record_potential=True)
+        got = run_dynamics(network, state, 5, knowledge=knowledge, record_potential=True)
+        want = ref_run_dynamics(network, ref_state, 5, knowledge=knowledge,
+                                record_potential=True)
         assert got.trace and repr(got) == repr(want)
         assert state.powers.tobytes() == ref_state.powers.tobytes()

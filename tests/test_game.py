@@ -14,7 +14,6 @@ from apgame.game import (
     appendixB_potential,
     best_response,
     exact_potential_full,
-    is_nash_equilibrium,
     selfish_response,
     utility,
     verify_exact_potential,
@@ -34,6 +33,7 @@ from apgame.model import (
     satisfied_mask,
     true_gain_matrix,
 )
+from apgame.schedulers import is_nash_equilibrium
 from oracles import (
     estimated_gain,
     local_optimality_check,
@@ -432,6 +432,20 @@ def sweep_is_nash_equilibrium(topology, state, model):
     return True
 
 
+def loop_is_nash_equilibrium(network, state):
+    """The per-AP loop ``is_nash_equilibrium`` replaced: each AP's ``best_response``
+    on the weight of its whole ``gains_est`` row keeps its channel."""
+    act, ch, wp = game.profile_arrays(state)
+    channels, active = state.channels.tolist(), act.tolist()
+    for i, cur in enumerate(channels):
+        # every AP is a neighbour; i's own pair adds its zero gain
+        pairs = enumerate(network.gains_est[i].tolist())
+        weight = game.generated_weight(pairs, channels, active, network.num_channels)
+        if best_response(game.context(network, i, ch, wp, weight), cur)[0] != cur:
+            return False
+    return True
+
+
 @st.composite
 def nash_cases(draw):
     """A small network on a coarse grid with equal-gain pairs, so exact
@@ -466,7 +480,11 @@ class TestNashSweep:
     def test_equals_utility_context_sweep(self, case):
         topo, model, state = case
         expected = sweep_is_nash_equilibrium(topo, state, model)
-        assert is_nash_equilibrium(Network(topo, model), state) == expected
+        network = Network(topo, model)
+        before = state.channels.tobytes(), state.powers.tobytes()
+        assert is_nash_equilibrium(network, state) == expected
+        assert (state.channels.tobytes(), state.powers.tobytes()) == before
+        assert loop_is_nash_equilibrium(network, state) == expected
 
 
 class TestVerifiers:

@@ -307,6 +307,7 @@ class TestCli:
         (["--path-loss-exponent", "1e5"], "path_loss_exponent"),
         (["--max-power", "1e308", "--sinr-target-low", "1e300", "--sinr-target-high", "1e300",
           "--area-width", "50", "--area-height", "50"], "max_power"),
+        (["--area-width", "1.7e308", "--area-height", "1.7e308"], "area_width"),
     ])
     def test_gain_that_overflows_or_vanishes_exit_one(self, tmp_path, capsys, extra, field):
         code = cli.main(["run", "--seed", "1", "--num-aps", "30", "--duration", "10", *extra,

@@ -1,4 +1,4 @@
-"""Timing models, dynamics loop, convergence and cycle detection."""
+"""Update schedules, dynamics loop, convergence and cycle detection."""
 
 import numpy as np
 import pytest
@@ -24,14 +24,7 @@ from apgame.model import (
     estimated_gain_matrix,
     true_gain_matrix,
 )
-from apgame.schedulers import (
-    RANDOM_TIMING,
-    ROUND_ROBIN,
-    SYNCHRONOUS,
-    TimingModel,
-    next_movers,
-    run_dynamics,
-)
+from apgame.schedulers import is_nash_equilibrium, run_dynamics
 from oracles import necessary_power, topology_distances, utility_context
 from test_engine_oracle import instances
 
@@ -67,41 +60,8 @@ def symmetric_pair():
     return topo, model, state
 
 
-class TestTimingModel:
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            TimingModel("sometimes")
-
-    def test_subset_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimingModel("asynchronous", subset_size=0)
-
-    def test_round_robin_sequence(self):
-        rng = np.random.default_rng(0)
-        ids = [0, 1, 2]
-        seq = [next_movers(ROUND_ROBIN, t, ids, rng) for t in range(6)]
-        assert seq == [[0], [1], [2], [0], [1], [2]]
-
-    def test_synchronous_returns_all(self):
-        rng = np.random.default_rng(0)
-        assert next_movers(SYNCHRONOUS, 3, [4, 7, 9], rng) == [4, 7, 9]
-
-    def test_random_returns_single_valid_id(self):
-        rng = np.random.default_rng(1)
-        ids = [2, 5, 6, 8]
-        for t in range(50):
-            movers = next_movers(RANDOM_TIMING, t, ids, rng)
-            assert len(movers) == 1 and movers[0] in ids
-
-    def test_asynchronous_subset_size(self):
-        rng = np.random.default_rng(2)
-        timing = TimingModel("asynchronous", subset_size=2)
-        ids = list(range(5))
-        for t in range(50):
-            movers = next_movers(timing, t, ids, rng)
-            assert len(movers) == 2
-            assert len(set(movers)) == 2
-            assert all(m in ids for m in movers)
+SEQUENTIAL = {}  # the schedule keywords of run_dynamics
+SYNCHRONOUS = {"synchronous": True}
 
 
 class TestRunDynamics:
@@ -109,17 +69,14 @@ class TestRunDynamics:
         topo = [make_ap(0, 0.0, 0.0)]
         model = flat_model(1)
         state = AllocationState(np.array([1]), np.array([2e-5]))
-        rng = np.random.default_rng(0)
-        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 50, rng,
-                              knowledge=KnowledgeBase.full(1))
+        result = run_dynamics(Network(topo, model), state, 50, knowledge=KnowledgeBase.full(1))
         assert result.converged
         assert result.iterations == 1
         assert not result.cycle_detected
 
     def test_synchronous_pair_cycles(self):
         topo, model, state = symmetric_pair()
-        rng = np.random.default_rng(0)
-        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, 10, rng,
+        result = run_dynamics(Network(topo, model), state, 10, synchronous=True,
                               knowledge=KnowledgeBase.full(2))
         assert not result.converged
         assert result.cycle_detected
@@ -134,8 +91,8 @@ class TestRunDynamics:
         model = flat_model(2)
         p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
         state = AllocationState(np.array([999, 999]), np.array([p, p]))
-        result = run_dynamics(Network(topo, model), state, SYNCHRONOUS, 10,
-                              np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
+        result = run_dynamics(Network(topo, model), state, 10, synchronous=True,
+                              knowledge=KnowledgeBase.full(2))
         assert not result.converged
         assert result.cycle_detected
         assert {rec.new_channel for rec in result.trace} == {998, 999}
@@ -146,27 +103,24 @@ class TestRunDynamics:
         model = flat_model(2)
         p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
         state = AllocationState(np.array([999, 999]), np.array([p, p]))
-        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 1,
-                              np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
+        result = run_dynamics(Network(topo, model), state, 1, knowledge=KnowledgeBase.full(2))
         assert [(r.mover, r.old_channel, r.new_channel) for r in result.trace] == [(0, 999, 743)]
         assert not result.converged
         assert not result.cycle_detected
 
     def test_round_robin_pair_converges_to_orthogonal_ne(self):
         topo, model, state = symmetric_pair()
-        rng = np.random.default_rng(0)
-        result = run_dynamics(Network(topo, model), state, ROUND_ROBIN, 10, rng,
-                              knowledge=KnowledgeBase.full(2))
+        result = run_dynamics(Network(topo, model), state, 10, knowledge=KnowledgeBase.full(2))
         assert result.converged
         assert result.iterations <= 3
         assert sorted(state.channels.tolist()) == [0, 1]
-        assert game.is_nash_equilibrium(Network(topo, model), state)
+        assert is_nash_equilibrium(Network(topo, model), state)
 
     def test_knowledge_is_required(self):
         # no default: a call that forgets what the movers know fails loudly
         topo, model, state = symmetric_pair()
         with pytest.raises(TypeError, match="knowledge"):
-            run_dynamics(Network(topo, model), state, ROUND_ROBIN, 10, np.random.default_rng(0))
+            run_dynamics(Network(topo, model), state, 10)
 
     def test_sufficiency_without_knowledge_is_the_cover_set_alone(self):
         # the cover set extends an empty known row: the same run as an empty
@@ -178,8 +132,7 @@ class TestRunDynamics:
                             enforce_sufficiency=True),
                        dict(knowledge=None)):
             state = start.copy()
-            result = run_dynamics(net, state, ROUND_ROBIN, 30, np.random.default_rng(0),
-                                  **kwargs)
+            result = run_dynamics(net, state, 30, **kwargs)
             runs.append((repr(result), state.channels.tobytes(), state.powers.tobytes()))
         assert runs[0] == runs[1] != runs[2]
 
@@ -190,8 +143,7 @@ class TestRunDynamics:
                                  area_height=250.0, seed=61)
             net = Network(*generate_topology(cfg, rng))
             state = random_allocation(net, rng)
-            result = run_dynamics(net, state, ROUND_ROBIN, 100, rng,
-                                  knowledge=KnowledgeBase.full(len(net.topology)))
+            result = run_dynamics(net, state, 100, knowledge=KnowledgeBase.full(len(net.topology)))
             if result.converged:
                 assert not result.cycle_detected
             assert result.iterations <= 100
@@ -205,11 +157,10 @@ class TestRunDynamics:
             topo, model = generate_topology(cfg, rng)
             net = Network(topo, model)
             state = random_allocation(net, rng)
-            result = run_dynamics(net, state, ROUND_ROBIN, 100, rng,
-                                  knowledge=KnowledgeBase.full(len(net.topology)))
+            result = run_dynamics(net, state, 100, knowledge=KnowledgeBase.full(len(net.topology)))
             if result.converged:
                 hits += 1
-                assert game.is_nash_equilibrium(net, state)
+                assert is_nash_equilibrium(net, state)
         assert hits > 0
 
     def test_trace_records_are_unilateral_channel_changes(self):
@@ -218,8 +169,7 @@ class TestRunDynamics:
                              area_height=250.0, seed=63)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
-                              knowledge=KnowledgeBase.full(len(net.topology)))
+        result = run_dynamics(net, state, 50, knowledge=KnowledgeBase.full(len(net.topology)))
         for rec in result.trace:
             assert rec.old_channel != rec.new_channel
             assert 0 <= rec.mover < 15
@@ -230,8 +180,7 @@ class TestRunDynamics:
                              area_height=300.0, seed=64)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
-                              knowledge=KnowledgeBase.full(len(net.topology)))
+        result = run_dynamics(net, state, 50, knowledge=KnowledgeBase.full(len(net.topology)))
         assert result.trace  # something must have moved
         for rec in result.trace:
             assert rec.u_after >= rec.u_before
@@ -243,8 +192,7 @@ class TestRunDynamics:
                                  area_height=300.0, seed=seed)
             net = Network(*generate_topology(cfg, np.random.default_rng(9)))
             state = random_allocation(net, rng)
-            result = run_dynamics(net, state, RANDOM_TIMING, 50, rng,
-                                  knowledge=KnowledgeBase.full(len(net.topology)))
+            result = run_dynamics(net, state, 50, knowledge=KnowledgeBase.full(len(net.topology)))
             return state.channels.copy(), state.powers.copy(), result.iterations
 
         ch_a, p_a, it_a = run(5)
@@ -262,13 +210,13 @@ class TestRunDynamics:
         state.channels[:5] = rng.integers(0, 3, size=5)
         state.powers[:5] = 0.01
         before = state.channels[5:].copy()
-        run_dynamics(Network(topo, model), state, ROUND_ROBIN, 20, rng,
-                     knowledge=KnowledgeBase.full(10), active=set(range(5)))
+        run_dynamics(Network(topo, model), state, 20, knowledge=KnowledgeBase.full(10),
+                     active=set(range(5)))
         assert np.array_equal(state.channels[5:], before)
         assert np.all(state.powers[5:] == 0.0)
 
     @staticmethod
-    def assert_selfish_is_empty_knowledge(net, timing, max_rounds):
+    def assert_selfish_is_empty_knowledge(net, max_rounds):
         """Best response on an empty KnowledgeBase, and without knowledge, is
         the run of the selfish rule, ``game.selfish_response``, trace included."""
         start = random_allocation(net, np.random.default_rng(1))
@@ -279,8 +227,7 @@ class TestRunDynamics:
             state = start.copy()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(game, "best_response", respond)
-                results.append(run_dynamics(net, state, timing, max_rounds,
-                                            np.random.default_rng(2), knowledge=knowledge,
+                results.append(run_dynamics(net, state, max_rounds, knowledge=knowledge,
                                             record_potential=True))
             powers.append(state.powers.tobytes())
         assert results[0].trace
@@ -295,14 +242,13 @@ class TestRunDynamics:
             cfg = ScenarioConfig(num_aps=15, num_channels=3, area_width=250.0,
                                  area_height=250.0, seed=seed)
             net = Network(*generate_topology(cfg, np.random.default_rng(seed)))
-            for timing in (ROUND_ROBIN, RANDOM_TIMING):
-                self.assert_selfish_is_empty_knowledge(net, timing, 30)
+            self.assert_selfish_is_empty_knowledge(net, 30)
 
     def test_selfish_is_the_game_without_information_at_the_round_cap(self):
         # clustered APs on 3 channels: the dynamics keep moving until the cap
         cfg = ScenarioConfig(num_aps=80, num_channels=3, clustered=True, seed=0)
         net = Network(*generate_topology(cfg, np.random.default_rng(0)))
-        result = self.assert_selfish_is_empty_knowledge(net, ROUND_ROBIN, 10)
+        result = self.assert_selfish_is_empty_knowledge(net, 10)
         assert not result.converged and result.iterations == 10
 
     def test_recorded_potentials_present_and_finite(self):
@@ -311,23 +257,23 @@ class TestRunDynamics:
                              area_height=250.0, seed=67)
         net = Network(*generate_topology(cfg, rng))
         state = random_allocation(net, rng)
-        result = run_dynamics(net, state, ROUND_ROBIN, 50, rng,
-                              knowledge=KnowledgeBase.full(15), record_potential=True)
+        result = run_dynamics(net, state, 50, knowledge=KnowledgeBase.full(15),
+                              record_potential=True)
         assert result.trace
         for rec in result.trace:
             assert rec.potential_before is not None
             assert np.isfinite(rec.potential_before)
             assert np.isfinite(rec.potential_after)
 
-    @pytest.mark.parametrize("timing", [SYNCHRONOUS, TimingModel("asynchronous", subset_size=2)])
+    @pytest.mark.parametrize("timing", [SYNCHRONOUS])
     def test_all_movers_respond_to_the_pre_activation_profile(self, timing):
         # both APs see the other on channel 0 and an empty channel 1, so both
         # move to 1 at the noise-only power p; had the first write been seen,
         # the second AP would have stayed on the channel the first one left
         topo, model, state = symmetric_pair()
         p = float(state.powers[0])
-        result = run_dynamics(Network(topo, model), state, timing, 1,
-                              np.random.default_rng(0), knowledge=KnowledgeBase.full(2))
+        result = run_dynamics(Network(topo, model), state, 1, knowledge=KnowledgeBase.full(2),
+                              **timing)
         assert state.channels.tolist() == [1, 1]
         assert state.powers.tolist() == [p, p]
         g = 30.0 ** -3.0  # 40 m apart, radius 10 m, no shadowing, mean gain 1
@@ -364,9 +310,7 @@ class TestSufficiencyEnforcement:
         net, state, kb = self.instance()
         topo, model = net.topology, net.model
         start = state.copy()
-        result = run_dynamics(net, state, ROUND_ROBIN, 30,
-                              np.random.default_rng(0), knowledge=kb,
-                              enforce_sufficiency=True)
+        result = run_dynamics(net, state, 30, knowledge=kb, enforce_sufficiency=True)
         assert result.trace
 
         # replay the same activations: the player knows its known set plus
@@ -398,17 +342,15 @@ class TestSufficiencyEnforcement:
     def test_flag_changes_the_outcome(self):
         net, state, kb = self.instance()
         plain = state.copy()
-        run_dynamics(net, state, ROUND_ROBIN, 30,
-                     np.random.default_rng(0), knowledge=kb, enforce_sufficiency=True)
-        run_dynamics(net, plain, ROUND_ROBIN, 30,
-                     np.random.default_rng(0), knowledge=kb)
+        run_dynamics(net, state, 30, knowledge=kb, enforce_sufficiency=True)
+        run_dynamics(net, plain, 30, knowledge=kb)
         assert not np.array_equal(state.channels, plain.channels)
 
 
 class TestEngineContexts:
     """Every context the engine hands to a response equals the scalar oracle."""
 
-    @pytest.mark.parametrize("timing", [ROUND_ROBIN, SYNCHRONOUS])
+    @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
     @pytest.mark.parametrize("mode", ["full", "partial", "sufficiency"])
     def test_contexts_equal_utility_context(self, monkeypatch, mode, timing):
         rng = np.random.default_rng(73)
@@ -449,8 +391,7 @@ class TestEngineContexts:
             return spy
 
         monkeypatch.setattr(game, "best_response", checked(game.best_response))
-        result = run_dynamics(net, state, timing, 4,
-                              np.random.default_rng(0), knowledge=kb,
+        result = run_dynamics(net, state, 4, knowledge=kb, **timing,
                               enforce_sufficiency=mode == "sufficiency",
                               active=set(range(30)) - {11, 20})
         assert result.trace
@@ -465,9 +406,9 @@ class TestListContextsBitEqual:
     @given(instance=instances(),
            level=st.sampled_from(["none", "partial", "complete", "full"]),
            enforce_sufficiency=st.booleans(),
-           timing=st.sampled_from([ROUND_ROBIN, SYNCHRONOUS]))
+           synchronous=st.booleans())
     def test_contexts_bit_equal_utility_context(self, instance, level, enforce_sufficiency,
-                                                timing):
+                                                synchronous):
         network, state, rng = instance
         topo, model = network.topology, network.model
         n = len(topo)
@@ -502,6 +443,6 @@ class TestListContextsBitEqual:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(game, "best_response", checked(game.best_response))
-            result = run_dynamics(network, state, timing, 3, np.random.default_rng(0),
-                                  knowledge=kb, enforce_sufficiency=enforce_sufficiency)
+            result = run_dynamics(network, state, 3, knowledge=kb, synchronous=synchronous,
+                                  enforce_sufficiency=enforce_sufficiency)
         assert len(seen) == n * result.iterations
