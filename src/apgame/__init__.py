@@ -13,6 +13,7 @@ from .model import (
     PropagationModel,
 )
 from .game import (
+    Player,
     TraceRecord,
     UtilityContext,
     appendixB_potential,

@@ -9,7 +9,6 @@ uses mean-shadowing gain estimates restricted to the known set.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,46 +40,28 @@ class UtilityContext:
 
 
 def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-AP arrays ``context`` reads: ``act``, ``ch`` and ``wp`` of ``state``."""
+    """The engine's per-AP arrays: ``act``, ``ch`` and ``wp`` of ``state``.
+
+    ``ch`` holds each AP's channel (0 when silent) and ``wp`` its power times
+    its activity, so a silent AP adds an exact +0.0 to any per-channel sum.
+    """
     act = (state.channels != OFF) & (state.powers > 0)
     return act, np.where(act, state.channels, 0), state.powers * act
 
 
-def context(network: Network, i: int, ch: np.ndarray, wp: np.ndarray,
-            weight: list[float]) -> UtilityContext:
-    """Player i's utility context with the given ``generated_weight``.
+class Player(NamedTuple):
+    """One AP's constants for its response: channels in ascending order, β, N0, edge gain, cap."""
 
-    ``ch`` holds each AP's channel (any valid id when silent) and ``wp`` its
-    power times its activity. Silent APs and i add exact zeros, and
-    ``bincount`` adds in index order like a scalar loop: the sums are bit-equal.
-    """
-    return UtilityContext(
-        network.topology[i],
-        np.bincount(ch, wp * network.gains_true[:, i], network.num_channels).tolist(),
-        weight,
-        float(network.edge[i]),
-        network.model.noise_power,
-    )
+    channels: tuple[int, ...]
+    beta: float
+    noise: float
+    edge: float
+    cap: float
 
-
-def generated_weight(neighbours: Iterable[tuple[int, float]], ch: list[int], act: list[bool],
-                     num_channels: int) -> list[float]:
-    """Per channel, the estimated gains ĝ_ij from a player to its active neighbours j on it.
-
-    ``neighbours`` yields (j, ĝ_ij) in ascending j; ``ch`` and ``act`` list
-    each AP's channel and activity. The sums are bit-equal to sums over all
-    APs with zero weight off the active neighbours (README, "Exactness contract").
-    """
-    weight = [0.0] * num_channels
-    for j, g in neighbours:
-        if act[j]:
-            weight[ch[j]] += g
-    return weight
-
-
-def _channels(ap: AccessPoint, num_channels: int) -> Iterable[int]:
-    """The channels available to ``ap``, in ascending id order."""
-    return range(num_channels) if len(ap.channels) == num_channels else sorted(ap.channels)
+    @classmethod
+    def of(cls, ap: AccessPoint, noise_power: float, edge_gain: float) -> "Player":
+        return cls(tuple(sorted(ap.channels)), ap.sinr_target, noise_power, edge_gain,
+                   ap.max_power)
 
 
 def utility(ctx: UtilityContext, k: int) -> float:
@@ -90,34 +71,40 @@ def utility(ctx: UtilityContext, k: int) -> float:
     return -ctx.interference[k] - ctx.necessary_power(k) * ctx.generated_weight[k]
 
 
-def best_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
-    """Utility-maximizing available channel with its necessary power.
+def best_response(interference: list[float], weight: list[float], player: Player,
+                  current_channel: int) -> tuple[int, float]:
+    """Utility-maximizing channel of ``player`` with its necessary power.
 
-    Scores keep the operation order of ``utility``; without generated weight
-    a channel scores exactly its negated interference. Exact ties keep the
-    current channel if it is among the maximizers, else the lowest id wins.
+    ``interference`` and ``weight`` give the measured interference and the
+    generated weight per channel. Scores keep the operation order of
+    ``utility``; without generated weight a channel scores exactly its
+    negated interference. Exact ties keep the current channel if it is among
+    the maximizers, else the lowest id wins.
     """
-    ap, interference, weight = ctx.player, ctx.interference, ctx.generated_weight
-    beta, noise, edge, cap = ap.sinr_target, ctx.noise_power, ctx.edge_gain, ap.max_power
+    channels, beta, noise, edge, cap = player
     best_k, best = OFF, -math.inf
-    for k in _channels(ap, len(interference)):
+    for k in channels:
         score = -interference[k]
         if weight[k] != 0:
             # necessary_power(k), inlined
             score -= min(beta * (noise + interference[k]) / edge, cap) * weight[k]
         if score > best or (score == best and k == current_channel):
             best_k, best = k, score
-    return best_k, ctx.necessary_power(best_k)
+    return best_k, min(beta * (noise + interference[best_k]) / edge, cap)
 
 
-def selfish_response(ctx: UtilityContext, current_channel: int) -> tuple[int, float]:
-    """Channel with least measured interference, same tie rule as best_response."""
-    interference = ctx.interference
+def selfish_response(interference: list[float], weight: list[float], player: Player,
+                     current_channel: int) -> tuple[int, float]:
+    """Channel with least measured interference, same tie rule as best_response.
+
+    It ignores ``weight``: it is best response without neighbour information.
+    """
+    channels, beta, noise, edge, cap = player
     best_k, least = OFF, math.inf
-    for k in _channels(ctx.player, len(interference)):
+    for k in channels:
         if interference[k] < least or (interference[k] == least and k == current_channel):
             best_k, least = k, interference[k]
-    return best_k, ctx.necessary_power(best_k)
+    return best_k, min(beta * (noise + interference[best_k]) / edge, cap)
 
 
 def exact_potential_full(network: Network, state: AllocationState) -> float:

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
-from .game import TraceRecord, exact_potential_full
+from .game import TraceRecord, UtilityContext, exact_potential_full, utility
 from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order
 from .model import OFF, AllocationState, Network
 
 POWER_TOLERANCE = 1e-12  # watts
+# A known row longer than DENSE_ROW + N // DENSE_ROW_PER_AP takes the N-wide
+# bincount form of the generated weight, a shorter one the pair loop. The two
+# forms cost the same at about 55 known APs of 200 and 85 of 1,000 (the
+# dense-churn and scale-1000 networks with random rows, on a 2-vCPU x86 box).
+DENSE_ROW = 48
+DENSE_ROW_PER_AP = 32
 
 
 @dataclass
@@ -56,47 +62,67 @@ def run_dynamics(
     current profile. A move's ``u_before``/``u_after`` are the game utility
     under that knowledge.
     """
-    respond = game.best_response
     ids = sorted(active) if active is not None else list(range(len(network.topology)))
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
 
-    per_round = 1 if synchronous else len(ids)
-
     # The engine's view of the profile: arrays for the interference, lists
-    # for the generated weight. Only applied updates write to it.
+    # for the generated weight, the tie rule and the trace. Only applied
+    # updates write to it.
     act, ch, wp = game.profile_arrays(state)
-    chl, actl = state.channels.tolist(), act.tolist()
+    chl, actl, pl = state.channels.tolist(), act.tolist(), state.powers.tolist()
     channels, powers = state.channels, state.powers
-    gains_est, num_channels = network.gains_est, network.num_channels
-    context, generated_weight, utility = game.context, game.generated_weight, game.utility
+    topology, gains_est, num_channels = network.topology, network.gains_est, network.num_channels
+    noise = network.model.noise_power
+    terms = np.empty(len(topology))  # one response's interference terms, reused
     # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
     key = channels.astype(np.min_scalar_type(-num_channels))
-    no_information = [0.0] * num_channels  # shared by movers that know nobody; never written
-    known_pairs: dict[int, list[tuple[int, float]]] = {}  # knowledge is fixed within a call
-    orders: dict[int, np.ndarray] = {}  # and so are the positions
+    no_information = [0.0] * num_channels  # the weight of a mover that knows nobody; never written
+    dense_from = DENSE_ROW + len(topology) // DENSE_ROW_PER_AP
 
-    def weight(i: int) -> list[float]:
+    def known_row(i: int) -> list[tuple[int, float]] | np.ndarray | None:
+        """Mover i's known row for the call: (j, ĝ_ij) pairs, or its boolean row when dense."""
+        if knowledge is None:
+            return [] if enforce_sufficiency else None
+        row = knowledge.known[i]
+        if np.count_nonzero(row) > dense_from:
+            return row
+        m = np.flatnonzero(row)
+        return list(zip(m.tolist(), gains_est[i, m].tolist()))
+
+    orders = {i: neighbour_order(network.positions, i) for i in ids} if enforce_sufficiency else {}
+    # per mover: its id, contiguous incoming-gain column, response constants and known row
+    movers = [(i, network.gains_true[:, i],
+               game.Player.of(topology[i], noise, float(network.edge[i])), known_row(i))
+              for i in ids]
+
+    def weight(i: int, row: list[tuple[int, float]] | np.ndarray | None) -> list[float]:
         """Mover i's generated weight over its known row and, if enforced, its cover set."""
-        if knowledge is None and not enforce_sufficiency:
+        if row is None:
             return no_information
-        pairs = known_pairs.get(i)
-        if pairs is None:
-            known = np.flatnonzero(knowledge.known[i]).tolist() if knowledge is not None else []
-            pairs = known_pairs[i] = list(zip(known, gains_est[i, known].tolist()))
+        if type(row) is list:
+            if enforce_sufficiency:
+                cover = nearest_cover_set(orders[i], state)
+                row = sorted(set(row).union(zip(cover.tolist(), gains_est[i, cover].tolist())))
+            w = [0.0] * num_channels
+            for j, g in row:
+                if actl[j]:
+                    w[chl[j]] += g
+            return w
         if enforce_sufficiency:
-            if i not in orders:
-                orders[i] = neighbour_order(network.positions, i)
-            cover = nearest_cover_set(orders[i], state).tolist()
-            pairs = sorted(set(pairs).union(zip(cover, gains_est[i, cover].tolist())))
-        return generated_weight(pairs, chl, actl, num_channels)
+            row = row.copy()
+            row[nearest_cover_set(orders[i], state)] = True
+        # the sum over all APs: an unknown or silent AP adds +0.0, in index order
+        return np.bincount(ch, gains_est[i] * (row & (wp > 0)), num_channels).tolist()
 
-    def response(i: int) -> tuple[int, int, int, float, game.UtilityContext]:
-        """Mover i's update against the profile as it is before any write."""
-        ctx = context(network, i, ch, wp, weight(i))
-        old_k = chl[i]
-        return i, old_k, *respond(ctx, old_k), ctx
+    def response(mover: tuple) -> tuple:
+        """The mover's update against the profile as it is before any write."""
+        i, column, player, row = mover
+        interference = np.bincount(ch, np.multiply(wp, column, out=terms), num_channels).tolist()
+        w = weight(i, row)
+        return i, player, *game.best_response(interference, w, player, chl[i]), interference, w
 
+    per_round = 1 if synchronous else len(movers)
     trace: list[TraceRecord] = []
     seen = {key.tobytes()}
     revisit = False
@@ -109,12 +135,15 @@ def run_dynamics(
         for a in range(per_round):
             # synchronous movers respond to the pre-activation profile: all
             # responses are computed before the first write
-            updates = [response(i) for i in ids] if synchronous else (response(ids[a]),)
+            updates = [response(m) for m in movers] if synchronous else (response(movers[a]),)
             activation_changed = False
-            for i, old_k, new_k, new_p, ctx in updates:
-                old_p = float(powers[i])
+            for i, player, new_k, new_p, interference, w in updates:
+                old_k, old_p = chl[i], pl[i]
+                if new_k == old_k and new_p == old_p:
+                    continue  # the write would store the bits already there
                 round_max_dp = max(round_max_dp, abs(new_p - old_p))
                 if new_k != old_k:
+                    ctx = UtilityContext(topology[i], interference, w, player.edge, noise)
                     u_before = utility(ctx, old_k) if old_k != OFF else -math.inf
                     p_before = p_after = None
                     if record_potential:
@@ -133,6 +162,7 @@ def run_dynamics(
                     round_channel_change = True
                 else:
                     powers[i] = new_p
+                pl[i] = new_p
                 actl[i] = new_p > 0
                 ch[i] = new_k
                 wp[i] = new_p
@@ -161,7 +191,7 @@ def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:
     Power is re-optimized to the necessary power on each candidate channel,
     and every AP knows every other: one synchronous activation of
     ``run_dynamics`` on a copy of ``state`` moves no AP, which a tie allows.
-    Guarded against oversized inputs.
+    Its known rows are dense, so it caches no pairs. Guarded against oversized inputs.
     """
     if state.num_aps * network.num_channels > 1_000_000:
         raise ValueError("instance too large for the NE deviation sweep")

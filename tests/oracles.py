@@ -3,23 +3,28 @@
 Each function computes one quantity for one AP (or one pair of APs) with a
 plain Python loop over the topology. The package computes the same
 quantities with whole-array kernels (``model.true_gain_matrix``,
-``model.satisfied_mask``, ``game.context``, ``KnowledgeBase.from_topology``,
-``knowledge.nearest_cover_set``, ...); the tests hold those kernels to these
-forms, bit for bit where the operation order matches.
+``model.satisfied_mask``, ``KnowledgeBase.from_topology``,
+``knowledge.nearest_cover_set``, the activation kernel of
+``schedulers.run_dynamics``, ...); the tests hold those kernels to these
+forms, bit for bit where the operation order matches. ``context`` and
+``generated_weight`` are the engine's former per-player context functions,
+and ``response_args`` passes a context to a response rule.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
-from apgame.game import UtilityContext
+from apgame.game import Player, UtilityContext
 from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
+    Network,
     PropagationModel,
     ap_positions,
     edge_gain,
@@ -155,6 +160,44 @@ def utility_context(
         edge_gain=edge_gain(ap, model),
         noise_power=model.noise_power,
     )
+
+
+def context(network: Network, i: int, ch: np.ndarray, wp: np.ndarray,
+            weight: list[float]) -> UtilityContext:
+    """Player i's list-valued context with the given ``generated_weight``.
+
+    ``ch`` and ``wp`` are those of ``game.profile_arrays``. Silent APs and i
+    add exact zeros, and ``bincount`` adds in index order like a scalar loop:
+    the sums are bit-equal.
+    """
+    return UtilityContext(
+        network.topology[i],
+        np.bincount(ch, wp * network.gains_true[:, i], network.num_channels).tolist(),
+        weight,
+        float(network.edge[i]),
+        network.model.noise_power,
+    )
+
+
+def generated_weight(neighbours: Iterable[tuple[int, float]], ch: list[int], act: list[bool],
+                     num_channels: int) -> list[float]:
+    """Per channel, the estimated gains ĝ_ij from a player to its active neighbours j on it.
+
+    ``neighbours`` yields (j, ĝ_ij) in ascending j; ``ch`` and ``act`` list
+    each AP's channel and activity. The sums are bit-equal to sums over all
+    APs with zero weight off the active neighbours (README, "Exactness contract").
+    """
+    weight = [0.0] * num_channels
+    for j, g in neighbours:
+        if act[j]:
+            weight[ch[j]] += g
+    return weight
+
+
+def response_args(ctx: UtilityContext) -> tuple[list[float], list[float], Player]:
+    """The first three arguments of ``game.best_response`` for a context's player."""
+    return (ctx.interference, ctx.generated_weight,
+            Player.of(ctx.player, ctx.noise_power, ctx.edge_gain))
 
 
 def local_optimality_check(

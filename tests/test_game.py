@@ -35,9 +35,12 @@ from apgame.model import (
 )
 from apgame.schedulers import is_nash_equilibrium
 from oracles import (
+    context,
     estimated_gain,
+    generated_weight,
     local_optimality_check,
     necessary_power,
+    response_args,
     topology_distances,
     true_gain,
     utility_context,
@@ -128,17 +131,19 @@ class TestUtility:
         net = Network(topo, model)
         act, ch, wp = game.profile_arrays(state)
         for i in range(len(topo)):
-            ctx = game.context(net, i, ch, wp, [0.0] * net.num_channels)
+            ctx = context(net, i, ch, wp, [0.0] * net.num_channels)
             for k in range(net.num_channels):
                 assert utility(ctx, k) == -ctx.interference[k]
+            args = response_args(ctx)
             for current in [OFF, *range(net.num_channels)]:
-                assert selfish_response(ctx, current) == best_response(ctx, current)
+                assert selfish_response(*args, current) == best_response(*args, current)
         # hand-built: channels 1 and 3 tie at equal interference, 0 and 2 at infinite
         ctx = game.UtilityContext(make_ap(0, 0, 0, channels=(0, 1, 2, 3)),
                                   [math.inf, 3e-7, math.inf, 3e-7], [0.0] * 4, 1e-3, 1e-8)
+        args = response_args(ctx)
         for current in [OFF, 0, 1, 2, 3]:
-            assert selfish_response(ctx, current) == best_response(ctx, current)
-        assert [best_response(ctx, current)[0] for current in [OFF, 0, 1, 2, 3]] \
+            assert selfish_response(*args, current) == best_response(*args, current)
+        assert [best_response(*args, current)[0] for current in [OFF, 0, 1, 2, 3]] \
             == [1, 1, 1, 1, 3]
 
     def test_positive_scaling_keeps_argmax(self):
@@ -154,7 +159,8 @@ class TestUtility:
             edge_gain=ctx.edge_gain,
             noise_power=ctx.noise_power,
         )
-        assert best_response(ctx, OFF)[0] == best_response(scaled, OFF)[0]
+        assert best_response(*response_args(ctx), OFF)[0] \
+            == best_response(*response_args(scaled), OFF)[0]
 
 
 class TestResponses:
@@ -171,14 +177,14 @@ class TestResponses:
 
     def test_best_response_argmax(self):
         ctx = self._two_channel_ctx(1e-5, 2e-5)
-        k, p = best_response(ctx, OFF)
+        k, p = best_response(*response_args(ctx), OFF)
         assert k == 0
         assert p == pytest.approx(1e-5)
 
     def test_best_response_tie_keeps_current(self):
         ctx = self._two_channel_ctx(1e-5, 1e-5)
-        assert best_response(ctx, 1)[0] == 1
-        assert best_response(ctx, OFF)[0] == 0  # no current channel: lowest id
+        assert best_response(*response_args(ctx), 1)[0] == 1
+        assert best_response(*response_args(ctx), OFF)[0] == 0  # no current channel: lowest id
 
     def test_best_response_matches_enumeration(self):
         rng = np.random.default_rng(4)
@@ -186,7 +192,7 @@ class TestResponses:
             topo, model, state = random_instance(rng, n=3, k=2)
             i = int(rng.integers(3))
             ctx = utility_context(i, topo, state, model)
-            k_star, _ = best_response(ctx, int(state.channels[i]))
+            k_star, _ = best_response(*response_args(ctx), int(state.channels[i]))
             best = max(sorted(topo[i].channels), key=lambda k: utility(ctx, k))
             assert utility(ctx, k_star) == utility(ctx, best)
 
@@ -197,7 +203,7 @@ class TestResponses:
             i = int(rng.integers(8))
             cur = int(state.channels[i])
             ctx = utility_context(i, topo, state, model)
-            k_star, _ = best_response(ctx, cur)
+            k_star, _ = best_response(*response_args(ctx), cur)
             assert utility(ctx, k_star) >= utility(ctx, cur)
 
     def test_selfish_response_argmin(self):
@@ -208,7 +214,7 @@ class TestResponses:
             generated_weight=np.zeros(3),
             edge_gain=1e-3, noise_power=1e-8,
         )
-        assert selfish_response(ctx, OFF)[0] == 1
+        assert selfish_response(*response_args(ctx), OFF)[0] == 1
 
     def test_selfish_on_empty_channels_picks_lowest(self):
         ap = make_ap(0, 0, 0, radius=10.0, beta=2.0)
@@ -217,7 +223,7 @@ class TestResponses:
             interference=np.zeros(2), generated_weight=np.zeros(2),
             edge_gain=1e-3, noise_power=1e-8,
         )
-        k, p = selfish_response(ctx, OFF)
+        k, p = selfish_response(*response_args(ctx), OFF)
         assert k == 0
         assert p == pytest.approx(2.0 * 1e-8 / 1e-3)
 
@@ -237,7 +243,8 @@ class TestResponses:
             state = AllocationState(channels, np.full(n, 0.05))
             i = int(rng.integers(n))
             ctx = utility_context(i, topo, state, model)
-            assert selfish_response(ctx, OFF)[0] == best_response(ctx, OFF)[0]
+            args = response_args(ctx)
+            assert selfish_response(*args, OFF)[0] == best_response(*args, OFF)[0]
 
 
 def loop_best_response(ctx, current_channel):
@@ -288,13 +295,13 @@ class TestVectorisedResponses:
     @given(response_cases())
     def test_best_response_equals_channel_loop(self, case):
         ctx, current = case
-        assert best_response(ctx, current) == loop_best_response(ctx, current)
+        assert best_response(*response_args(ctx), current) == loop_best_response(ctx, current)
 
     @settings(max_examples=200, deadline=None)
     @given(response_cases())
     def test_selfish_response_equals_channel_loop(self, case):
         ctx, current = case
-        assert selfish_response(ctx, current) == loop_selfish_response(ctx, current)
+        assert selfish_response(*response_args(ctx), current) == loop_selfish_response(ctx, current)
 
 
 class TestPotentials:
@@ -440,8 +447,8 @@ def loop_is_nash_equilibrium(network, state):
     for i, cur in enumerate(channels):
         # every AP is a neighbour; i's own pair adds its zero gain
         pairs = enumerate(network.gains_est[i].tolist())
-        weight = game.generated_weight(pairs, channels, active, network.num_channels)
-        if best_response(game.context(network, i, ch, wp, weight), cur)[0] != cur:
+        weight = generated_weight(pairs, channels, active, network.num_channels)
+        if best_response(*response_args(context(network, i, ch, wp, weight)), cur)[0] != cur:
             return False
     return True
 

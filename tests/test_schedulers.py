@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgame import game
+from apgame import game, schedulers
 from apgame.baselines import random_allocation
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.knowledge import (
@@ -25,7 +25,13 @@ from apgame.model import (
     true_gain_matrix,
 )
 from apgame.schedulers import is_nash_equilibrium, run_dynamics
-from oracles import necessary_power, topology_distances, utility_context
+from oracles import (
+    generated_weight,
+    necessary_power,
+    response_args,
+    topology_distances,
+    utility_context,
+)
 from test_engine_oracle import instances
 
 
@@ -327,7 +333,7 @@ class TestSufficiencyEnforcement:
             ctx = utility_context(i, topo, oracle, model, known,
                                        gains_true=gt, gains_est=ge)
             old_k = int(oracle.channels[i])
-            new_k, new_p = game.best_response(ctx, old_k)
+            new_k, new_p = game.best_response(*response_args(ctx), old_k)
             if new_k != old_k:
                 moves.append((i, old_k, new_k, new_p))
             oracle.channels[i] = new_k
@@ -369,11 +375,12 @@ class TestEngineContexts:
                 discovery_tick(dstate, kb, topo)
         gt = true_gain_matrix(topo, model, topology_distances(topo))
         ge = estimated_gain_matrix(topo, model, topology_distances(topo))
+        movers = sorted(set(range(30)) - {11, 20})
         seen = []
 
         def checked(respond):
-            def spy(ctx, current):
-                i = ctx.player.id
+            def spy(interference, weight, player, current):
+                i = movers[len(seen) % len(movers)]  # every activation in ascending id order
                 known = None
                 if mode == "partial":
                     known = known_set(kb, i)
@@ -382,12 +389,12 @@ class TestEngineContexts:
                         nearest_cover_set(neighbour_order(net.positions, i), state).tolist())
                 oracle = utility_context(i, topo, state, model, known,
                                               gains_true=gt, gains_est=ge)
-                assert np.array_equal(ctx.interference, oracle.interference)
-                assert np.array_equal(ctx.generated_weight, oracle.generated_weight)
-                assert (ctx.edge_gain, ctx.noise_power) == (oracle.edge_gain, oracle.noise_power)
+                assert np.array_equal(interference, oracle.interference)
+                assert np.array_equal(weight, oracle.generated_weight)
+                assert player == game.Player.of(topo[i], oracle.noise_power, oracle.edge_gain)
                 assert current == int(state.channels[i])
                 seen.append(i)
-                return respond(ctx, current)
+                return respond(interference, weight, player, current)
             return spy
 
         monkeypatch.setattr(game, "best_response", checked(game.best_response))
@@ -424,21 +431,20 @@ class TestListContextsBitEqual:
         seen = []
 
         def checked(respond):
-            def spy(ctx, current):
-                i = ctx.player.id
+            def spy(interference, weight, player, current):
+                i = len(seen) % n  # every activation in ascending id order
                 known = set() if kb is None else known_set(kb, i)
                 if enforce_sufficiency:
                     known |= set(
                         nearest_cover_set(neighbour_order(network.positions, i), state).tolist())
                 oracle = utility_context(i, topo, state, model, known,
                                          gains_true=gt, gains_est=ge)
-                assert type(ctx.interference) is list
-                assert np.array(ctx.interference).tobytes() == oracle.interference.tobytes()
-                assert type(ctx.generated_weight) is list
-                assert np.array(ctx.generated_weight).tobytes() \
-                    == oracle.generated_weight.tobytes()
+                assert type(interference) is list
+                assert np.array(interference).tobytes() == oracle.interference.tobytes()
+                assert type(weight) is list
+                assert np.array(weight).tobytes() == oracle.generated_weight.tobytes()
                 seen.append(i)
-                return respond(ctx, current)
+                return respond(interference, weight, player, current)
             return spy
 
         with pytest.MonkeyPatch.context() as patch:
@@ -446,3 +452,88 @@ class TestListContextsBitEqual:
             result = run_dynamics(network, state, 3, knowledge=kb, synchronous=synchronous,
                                   enforce_sufficiency=enforce_sufficiency)
         assert len(seen) == n * result.iterations
+
+
+class TestTracerSeam:
+    """A wrapper on the ``game.best_response`` attribute, as the benchmark's
+    tracer installs, sees every response: movers times rounds."""
+
+    @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
+    @pytest.mark.parametrize("active", [None, set(range(0, 40, 3))])
+    @pytest.mark.parametrize("informed", [True, False])
+    def test_counting_wrapper_sees_every_activation(self, monkeypatch, timing, active, informed):
+        net, start, kb = TestSufficiencyEnforcement.instance()
+        knowledge = kb if informed else None
+        plain = start.copy()
+        expected = run_dynamics(net, plain, 30, knowledge=knowledge, active=active, **timing)
+        respond, calls = game.best_response, []
+
+        def counting(*args):
+            calls.append(args)
+            return respond(*args)
+
+        monkeypatch.setattr(game, "best_response", counting)
+        state = start.copy()
+        result = run_dynamics(net, state, 30, knowledge=knowledge, active=active, **timing)
+        movers = len(active) if active is not None else len(net.topology)
+        assert result.iterations > 1
+        assert len(calls) == result.iterations * movers
+        assert repr(result) == repr(expected)
+        assert state.powers.tobytes() == plain.powers.tobytes()
+
+
+@st.composite
+def weight_cases(draw):
+    """APs with equal radii on a coarse grid, so estimated gains tie exactly,
+    a random known matrix, and a profile with OFF and zero-power APs."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, 3))
+    grid = st.sampled_from([0.0, 30.0, 60.0])
+    topo = [make_ap(i, draw(grid), draw(grid), channels=tuple(range(k))) for i in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = flat_model(n) if draw(st.booleans()) else PropagationModel.sample(n, rng)
+    channels = np.array([draw(st.sampled_from([OFF, *range(k)])) for _ in range(n)])
+    powers = np.array([draw(st.sampled_from([0.0, 1e-4, 0.01])) for _ in range(n)])
+    powers[channels == OFF] = 0.0
+    known = (rng.random((n, n)) < draw(st.sampled_from([0.3, 0.7, 1.0]))) & ~np.eye(n, dtype=bool)
+    kb = KnowledgeBase(known=known, candidates=~np.eye(n, dtype=bool))
+    return Network(topo, model), AllocationState(channels, powers), kb
+
+
+class TestWeightForms:
+    """Both forms of the engine's generated weight, the pair list of a short
+    known row and the bincount of a dense one, equal the pair loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=weight_cases(), enforce_sufficiency=st.booleans(), synchronous=st.booleans())
+    def test_both_forms_equal_the_pair_loop(self, case, enforce_sufficiency, synchronous):
+        network, start, kb = case
+        n, ge = len(network.topology), network.gains_est
+        respond, runs = game.best_response, []
+        # DENSE_ROW = n makes every row short; -n makes every row dense
+        for dense_row in (n, -n):
+            state, seen = start.copy(), []
+
+            def spy(interference, weight, player, current):
+                i = len(seen) % n  # every activation in ascending id order
+                known = set(np.flatnonzero(kb.known[i]).tolist())
+                if enforce_sufficiency:
+                    known |= set(
+                        nearest_cover_set(neighbour_order(network.positions, i), state).tolist())
+                act = game.profile_arrays(state)[0]
+                pairs = [(j, float(ge[i, j])) for j in sorted(known)]
+                loop = generated_weight(pairs, state.channels.tolist(), act.tolist(),
+                                        network.num_channels)
+                assert type(weight) is list
+                assert np.array(weight).tobytes() == np.array(loop).tobytes()
+                seen.append(i)
+                return respond(interference, weight, player, current)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(schedulers, "DENSE_ROW", dense_row)
+                patch.setattr(game, "best_response", spy)
+                result = run_dynamics(network, state, 3, knowledge=kb, synchronous=synchronous,
+                                      enforce_sufficiency=enforce_sufficiency)
+            assert len(seen) == n * result.iterations
+            runs.append((repr(result), state.channels.tobytes(), state.powers.tobytes()))
+        assert runs[0] == runs[1]
