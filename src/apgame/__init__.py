@@ -10,12 +10,11 @@ from .model import (
     AccessPoint,
     AllocationState,
     Network,
+    Player,
     PropagationModel,
 )
 from .game import (
-    Player,
     TraceRecord,
-    UtilityContext,
     appendixB_potential,
     best_response,
     exact_potential_full,

@@ -11,7 +11,7 @@ import bisect
 
 import numpy as np
 
-from .model import AllocationState, Network, power_demand
+from .model import AllocationState, Network, necessary_power, power_demand
 
 # Headroom applied to solved admission powers so edge SINR clears the target
 # strictly despite rounding.
@@ -35,21 +35,16 @@ def _draw_allocation(
 
     One draw with per-AP bounds gives the same numbers as one scalar draw per AP.
     """
-    topology, gt = network.topology, network.gains_true
-    sets = [topology[i].channels for i in ids]
-    draws = rng.integers(np.array([len(ks) for ks in sets], dtype=np.int64)).tolist()
-    ordered = {ks: sorted(ks) for ks in set(sets)}
-    for i, ks, d in zip(ids, sets, draws):
-        state.channels[i] = ordered[ks][d]
+    players, gt = network.players, network.gains_true
+    draws = rng.integers(np.array([len(players[i].channels) for i in ids], dtype=np.int64))
+    for i, d in zip(ids, draws.tolist()):
+        state.channels[i] = players[i].channels[d]
     members: list[list[int]] = [[] for _ in range(network.num_channels)]  # transmitting, ascending
     for j in np.flatnonzero(state.powers > 0).tolist():
         members[state.channels[j]].append(j)
     for i in ids:
-        ap = topology[i]
         on_k = members[state.channels[i]]
-        interference = _received(state.powers, gt[:, i], on_k)
-        demand = power_demand(ap, network.model.noise_power, interference, float(network.edge[i]))
-        state.powers[i] = min(demand, ap.max_power)
+        state.powers[i] = necessary_power(players[i], _received(state.powers, gt[:, i], on_k))
         bisect.insort(on_k, i)
 
 
@@ -104,21 +99,19 @@ def greedy_admission_bound(
     breaks feasibility, the AP is powered off. ``Network`` keeps every demand
     finite. Returned powers keep all admitted APs simultaneously satisfied.
     """
-    topology, gt, noise_power = network.topology, network.gains_true, network.model.noise_power
-    n = len(topology)
+    players, gt = network.players, network.gains_true
+    n = len(players)
     state = AllocationState.all_off(n)
     members: list[list[int]] = [[] for _ in range(network.num_channels)]  # admitted, ascending
     for i in rng.permutation(n).tolist():
-        ap = topology[i]
         best_k, best_demand = None, np.inf
-        for k in sorted(ap.channels):
-            interference = _received(state.powers, gt[:, i], members[k])
-            demand = power_demand(ap, noise_power, interference, float(network.edge[i]))
+        for k in players[i].channels:
+            demand = power_demand(players[i], _received(state.powers, gt[:, i], members[k]))
             if demand < best_demand:
                 best_k, best_demand = k, demand
         group = members[best_k] + [i]
         solved = _solve_channel_powers(group, network.beta, network.edge, network.caps,
-                                       noise_power, gt)
+                                       network.model.noise_power, gt)
         if solved is None:
             continue
         state.channels[i] = best_k

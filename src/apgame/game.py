@@ -14,29 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import OFF, AccessPoint, AllocationState, Network, co_channel_mask, power_demand
-
-
-@dataclass(slots=True)
-class UtilityContext:
-    """Everything one AP needs to evaluate its utility on each channel.
-
-    ``interference[k]`` is the measured co-channel power at the player on
-    channel k, accumulated over the whole network with true gains.
-    ``generated_weight[k]`` sums the estimated outgoing gains to known
-    neighbors active on k; all zeros when the player knows no neighbour, as
-    under the selfish rule.
-    """
-
-    player: AccessPoint
-    interference: list[float]
-    generated_weight: list[float]
-    edge_gain: float
-    noise_power: float
-
-    def necessary_power(self, k: int) -> float:
-        demand = power_demand(self.player, self.noise_power, self.interference[k], self.edge_gain)
-        return min(demand, self.player.max_power)
+from .model import OFF, AllocationState, Network, Player, co_channel_mask, necessary_power
 
 
 def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -49,26 +27,14 @@ def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.n
     return act, np.where(act, state.channels, 0), state.powers * act
 
 
-class Player(NamedTuple):
-    """One AP's constants for its response: channels in ascending order, β, N0, edge gain, cap."""
+def utility(interference: list[float], weight: list[float], player: Player, k: int) -> float:
+    """Negative of measured interference plus estimated generated interference on channel k.
 
-    channels: tuple[int, ...]
-    beta: float
-    noise: float
-    edge: float
-    cap: float
-
-    @classmethod
-    def of(cls, ap: AccessPoint, noise_power: float, edge_gain: float) -> "Player":
-        return cls(tuple(sorted(ap.channels)), ap.sinr_target, noise_power, edge_gain,
-                   ap.max_power)
-
-
-def utility(ctx: UtilityContext, k: int) -> float:
-    """Negative of measured interference plus estimated generated interference."""
-    if k not in ctx.player.channels:
-        raise ValueError(f"channel {k} is not available to AP {ctx.player.id}")
-    return -ctx.interference[k] - ctx.necessary_power(k) * ctx.generated_weight[k]
+    ``interference`` and ``weight`` are per channel, as ``best_response`` takes them.
+    """
+    if k not in player.channels:
+        raise ValueError(f"channel {k} is not among the player's channels {player.channels}")
+    return -interference[k] - necessary_power(player, interference[k]) * weight[k]
 
 
 def best_response(interference: list[float], weight: list[float], player: Player,
@@ -86,7 +52,7 @@ def best_response(interference: list[float], weight: list[float], player: Player
     for k in channels:
         score = -interference[k]
         if weight[k] != 0:
-            # necessary_power(k), inlined
+            # necessary_power(player, interference[k]), inlined
             score -= min(beta * (noise + interference[k]) / edge, cap) * weight[k]
         if score > best or (score == best and k == current_channel):
             best_k, best = k, score
@@ -99,12 +65,11 @@ def selfish_response(interference: list[float], weight: list[float], player: Pla
 
     It ignores ``weight``: it is best response without neighbour information.
     """
-    channels, beta, noise, edge, cap = player
     best_k, least = OFF, math.inf
-    for k in channels:
+    for k in player.channels:
         if interference[k] < least or (interference[k] == least and k == current_channel):
             best_k, least = k, interference[k]
-    return best_k, min(beta * (noise + interference[best_k]) / edge, cap)
+    return best_k, necessary_power(player, interference[best_k])
 
 
 def exact_potential_full(network: Network, state: AllocationState) -> float:
@@ -181,15 +146,10 @@ def verify_exact_potential(
     changes agree to rounding; with unequal radii violations are expected and
     reported rather than raised.
     """
-    topology = network.topology
-    gt = network.gains_true
-    n = len(topology)
-    channels = np.empty(n, dtype=np.int64)
-    for i, ap in enumerate(topology):
-        ks = sorted(ap.channels)
-        channels[i] = ks[int(rng.integers(len(ks)))]
-    powers = np.full(n, power)
-    state = AllocationState(channels, powers)
+    players, gt = network.players, network.gains_true
+    n = len(players)
+    channels = [p.channels[int(rng.integers(len(p.channels)))] for p in players]
+    state = AllocationState(channels, np.full(n, power))
 
     def altered_utility(i: int, k: int) -> float:
         on_k = (state.channels == k)
@@ -199,7 +159,7 @@ def verify_exact_potential(
     report = VerificationReport()
     for _ in range(trials):
         i = int(rng.integers(n))
-        ks = sorted(topology[i].channels)
+        ks = players[i].channels
         new_k = ks[int(rng.integers(len(ks)))]
         old_k = int(state.channels[i])
         du = altered_utility(i, new_k) - altered_utility(i, old_k)

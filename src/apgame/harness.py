@@ -256,11 +256,12 @@ def _timestamps(config: ScenarioConfig) -> list[float]:
 def _setup(config: ScenarioConfig, num_aps: int | None = None) -> tuple[
     Network, KnowledgeBase, DiscoveryState, list[np.random.Generator],
 ]:
-    """Network, empty knowledge, discovery state and six allocation streams.
+    """Network, empty knowledge, discovery state and the four allocation streams.
 
-    The streams come from fixed slots of the seed sequence drawn from ``config.seed``.
+    Six seeds drawn from ``config.seed`` seed, in order, the topology, discovery,
+    game, selfish, random and bound streams; the last four are returned.
     """
-    seeds = np.random.default_rng(config.seed).integers(2**63, size=8)
+    seeds = np.random.default_rng(config.seed).integers(2**63, size=6)
     topo_rng, discovery_rng, *streams = [np.random.default_rng(s) for s in seeds]
     network = Network(*generate_topology(config, topo_rng, num_aps=num_aps))
     kb = KnowledgeBase(known=np.zeros_like(network.candidates), candidates=network.candidates)
@@ -361,10 +362,9 @@ def _baseline_rows(
 
     Per timestamp: satisfied selfish (best response with ``knowledge=None``),
     random and bound APs, and the selfish rounds. Each scheme draws only
-    from its own stream (``streams[1:4]`` of ``_setup``), so this track runs
-    apart from the game's.
+    from its own stream of ``_setup``, so this track runs apart from the game's.
     """
-    selfish_rng, random_rng, bound_rng = streams[1:4]
+    _, selfish_rng, random_rng, bound_rng = streams
     selfish_state = random_allocation(network, selfish_rng)
     bound_state, _ = greedy_admission_bound(network, bound_rng)
     satisfied_bound = _satisfied(network, bound_state)  # the bound never changes

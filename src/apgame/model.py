@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -206,12 +207,36 @@ def candidate_matrix(topology: list[AccessPoint], distances: np.ndarray) -> np.n
     return candidates
 
 
+class Player(NamedTuple):
+    """One AP's constants for its payoff: channels in ascending order, β, N0, edge gain, cap."""
+
+    channels: tuple[int, ...]
+    beta: float
+    noise: float
+    edge: float
+    cap: float
+
+
+def power_demand(player: Player, interference: float | np.ndarray) -> float | np.ndarray:
+    """Necessary power β (N0 + I) / g_edge before the cap.
+
+    With an array of per-channel interference it gives one demand per channel.
+    """
+    return player.beta * (player.noise + interference) / player.edge
+
+
+def necessary_power(player: Player, interference: float) -> float:
+    """The power that meets the SINR target against ``interference``, capped."""
+    return min(power_demand(player, interference), player.cap)
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     """Per-topology constants that stay fixed while profiles and knowledge change.
 
     ``positions`` holds the AP coordinates; ``edge[i]``, ``beta[i]`` and
-    ``caps[i]`` are AP i's ``edge_gain``, SINR target and power cap;
+    ``caps[i]`` are AP i's ``edge_gain``, SINR target and power cap, which
+    ``players[i]`` holds too, with its channels, for scalar loops;
     ``gains_true``, ``gains_est`` and ``candidates`` are the three matrix
     kernels of one distance matrix, which is not kept. Every array is
     read-only. ``num_channels`` is one more than the highest channel id.
@@ -224,6 +249,7 @@ class Network:
     edge: np.ndarray = field(init=False, repr=False)
     beta: np.ndarray = field(init=False, repr=False)
     caps: np.ndarray = field(init=False, repr=False)
+    players: tuple[Player, ...] = field(init=False, repr=False)
     gains_true: np.ndarray = field(init=False, repr=False)
     gains_est: np.ndarray = field(init=False, repr=False)
     candidates: np.ndarray = field(init=False, repr=False)
@@ -233,11 +259,14 @@ class Network:
         topology, model = self.topology, self.model
         positions = ap_positions(topology)
         distances = pairwise_distances(positions, positions)
+        players = tuple(Player(tuple(sorted(ap.channels)), ap.sinr_target, model.noise_power,
+                               float(edge_gain(ap, model)), ap.max_power) for ap in topology)
+        object.__setattr__(self, "players", players)
         arrays = {
             "positions": positions,
-            "edge": np.array([edge_gain(ap, model) for ap in topology]),
-            "beta": np.array([ap.sinr_target for ap in topology]),
-            "caps": np.array([ap.max_power for ap in topology]),
+            "edge": np.array([p.edge for p in players]),
+            "beta": np.array([p.beta for p in players]),
+            "caps": np.array([p.cap for p in players]),
             "gains_true": true_gain_matrix(topology, model, distances),
             "gains_est": estimated_gain_matrix(topology, model, distances),
             "candidates": candidate_matrix(topology, distances),
@@ -245,7 +274,7 @@ class Network:
         for name, a in arrays.items():
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "num_channels", 1 + max(max(ap.channels) for ap in topology))
+        object.__setattr__(self, "num_channels", 1 + max(p.channels[-1] for p in players))
         # worst cases in Python floats, which overflow to inf without a warning
         gain = max(float(self.gains_true.max()), float(self.gains_est.max()))
         received = len(topology) * float(self.caps.max()) * gain
@@ -255,16 +284,6 @@ class Network:
         if not math.isfinite(demand):
             raise ValueError(f"the largest received power (APs x max_power x gain), {received}, "
                              f"or the largest power demand, {demand}, is not finite")
-
-
-def power_demand(
-    ap: AccessPoint, noise_power: float, interference: float | np.ndarray, edge: float
-) -> float | np.ndarray:
-    """Necessary power beta (N0 + I) / g_edge before the cap at ``ap.max_power``.
-
-    With an array of per-channel interference it gives one demand per channel.
-    """
-    return ap.sinr_target * (noise_power + interference) / edge
 
 
 def co_channel_mask(state: AllocationState) -> np.ndarray:

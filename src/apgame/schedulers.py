@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game
-from .game import TraceRecord, UtilityContext, exact_potential_full, utility
+from .game import TraceRecord, exact_potential_full, utility
 from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order
-from .model import OFF, AllocationState, Network
+from .model import OFF, AllocationState, Network, necessary_power
 
 POWER_TOLERANCE = 1e-12  # watts
 # A known row longer than DENSE_ROW + N // DENSE_ROW_PER_AP takes the N-wide
@@ -60,9 +60,15 @@ def run_dynamics(
     or nothing for ``None``, which makes best response the selfish rule.
     ``enforce_sufficiency`` adds the mover's nearest cover set at the
     current profile. A move's ``u_before``/``u_after`` are the game utility
-    under that knowledge.
+    under that knowledge. A mover on a channel outside its own set raises
+    ValueError before anything is written.
     """
-    ids = sorted(active) if active is not None else list(range(len(network.topology)))
+    players = network.players
+    ids = sorted(active) if active is not None else list(range(len(players)))
+    chl = state.channels.tolist()
+    for i in ids:
+        if chl[i] != OFF and chl[i] not in players[i].channels:
+            raise ValueError(f"channel {chl[i]} is not available to AP {i}")
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
 
@@ -70,15 +76,14 @@ def run_dynamics(
     # for the generated weight, the tie rule and the trace. Only applied
     # updates write to it.
     act, ch, wp = game.profile_arrays(state)
-    chl, actl, pl = state.channels.tolist(), act.tolist(), state.powers.tolist()
+    actl, pl = act.tolist(), state.powers.tolist()
     channels, powers = state.channels, state.powers
-    topology, gains_est, num_channels = network.topology, network.gains_est, network.num_channels
-    noise = network.model.noise_power
-    terms = np.empty(len(topology))  # one response's interference terms, reused
+    gains_est, num_channels = network.gains_est, network.num_channels
+    terms = np.empty(len(players))  # one response's interference terms, reused
     # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
     key = channels.astype(np.min_scalar_type(-num_channels))
     no_information = [0.0] * num_channels  # the weight of a mover that knows nobody; never written
-    dense_from = DENSE_ROW + len(topology) // DENSE_ROW_PER_AP
+    dense_from = DENSE_ROW + len(players) // DENSE_ROW_PER_AP
 
     def known_row(i: int) -> list[tuple[int, float]] | np.ndarray | None:
         """Mover i's known row for the call: (j, ĝ_ij) pairs, or its boolean row when dense."""
@@ -92,9 +97,7 @@ def run_dynamics(
 
     orders = {i: neighbour_order(network.positions, i) for i in ids} if enforce_sufficiency else {}
     # per mover: its id, contiguous incoming-gain column, response constants and known row
-    movers = [(i, network.gains_true[:, i],
-               game.Player.of(topology[i], noise, float(network.edge[i])), known_row(i))
-              for i in ids]
+    movers = [(i, network.gains_true[:, i], players[i], known_row(i)) for i in ids]
 
     def weight(i: int, row: list[tuple[int, float]] | np.ndarray | None) -> list[float]:
         """Mover i's generated weight over its known row and, if enforced, its cover set."""
@@ -143,21 +146,21 @@ def run_dynamics(
                     continue  # the write would store the bits already there
                 round_max_dp = max(round_max_dp, abs(new_p - old_p))
                 if new_k != old_k:
-                    ctx = UtilityContext(topology[i], interference, w, player.edge, noise)
-                    u_before = utility(ctx, old_k) if old_k != OFF else -math.inf
+                    view = (interference, w, player)
+                    u_before = utility(*view, old_k) if old_k != OFF else -math.inf
                     p_before = p_after = None
                     if record_potential:
                         # the response refreshes the mover's power before the
                         # channel switch; book the potential against that
                         if old_k != OFF:
-                            powers[i] = ctx.necessary_power(old_k)
+                            powers[i] = necessary_power(player, interference[old_k])
                         p_before = exact_potential_full(network, state)
                     channels[i] = key[i] = chl[i] = new_k
                     powers[i] = new_p
                     if record_potential:
                         p_after = exact_potential_full(network, state)
                     trace.append(TraceRecord(i, old_k, new_k, old_p, new_p, u_before,
-                                             utility(ctx, new_k), p_before, p_after))
+                                             utility(*view, new_k), p_before, p_after))
                     activation_changed = True
                     round_channel_change = True
                 else:

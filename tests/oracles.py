@@ -7,8 +7,9 @@ quantities with whole-array kernels (``model.true_gain_matrix``,
 ``knowledge.nearest_cover_set``, the activation kernel of
 ``schedulers.run_dynamics``, ...); the tests hold those kernels to these
 forms, bit for bit where the operation order matches. ``context`` and
-``generated_weight`` are the engine's former per-player context functions,
-and ``response_args`` passes a context to a response rule.
+``generated_weight`` are the engine's former per-player context functions;
+a context is the ``(interference, weight, player)`` triple that
+``game.utility`` and the response rules take first.
 """
 
 from __future__ import annotations
@@ -18,19 +19,21 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from apgame.game import Player, UtilityContext
 from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
     AccessPoint,
     AllocationState,
     Network,
+    Player,
     PropagationModel,
     ap_positions,
     edge_gain,
     pairwise_distances,
     power_demand,
 )
+
+Context = tuple[np.ndarray | list[float], np.ndarray | list[float], Player]
 
 
 def topology_distances(topology: list[AccessPoint]) -> np.ndarray:
@@ -61,6 +64,12 @@ def true_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> float:
         raise ValueError("true_gain requires two distinct APs")
     d = max(distance(i, j) - j.coverage_radius, model.min_separation)
     return d ** -model.path_loss_exponent * float(model.shadow_samples[i.id, j.id])
+
+
+def player(ap: AccessPoint, model: PropagationModel) -> Player:
+    """AP ``ap``'s payoff constants, as ``Network.players`` holds them."""
+    return Player(tuple(sorted(ap.channels)), ap.sinr_target, model.noise_power,
+                  edge_gain(ap, model), ap.max_power)
 
 
 def interference_at(
@@ -109,7 +118,7 @@ def necessary_power(
     if k not in i.channels:
         raise ValueError(f"channel {k} is not available to AP {i.id}")
     interference = interference_at(i, k, topology, state, model)
-    return min(power_demand(i, model.noise_power, interference, edge_gain(i, model)), i.max_power)
+    return min(power_demand(player(i, model), interference), i.max_power)
 
 
 def is_satisfied(
@@ -134,8 +143,8 @@ def utility_context(
     *,
     gains_true: np.ndarray | None = None,
     gains_est: np.ndarray | None = None,
-) -> UtilityContext:
-    """Build the per-player view of the current profile.
+) -> Context:
+    """Build the per-player view of the current profile, with array-valued sums.
 
     ``known=None`` means full knowledge of all other APs.
     """
@@ -153,30 +162,19 @@ def utility_context(
         if known is None or j in known:
             ge = float(gains_est[i, j]) if gains_est is not None else estimated_gain(ap, other, model)
             generated[k] += ge
-    return UtilityContext(
-        player=ap,
-        interference=interference,
-        generated_weight=generated,
-        edge_gain=edge_gain(ap, model),
-        noise_power=model.noise_power,
-    )
+    return interference, generated, player(ap, model)
 
 
 def context(network: Network, i: int, ch: np.ndarray, wp: np.ndarray,
-            weight: list[float]) -> UtilityContext:
-    """Player i's list-valued context with the given ``generated_weight``.
+            weight: list[float]) -> Context:
+    """Player i's list-valued context with the given generated ``weight``.
 
     ``ch`` and ``wp`` are those of ``game.profile_arrays``. Silent APs and i
     add exact zeros, and ``bincount`` adds in index order like a scalar loop:
     the sums are bit-equal.
     """
-    return UtilityContext(
-        network.topology[i],
-        np.bincount(ch, wp * network.gains_true[:, i], network.num_channels).tolist(),
-        weight,
-        float(network.edge[i]),
-        network.model.noise_power,
-    )
+    interference = np.bincount(ch, wp * network.gains_true[:, i], network.num_channels)
+    return interference.tolist(), weight, network.players[i]
 
 
 def generated_weight(neighbours: Iterable[tuple[int, float]], ch: list[int], act: list[bool],
@@ -194,12 +192,6 @@ def generated_weight(neighbours: Iterable[tuple[int, float]], ch: list[int], act
     return weight
 
 
-def response_args(ctx: UtilityContext) -> tuple[list[float], list[float], Player]:
-    """The first three arguments of ``game.best_response`` for a context's player."""
-    return (ctx.interference, ctx.generated_weight,
-            Player.of(ctx.player, ctx.noise_power, ctx.edge_gain))
-
-
 def local_optimality_check(
     i: int,
     topology: list[AccessPoint],
@@ -211,10 +203,9 @@ def local_optimality_check(
 
     Both argmins break ties toward the lowest channel id.
     """
-    ctx = utility_context(i, topology, state, model, known)
-    ks = sorted(ctx.player.channels)
-    argmin_measured = min(ks, key=lambda k: (float(ctx.interference[k]), k))
-    argmin_generated = min(ks, key=lambda k: (float(ctx.generated_weight[k]), k))
+    interference, weight, own = utility_context(i, topology, state, model, known)
+    argmin_measured = min(own.channels, key=lambda k: (float(interference[k]), k))
+    argmin_generated = min(own.channels, key=lambda k: (float(weight[k]), k))
     return argmin_measured == argmin_generated
 
 

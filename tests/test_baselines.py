@@ -28,7 +28,7 @@ from apgame.model import (
     true_gain_matrix,
 )
 from apgame.schedulers import run_dynamics
-from oracles import topology_distances
+from oracles import player, topology_distances
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -265,7 +265,7 @@ def masked_draw_allocation(state, ids, network, rng):
         co = (state.channels == state.channels[i]) & (state.powers > 0)
         co[i] = False
         interference = float(np.sum(state.powers[co] * gt[co, i]))
-        demand = power_demand(ap, network.model.noise_power, interference, float(network.edge[i]))
+        demand = power_demand(player(ap, network.model), interference)
         state.powers[i] = min(demand, ap.max_power)
 
 
@@ -283,7 +283,7 @@ def masked_greedy_admission_bound(topology, model, rng, gt):
         for k in sorted(ap.channels):
             co = (state.channels == k) & (state.powers > 0)
             interference = float(np.sum(state.powers[co] * gt[co, i]))
-            demand = power_demand(ap, model.noise_power, interference, float(edge[i]))
+            demand = power_demand(player(ap, model), interference)
             if demand < best_demand:
                 best_k, best_demand = k, demand
         on_k = (state.channels == best_k) & (state.powers > 0)

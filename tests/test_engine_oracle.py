@@ -24,6 +24,7 @@ from apgame.model import (
     AccessPoint,
     AllocationState,
     Network,
+    Player,
     PropagationModel,
     co_channel_mask,
     power_demand,
@@ -33,32 +34,28 @@ from apgame.schedulers import POWER_TOLERANCE, RunResult, run_dynamics
 
 @dataclass(frozen=True)
 class RefContext:
-    player: AccessPoint
+    player: Player
     interference: np.ndarray
     generated_weight: np.ndarray
-    edge_gain: float
-    noise_power: float
 
     def necessary_power(self, k: int) -> float:
         interference = float(self.interference[k])
-        demand = power_demand(self.player, self.noise_power, interference, self.edge_gain)
-        return min(demand, self.player.max_power)
+        demand = power_demand(self.player, interference)
+        return min(demand, self.player.cap)
 
 
 def ref_context(network, i, ch, wp, known, gt):
     k = network.num_channels
     return RefContext(
-        player=network.topology[i],
+        player=network.players[i],
         interference=np.bincount(ch, wp * gt[:, i], k),
         generated_weight=np.bincount(ch, network.gains_est[i] * known, k),
-        edge_gain=float(network.edge[i]),
-        noise_power=network.model.noise_power,
     )
 
 
 def ref_utility(ctx, k):
     if k not in ctx.player.channels:
-        raise ValueError(f"channel {k} is not available to AP {ctx.player.id}")
+        raise ValueError(f"channel {k} is not available to the player")
     return -float(ctx.interference[k]) - ctx.necessary_power(k) * float(ctx.generated_weight[k])
 
 
@@ -75,10 +72,7 @@ def ref_argmax_channel(ctx, score, current_channel):
 
 
 def ref_best_response(ctx, current_channel):
-    ap = ctx.player
-    power = np.minimum(
-        power_demand(ap, ctx.noise_power, ctx.interference, ctx.edge_gain), ap.max_power
-    )
+    power = np.minimum(power_demand(ctx.player, ctx.interference), ctx.player.cap)
     k = ref_argmax_channel(ctx, -ctx.interference - power * ctx.generated_weight,
                            current_channel)
     return k, float(power[k])

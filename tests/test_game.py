@@ -25,6 +25,7 @@ from apgame.model import (
     AccessPoint,
     AllocationState,
     Network,
+    Player,
     PropagationModel,
     co_channel_mask,
     edge_gain,
@@ -33,6 +34,7 @@ from apgame.model import (
     satisfied_mask,
     true_gain_matrix,
 )
+from apgame.model import necessary_power as capped_power
 from apgame.schedulers import is_nash_equilibrium
 from oracles import (
     context,
@@ -40,7 +42,6 @@ from oracles import (
     generated_weight,
     local_optimality_check,
     necessary_power,
-    response_args,
     topology_distances,
     true_gain,
     utility_context,
@@ -57,6 +58,13 @@ def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
         max_power=pmax,
         channels=frozenset(channels),
     )
+
+
+def make_context(ap, interference, weight, edge_gain, noise_power):
+    """The ``(interference, weight, player)`` triple of ``ap`` with the given constants."""
+    player = Player(tuple(sorted(ap.channels)), ap.sinr_target, noise_power, edge_gain,
+                    ap.max_power)
+    return interference, weight, player
 
 
 def make_model(n, alpha=3.0, noise=1e-8, z=None, mu=1.0):
@@ -105,24 +113,24 @@ class TestUtility:
                 for j in range(6)
                 if j != 2 and state.channels[j] == k
             )
-            assert utility(ctx, k) == pytest.approx(-measured - pnec * outgoing)
+            assert utility(*ctx, k) == pytest.approx(-measured - pnec * outgoing)
 
     def test_restricted_knowledge_shrinks_second_sum(self):
         rng = np.random.default_rng(2)
         topo, model, state = random_instance(rng)
-        full = utility_context(0, topo, state, model)
-        empty = utility_context(0, topo, state, model, known=set())
+        full_interference, _, _ = utility_context(0, topo, state, model)
+        interference, weight, _ = utility_context(0, topo, state, model, known=set())
         for k in (0, 1):
-            assert float(empty.generated_weight[k]) == 0.0
+            assert float(weight[k]) == 0.0
             # the measured part is identical regardless of knowledge
-            assert float(empty.interference[k]) == float(full.interference[k])
+            assert float(interference[k]) == float(full_interference[k])
 
     def test_unavailable_channel_raises(self):
         topo = [make_ap(0, 0, 0, channels=(0,))]
         state = AllocationState(np.array([0]), np.array([0.01]))
         ctx = utility_context(0, topo, state, make_model(1))
         with pytest.raises(ValueError):
-            utility(ctx, 1)
+            utility(*ctx, 1)
 
     def test_zero_weight_context_is_the_selfish_game(self):
         rng = np.random.default_rng(4)
@@ -131,16 +139,14 @@ class TestUtility:
         net = Network(topo, model)
         act, ch, wp = game.profile_arrays(state)
         for i in range(len(topo)):
-            ctx = context(net, i, ch, wp, [0.0] * net.num_channels)
+            args = context(net, i, ch, wp, [0.0] * net.num_channels)
             for k in range(net.num_channels):
-                assert utility(ctx, k) == -ctx.interference[k]
-            args = response_args(ctx)
+                assert utility(*args, k) == -args[0][k]
             for current in [OFF, *range(net.num_channels)]:
                 assert selfish_response(*args, current) == best_response(*args, current)
         # hand-built: channels 1 and 3 tie at equal interference, 0 and 2 at infinite
-        ctx = game.UtilityContext(make_ap(0, 0, 0, channels=(0, 1, 2, 3)),
-                                  [math.inf, 3e-7, math.inf, 3e-7], [0.0] * 4, 1e-3, 1e-8)
-        args = response_args(ctx)
+        args = make_context(make_ap(0, 0, 0, channels=(0, 1, 2, 3)),
+                            [math.inf, 3e-7, math.inf, 3e-7], [0.0] * 4, 1e-3, 1e-8)
         for current in [OFF, 0, 1, 2, 3]:
             assert selfish_response(*args, current) == best_response(*args, current)
         assert [best_response(*args, current)[0] for current in [OFF, 0, 1, 2, 3]] \
@@ -151,40 +157,33 @@ class TestUtility:
         # interference and weights; the best channel must not change
         rng = np.random.default_rng(3)
         topo, model, state = random_instance(rng)
-        ctx = utility_context(1, topo, state, model)
-        scaled = game.UtilityContext(
-            player=ctx.player,
-            interference=ctx.interference * 1.0,
-            generated_weight=ctx.generated_weight * 1.0,
-            edge_gain=ctx.edge_gain,
-            noise_power=ctx.noise_power,
-        )
-        assert best_response(*response_args(ctx), OFF)[0] \
-            == best_response(*response_args(scaled), OFF)[0]
+        interference, weight, player = ctx = utility_context(1, topo, state, model)
+        scaled = (interference * 1.0, weight * 1.0, player)
+        assert best_response(*ctx, OFF)[0] == best_response(*scaled, OFF)[0]
 
 
 class TestResponses:
     def _two_channel_ctx(self, u0, u1):
         """Context where channel utilities are exactly (-u0, -u1) via interference."""
         ap = make_ap(0, 0, 0, beta=1.0, pmax=100.0)
-        return game.UtilityContext(
-            player=ap,
+        return make_context(
+            ap,
             interference=np.array([u0, u1]),
-            generated_weight=np.zeros(2),
+            weight=np.zeros(2),
             edge_gain=1.0,
             noise_power=0.0,
         )
 
     def test_best_response_argmax(self):
         ctx = self._two_channel_ctx(1e-5, 2e-5)
-        k, p = best_response(*response_args(ctx), OFF)
+        k, p = best_response(*ctx, OFF)
         assert k == 0
         assert p == pytest.approx(1e-5)
 
     def test_best_response_tie_keeps_current(self):
         ctx = self._two_channel_ctx(1e-5, 1e-5)
-        assert best_response(*response_args(ctx), 1)[0] == 1
-        assert best_response(*response_args(ctx), OFF)[0] == 0  # no current channel: lowest id
+        assert best_response(*ctx, 1)[0] == 1
+        assert best_response(*ctx, OFF)[0] == 0  # no current channel: lowest id
 
     def test_best_response_matches_enumeration(self):
         rng = np.random.default_rng(4)
@@ -192,9 +191,9 @@ class TestResponses:
             topo, model, state = random_instance(rng, n=3, k=2)
             i = int(rng.integers(3))
             ctx = utility_context(i, topo, state, model)
-            k_star, _ = best_response(*response_args(ctx), int(state.channels[i]))
-            best = max(sorted(topo[i].channels), key=lambda k: utility(ctx, k))
-            assert utility(ctx, k_star) == utility(ctx, best)
+            k_star, _ = best_response(*ctx, int(state.channels[i]))
+            best = max(sorted(topo[i].channels), key=lambda k: utility(*ctx, k))
+            assert utility(*ctx, k_star) == utility(*ctx, best)
 
     def test_best_response_never_worsens_mover(self):
         rng = np.random.default_rng(5)
@@ -203,27 +202,27 @@ class TestResponses:
             i = int(rng.integers(8))
             cur = int(state.channels[i])
             ctx = utility_context(i, topo, state, model)
-            k_star, _ = best_response(*response_args(ctx), cur)
-            assert utility(ctx, k_star) >= utility(ctx, cur)
+            k_star, _ = best_response(*ctx, cur)
+            assert utility(*ctx, k_star) >= utility(*ctx, cur)
 
     def test_selfish_response_argmin(self):
         ap = make_ap(0, 0, 0, channels=(0, 1, 2))
-        ctx = game.UtilityContext(
-            player=ap,
+        ctx = make_context(
+            ap,
             interference=np.array([1e-6, 1e-7, 1e-6]),
-            generated_weight=np.zeros(3),
+            weight=np.zeros(3),
             edge_gain=1e-3, noise_power=1e-8,
         )
-        assert selfish_response(*response_args(ctx), OFF)[0] == 1
+        assert selfish_response(*ctx, OFF)[0] == 1
 
     def test_selfish_on_empty_channels_picks_lowest(self):
         ap = make_ap(0, 0, 0, radius=10.0, beta=2.0)
-        ctx = game.UtilityContext(
-            player=ap,
-            interference=np.zeros(2), generated_weight=np.zeros(2),
+        ctx = make_context(
+            ap,
+            interference=np.zeros(2), weight=np.zeros(2),
             edge_gain=1e-3, noise_power=1e-8,
         )
-        k, p = selfish_response(*response_args(ctx), OFF)
+        k, p = selfish_response(*ctx, OFF)
         assert k == 0
         assert p == pytest.approx(2.0 * 1e-8 / 1e-3)
 
@@ -242,29 +241,30 @@ class TestResponses:
             channels = rng.integers(0, 3, size=n).astype(np.int64)
             state = AllocationState(channels, np.full(n, 0.05))
             i = int(rng.integers(n))
-            ctx = utility_context(i, topo, state, model)
-            args = response_args(ctx)
+            args = utility_context(i, topo, state, model)
             assert selfish_response(*args, OFF)[0] == best_response(*args, OFF)[0]
 
 
 def loop_best_response(ctx, current_channel):
     """Per-channel loop that the vectorised best_response must reproduce."""
+    interference, _, player = ctx
     best_k, best_u = -1, -math.inf
-    for k in sorted(ctx.player.channels):
-        u = utility(ctx, k)
+    for k in sorted(player.channels):
+        u = utility(*ctx, k)
         if u > best_u or (u == best_u and k == current_channel):
             best_k, best_u = k, u
-    return best_k, ctx.necessary_power(best_k)
+    return best_k, capped_power(player, interference[best_k])
 
 
 def loop_selfish_response(ctx, current_channel):
     """Per-channel loop that the vectorised selfish_response must reproduce."""
+    interference, _, player = ctx
     best_k, best_i = -1, math.inf
-    for k in sorted(ctx.player.channels):
-        v = float(ctx.interference[k])
+    for k in sorted(player.channels):
+        v = float(interference[k])
         if v < best_i or (v == best_i and k == current_channel):
             best_k, best_i = k, v
-    return best_k, ctx.necessary_power(best_k)
+    return best_k, capped_power(player, interference[best_k])
 
 
 @st.composite
@@ -280,10 +280,10 @@ def response_cases(draw):
     channels = draw(st.sets(st.integers(0, k_total - 1), min_size=1))
     ap = make_ap(0, 0, 0, beta=draw(st.floats(1.0, 6.0)),
                  pmax=draw(st.sampled_from([1e-4, 0.1, 100.0])), channels=tuple(channels))
-    ctx = game.UtilityContext(
-        player=ap,
+    ctx = make_context(
+        ap,
         interference=np.array([i for i, _ in pairs]),
-        generated_weight=np.array([g for _, g in pairs]),
+        weight=np.array([g for _, g in pairs]),
         edge_gain=draw(st.sampled_from([1e-3, 0.5, 1.0])),
         noise_power=draw(st.sampled_from([0.0, 1e-8])),
     )
@@ -295,13 +295,13 @@ class TestVectorisedResponses:
     @given(response_cases())
     def test_best_response_equals_channel_loop(self, case):
         ctx, current = case
-        assert best_response(*response_args(ctx), current) == loop_best_response(ctx, current)
+        assert best_response(*ctx, current) == loop_best_response(ctx, current)
 
     @settings(max_examples=200, deadline=None)
     @given(response_cases())
     def test_selfish_response_equals_channel_loop(self, case):
         ctx, current = case
-        assert selfish_response(*response_args(ctx), current) == loop_selfish_response(ctx, current)
+        assert selfish_response(*ctx, current) == loop_selfish_response(ctx, current)
 
 
 class TestPotentials:
@@ -432,9 +432,9 @@ def sweep_is_nash_equilibrium(topology, state, model):
     for i, ap in enumerate(topology):
         ctx = utility_context(i, topology, state, model, gains_true=gt, gains_est=ge)
         cur = int(state.channels[i])
-        u_cur = utility(ctx, cur) if cur != OFF else -math.inf
+        u_cur = utility(*ctx, cur) if cur != OFF else -math.inf
         for k in ap.channels:
-            if utility(ctx, k) > u_cur:
+            if utility(*ctx, k) > u_cur:
                 return False
     return True
 
@@ -448,7 +448,7 @@ def loop_is_nash_equilibrium(network, state):
         # every AP is a neighbour; i's own pair adds its zero gain
         pairs = enumerate(network.gains_est[i].tolist())
         weight = generated_weight(pairs, channels, active, network.num_channels)
-        if best_response(*response_args(context(network, i, ch, wp, weight)), cur)[0] != cur:
+        if best_response(*context(network, i, ch, wp, weight), cur)[0] != cur:
             return False
     return True
 

@@ -2,7 +2,7 @@
 
 import math
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from apgame.model import (
     AccessPoint,
     AllocationState,
     Network,
+    Player,
     PropagationModel,
     ap_positions,
     co_channel_mask,
@@ -193,6 +194,30 @@ class TestNetwork:
         for name in ("edge", "beta", "caps", "gains_true", "gains_est", "candidates"):
             with pytest.raises(ValueError):
                 getattr(net, name)[0] = 1.0
+
+    def test_players_equal_the_access_points(self):
+        rng = np.random.default_rng(12)
+        m = PropagationModel.sample(6, rng)
+        sets = [(0, 1, 2), (2,), (4, 0), (3, 1), (0, 1, 2), (5,)]
+        topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=3.0 + i, beta=1.0 + i,
+                        pmax=0.01 * (1 + i), channels=ks) for i, ks in enumerate(sets)]
+        net = Network(topo, m)
+        assert net.players == tuple(
+            Player(tuple(sorted(ap.channels)), ap.sinr_target, m.noise_power,
+                   edge_gain(ap, m), ap.max_power)
+            for ap in topo)
+        assert [p.channels for p in net.players] == [(0, 1, 2), (2,), (0, 4), (1, 3),
+                                                     (0, 1, 2), (5,)]
+        # the columns hold the same numbers
+        assert [p.edge for p in net.players] == net.edge.tolist()
+        assert [p.beta for p in net.players] == net.beta.tolist()
+        assert [p.cap for p in net.players] == net.caps.tolist()
+        with pytest.raises(FrozenInstanceError):
+            net.players = ()
+        with pytest.raises(TypeError):
+            net.players[0] = net.players[1]
+        with pytest.raises(AttributeError):
+            net.players[0].cap = 1.0
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_columns_and_candidates_equal_the_per_ap_forms(self, clustered):

@@ -28,7 +28,6 @@ from apgame.schedulers import is_nash_equilibrium, run_dynamics
 from oracles import (
     generated_weight,
     necessary_power,
-    response_args,
     topology_distances,
     utility_context,
 )
@@ -121,6 +120,20 @@ class TestRunDynamics:
         assert result.iterations <= 3
         assert sorted(state.channels.tolist()) == [0, 1]
         assert is_nash_equilibrium(Network(topo, model), state)
+
+    @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
+    def test_a_mover_on_a_channel_it_lacks_is_rejected_before_any_write(self, timing):
+        # APs 0 and 1 share channel 1 and would move before AP 4, which sits on channel 7
+        topo = [make_ap(i, 30.0 * i, 0.0, channels=(0, 1, 2)) for i in range(6)]
+        net = Network(topo, flat_model(6))
+        state = AllocationState(np.array([1, 1, 2, 2, 7, 0]), np.full(6, 0.01))
+        before = state.channels.tobytes(), state.powers.tobytes()
+        with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
+            run_dynamics(net, state, 5, knowledge=None, **timing)
+        assert (state.channels.tobytes(), state.powers.tobytes()) == before
+        # AP 4 may hold the channel while it does not move
+        run_dynamics(net, state, 5, knowledge=None, active={0, 1, 2, 3, 5}, **timing)
+        assert state.channels[4] == 7
 
     def test_knowledge_is_required(self):
         # no default: a call that forgets what the movers know fails loudly
@@ -333,7 +346,7 @@ class TestSufficiencyEnforcement:
             ctx = utility_context(i, topo, oracle, model, known,
                                        gains_true=gt, gains_est=ge)
             old_k = int(oracle.channels[i])
-            new_k, new_p = game.best_response(*response_args(ctx), old_k)
+            new_k, new_p = game.best_response(*ctx, old_k)
             if new_k != old_k:
                 moves.append((i, old_k, new_k, new_p))
             oracle.channels[i] = new_k
@@ -389,9 +402,9 @@ class TestEngineContexts:
                         nearest_cover_set(neighbour_order(net.positions, i), state).tolist())
                 oracle = utility_context(i, topo, state, model, known,
                                               gains_true=gt, gains_est=ge)
-                assert np.array_equal(interference, oracle.interference)
-                assert np.array_equal(weight, oracle.generated_weight)
-                assert player == game.Player.of(topo[i], oracle.noise_power, oracle.edge_gain)
+                assert np.array_equal(interference, oracle[0])
+                assert np.array_equal(weight, oracle[1])
+                assert player == oracle[2]
                 assert current == int(state.channels[i])
                 seen.append(i)
                 return respond(interference, weight, player, current)
@@ -440,9 +453,9 @@ class TestListContextsBitEqual:
                 oracle = utility_context(i, topo, state, model, known,
                                          gains_true=gt, gains_est=ge)
                 assert type(interference) is list
-                assert np.array(interference).tobytes() == oracle.interference.tobytes()
+                assert np.array(interference).tobytes() == oracle[0].tobytes()
                 assert type(weight) is list
-                assert np.array(weight).tobytes() == oracle.generated_weight.tobytes()
+                assert np.array(weight).tobytes() == oracle[1].tobytes()
                 seen.append(i)
                 return respond(interference, weight, player, current)
             return spy
