@@ -60,15 +60,15 @@ def run_dynamics(
     or nothing for ``None``, which makes best response the selfish rule.
     ``enforce_sufficiency`` adds the mover's nearest cover set at the
     current profile. A move's ``u_before``/``u_after`` are the game utility
-    under that knowledge. A mover on a channel outside its own set raises
-    ValueError before anything is written.
+    under that knowledge. An AP, mover or not, on a channel outside its own
+    set raises ValueError before anything is written.
     """
     players = network.players
     ids = sorted(active) if active is not None else list(range(len(players)))
     chl = state.channels.tolist()
-    for i in ids:
-        if chl[i] != OFF and chl[i] not in players[i].channels:
-            raise ValueError(f"channel {chl[i]} is not available to AP {i}")
+    for i, (k, player) in enumerate(zip(chl, players)):
+        if k != OFF and k not in player.channels:
+            raise ValueError(f"channel {k} is not available to AP {i}")
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
 

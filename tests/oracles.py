@@ -9,7 +9,9 @@ quantities with whole-array kernels (``model.true_gain_matrix``,
 forms, bit for bit where the operation order matches. ``context`` and
 ``generated_weight`` are the engine's former per-player context functions;
 a context is the ``(interference, weight, player)`` triple that
-``game.utility`` and the response rules take first.
+``game.utility`` and the response rules take first. ``solve_channel_powers``
+is the greedy bound's admission solve with a fresh gather of the group's
+coupling, against which the bound's kept per-channel I - M is held.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from apgame.baselines import _POWER_PAD
 from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
@@ -207,6 +210,35 @@ def local_optimality_check(
     argmin_measured = min(own.channels, key=lambda k: (float(interference[k]), k))
     argmin_generated = min(own.channels, key=lambda k: (float(weight[k]), k))
     return argmin_measured == argmin_generated
+
+
+def solve_channel_powers(
+    members: list[int],
+    beta: np.ndarray,
+    edge: np.ndarray,
+    caps: np.ndarray,
+    noise_power: float,
+    gt: np.ndarray,
+) -> np.ndarray | None:
+    """Exact power fixed point for one co-channel group, or None if infeasible.
+
+    Solves p_a = beta_a (N0 + sum_b g_ba p_b) / g_aa and requires a positive
+    solution, stable because the coupling is nonnegative, with headroom under
+    every power cap. ``beta``, ``edge`` and ``caps`` are indexed by AP id.
+    """
+    m = len(members)
+    beta, edge, caps = beta[members], edge[members], caps[members]
+    # gt has a zero diagonal, so the coupling has one too
+    coupling = beta[:, None] * gt[np.ix_(members, members)].T / edge[:, None]
+    const = beta * noise_power / edge
+    try:
+        p = np.linalg.solve(np.eye(m) - coupling, const)
+    except np.linalg.LinAlgError:
+        return None
+    p = p * (1.0 + _POWER_PAD)
+    if np.any(p <= 0) or np.any(p > caps):
+        return None
+    return p
 
 
 def candidate_test(i: AccessPoint, j: AccessPoint) -> bool:

@@ -1,5 +1,6 @@
 """Random, selfish and greedy-admission reference schemes."""
 
+import bisect
 import itertools
 
 import numpy as np
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from apgame.baselines import (
+    _CHOICE_SLACK,
     _POWER_PAD,
     _draw_allocation,
-    _solve_channel_powers,
     greedy_admission_bound,
     random_allocation,
 )
-from apgame.harness import ScenarioConfig, generate_topology
+from apgame.harness import ScenarioConfig, _setup, generate_topology
 from apgame.model import (
     OFF,
     AccessPoint,
@@ -28,7 +29,7 @@ from apgame.model import (
     true_gain_matrix,
 )
 from apgame.schedulers import run_dynamics
-from oracles import player, topology_distances
+from oracles import player, solve_channel_powers, topology_distances
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -185,6 +186,38 @@ class TestGreedyAdmissionBound:
             assert count == int(np.sum(admitted))
             assert np.all(sat[admitted])
 
+    @pytest.mark.parametrize("left_channel", [0, 1])
+    def test_equal_received_power_picks_the_lower_channel(self, left_channel):
+        # AP 2 sits midway between two APs pinned to channels 0 and 1 and is
+        # admitted last; both channels bring it the same received power, to
+        # the bit, and the strict tie rule keeps the lower channel
+        topo = [make_ap(0, -30.0, 0.0, channels=(left_channel,)),
+                make_ap(1, 30.0, 0.0, channels=(1 - left_channel,)),
+                make_ap(2, 0.0, 0.0)]
+        net = Network(topo, flat_model(3))
+        seed = next(s for s in range(100) if np.random.default_rng(s).permutation(3)[2] == 2)
+        state, count = greedy_admission_bound(net, np.random.default_rng(seed))
+        gt = net.gains_true
+        # APs 0 and 1 alike, each alone on its channel when AP 2 chooses
+        assert gt[0, 2] == gt[1, 2] and net.players[0][1:] == net.players[1][1:]
+        assert count == 3
+        assert state.channels[2] == 0
+        expected, _ = masked_greedy_admission_bound(topo, net.model, np.random.default_rng(seed),
+                                                    np.ascontiguousarray(gt))
+        assert state.powers.tobytes() == expected.powers.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4000), spread=st.floats(0.0, 12.0), seed=st.integers(0, 2**32 - 1))
+    def test_in_order_sums_stay_inside_the_choice_slack(self, n, spread, seed):
+        # the channel choice ranks channels by one in-order sum each and takes
+        # each group's exact np.add.reduce for every channel within
+        # _CHOICE_SLACK of the least demand; the two sums must differ by less
+        terms = np.random.default_rng(seed).lognormal(-20.0, spread, n)
+        in_order = np.bincount(np.zeros(n, np.intp), terms, 1)[0]
+        exact = np.add.reduce(terms)
+        assert abs(in_order - exact) <= 2 * n * 2.0**-53 * exact
+        assert abs(in_order - exact) < _CHOICE_SLACK * exact
+
     def test_never_exceeds_bruteforce_optimum(self):
         for seed in range(5):
             rng = np.random.default_rng((73, seed))
@@ -242,7 +275,7 @@ class TestChannelPowerSolve:
             if rho is not None and radius > 0:
                 gt[block] *= rho / radius
             expected = guarded_channel_powers(members, beta, edge, caps, 1e-8, gt)
-            solved = _solve_channel_powers(members, beta, edge, caps, 1e-8, gt)
+            solved = solve_channel_powers(members, beta, edge, caps, 1e-8, gt)
             if expected is None:
                 assert solved is None
             else:
@@ -288,7 +321,7 @@ def masked_greedy_admission_bound(topology, model, rng, gt):
                 best_k, best_demand = k, demand
         on_k = (state.channels == best_k) & (state.powers > 0)
         members = np.flatnonzero(on_k).tolist() + [i]
-        solved = _solve_channel_powers(members, beta, edge, caps, model.noise_power, gt)
+        solved = solve_channel_powers(members, beta, edge, caps, model.noise_power, gt)
         if solved is None:
             continue
         state.channels[i] = best_k
@@ -323,6 +356,24 @@ def allocation_instances(draw):
             sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=channels,
         ))
     return Network(topology, PropagationModel.sample(n, rng)), rng
+
+
+def one_channel_network(n, rng, side):
+    """``n`` APs that all have channel 0 alone, placed in a ``side`` x ``side`` square."""
+    topology = [AccessPoint(
+        id=i, position=(float(rng.uniform(0, side)), float(rng.uniform(0, side))),
+        coverage_radius=float(rng.uniform(3.0, 20.0)), coordination_radius=40.0,
+        sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=frozenset({0}),
+    ) for i in range(n)]
+    return Network(topology, PropagationModel.sample(n, rng))
+
+
+@st.composite
+def one_channel_instances(draw):
+    """Up to 80 APs on one channel; the smaller squares turn some away."""
+    n = draw(st.integers(1, 80))
+    side = draw(st.sampled_from([40.0, 100.0, 300.0]))
+    return one_channel_network(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), side)
 
 
 class TestMemberListOracle:
@@ -382,3 +433,53 @@ class TestMemberListOracle:
         assert state.channels.tobytes() == expected.channels.tobytes()
         assert state.powers.tobytes() == expected.powers.tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=one_channel_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_one_channel_bound_equals_masked_bound(self, instance, seed):
+        # every admission borders the one group's kept I - M, whatever the
+        # AP's place among the admitted ids, and rejections leave it as it was
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        state, admitted = greedy_admission_bound(instance, rng_a)
+        expected, expected_admitted = masked_greedy_admission_bound(
+            instance.topology, instance.model, rng_b, np.ascontiguousarray(instance.gains_true))
+        assert admitted == expected_admitted
+        assert state.channels.tobytes() == expected.channels.tobytes()
+        assert state.powers.tobytes() == expected.powers.tobytes()
+
+    def test_one_channel_instance_inserts_everywhere_and_rejects(self):
+        # a fixed dense one-channel instance of the strategy above: admissions
+        # land first, between and last among the admitted ids, and some APs
+        # are turned away; the bound still equals the masked oracle
+        instance = one_channel_network(80, np.random.default_rng(12), side=60.0)
+        perm = np.random.default_rng(3).permutation(80).tolist()
+        state, admitted = greedy_admission_bound(instance, np.random.default_rng(3))
+        expected, _ = masked_greedy_admission_bound(
+            instance.topology, instance.model, np.random.default_rng(3),
+            np.ascontiguousarray(instance.gains_true))
+        assert state.powers.tobytes() == expected.powers.tobytes()
+        assert 1 < admitted < 80
+        members, places = [], set()
+        for i in perm:
+            if state.powers[i] > 0:
+                pos = bisect.bisect(members, i)
+                places.add("first" if pos == 0 else "last" if pos == len(members) else "between")
+                bisect.insort(members, i)
+        assert places == {"first", "between", "last"}
+
+    @pytest.mark.parametrize("scenario", [dict(num_aps=305, duration=200.0),
+                                          dict(num_aps=1000, duration=10.0)],
+                             ids=["paper-305", "scale-1000"])
+    def test_benchmark_networks_equal_the_masked_bound(self, scenario):
+        # the run networks and bound stream of seed 1; compared on this
+        # machine, since LAPACK builds may differ in the last bits
+        network, _, _, streams = _setup(ScenarioConfig(seed=1, **scenario))
+        bound_rng = streams[3]
+        twin = np.random.default_rng()
+        twin.bit_generator.state = bound_rng.bit_generator.state
+        state, admitted = greedy_admission_bound(network, bound_rng)
+        expected, expected_admitted = masked_greedy_admission_bound(
+            network.topology, network.model, twin, np.ascontiguousarray(network.gains_true))
+        assert admitted == expected_admitted
+        assert state.channels.tobytes() == expected.channels.tobytes()
+        assert state.powers.tobytes() == expected.powers.tobytes()

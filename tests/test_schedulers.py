@@ -131,9 +131,23 @@ class TestRunDynamics:
         with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
             run_dynamics(net, state, 5, knowledge=None, **timing)
         assert (state.channels.tobytes(), state.powers.tobytes()) == before
-        # AP 4 may hold the channel while it does not move
-        run_dynamics(net, state, 5, knowledge=None, active={0, 1, 2, 3, 5}, **timing)
-        assert state.channels[4] == 7
+        # nor may AP 4 hold the channel while it does not move
+        with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
+            run_dynamics(net, state, 5, knowledge=None, active={0, 1, 2, 3, 5}, **timing)
+        assert (state.channels.tobytes(), state.powers.tobytes()) == before
+
+    @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
+    def test_a_non_mover_on_a_channel_it_lacks_is_rejected_before_any_write(self, timing):
+        # AP 4 sits on channel 7 of a 3-channel network and does not move; the
+        # movers know it, so its channel would index their per-channel weight
+        topo = [make_ap(i, 30.0 * i, 0.0, channels=(0, 1, 2)) for i in range(6)]
+        net = Network(topo, flat_model(6))
+        state = AllocationState(np.array([1, 1, 2, 2, 7, 0]), np.full(6, 0.01))
+        before = state.channels.tobytes(), state.powers.tobytes()
+        with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
+            run_dynamics(net, state, 5, knowledge=KnowledgeBase.full(6),
+                         active={0, 1, 2, 3, 5}, **timing)
+        assert (state.channels.tobytes(), state.powers.tobytes()) == before
 
     def test_knowledge_is_required(self):
         # no default: a call that forgets what the movers know fails loudly
