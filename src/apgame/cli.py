@@ -175,6 +175,7 @@ def _verify_nash(seed: int) -> tuple[bool, str]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    ScenarioConfig(seed=args.seed).validate()  # the default scenario: only --seed can fail
     checks = [_verify_exactness, _verify_ordinal, _verify_nash]
     all_ok = True
     for check in checks:

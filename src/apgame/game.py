@@ -17,16 +17,6 @@ import numpy as np
 from .model import OFF, AllocationState, Network, Player, co_channel_mask, necessary_power
 
 
-def profile_arrays(state: AllocationState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The engine's per-AP arrays: ``act``, ``ch`` and ``wp`` of ``state``.
-
-    ``ch`` holds each AP's channel (0 when silent) and ``wp`` its power times
-    its activity, so a silent AP adds an exact +0.0 to any per-channel sum.
-    """
-    act = (state.channels != OFF) & (state.powers > 0)
-    return act, np.where(act, state.channels, 0), state.powers * act
-
-
 def utility(interference: list[float], weight: list[float], player: Player, k: int) -> float:
     """Negative of measured interference plus estimated generated interference on channel k.
 

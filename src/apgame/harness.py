@@ -83,6 +83,8 @@ class ScenarioConfig:
     cluster_std: float = 60.0
 
     def validate(self) -> None:
+        if self.seed < 0:  # numpy's own message names no input
+            raise ValueError(f"--seed must be nonnegative, got {self.seed}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

@@ -117,17 +117,23 @@ class PropagationModel:
 class AllocationState:
     """Per-AP (channel, transmit power); the strategy profile.
 
-    ``channels[i] == OFF`` together with ``powers[i] == 0`` marks a silent AP.
+    ``channels[i] == OFF`` with ``powers[i] == 0`` marks a silent AP; an AP
+    transmits when its power is positive. Channels are integers >= ``OFF``.
     """
 
     channels: np.ndarray
     powers: np.ndarray
 
     def __post_init__(self) -> None:
-        ch = np.asarray(self.channels, dtype=np.int64)
+        raw = np.asarray(self.channels)
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range value fails the test below
+            ch = raw.astype(np.int64)
         p = np.asarray(self.powers, dtype=float)
         if ch.shape != p.shape or ch.ndim != 1:
             raise ValueError("channels and powers must be 1-D arrays of equal length")
+        bad = np.flatnonzero((ch != raw) | (ch < OFF))
+        if len(bad):
+            raise ValueError(f"channel {raw[bad[0]]} of AP {bad[0]} is not an integer >= {OFF}")
         if not np.all(np.isfinite(p) & (p >= 0)):
             raise ValueError("powers must be finite and nonnegative")
         if np.any((p > 0) & (ch == OFF)):
@@ -166,37 +172,35 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(a[:, 0:1] - b[:, 0], a[:, 1:2] - b[:, 1])
 
 
-def _gain_matrix(topology: list[AccessPoint], model: PropagationModel, distances: np.ndarray,
-                 shadowing: np.ndarray | float, receiver_major: bool) -> np.ndarray:
-    """Path loss to the receiver's coverage edge times ``shadowing``; zero diagonal.
+def path_loss(topology: list[AccessPoint], model: PropagationModel,
+              distances: np.ndarray) -> np.ndarray:
+    """Receiver-major path loss: entry [j, i] from transmitter i to receiver j's coverage edge.
 
-    Entry [i, j] is the gain from transmitter i at receiver j, or, with
-    ``receiver_major``, from transmitter j at receiver i. Distances and
-    shadowing are symmetric, so the two layouts are exact transposes.
+    ``distances`` is the APs' ``pairwise_distances``; the diagonal is zero.
+    Distances and shadowing are symmetric, so both gain layouts are products
+    of this one matrix (``true_gain_matrix``, ``estimated_gain_matrix``).
     """
     r = np.array([ap.coverage_radius for ap in topology])
-    r_rx = r[:, None] if receiver_major else r[None, :]
-    eff = np.maximum(distances - r_rx, model.min_separation)
-    g = eff ** -model.path_loss_exponent * shadowing
-    np.fill_diagonal(g, 0.0)
-    return g
+    loss = np.subtract(distances, r[:, None])
+    np.maximum(loss, model.min_separation, out=loss)
+    loss **= -model.path_loss_exponent
+    np.fill_diagonal(loss, 0.0)
+    return loss
 
 
-def true_gain_matrix(topology: list[AccessPoint], model: PropagationModel,
-                     distances: np.ndarray) -> np.ndarray:
+def true_gain_matrix(loss: np.ndarray, model: PropagationModel) -> np.ndarray:
     """Gain G[i, j] from transmitter i at receiver j, sampled shadowing; zero diagonal.
 
-    ``distances`` is the APs' ``pairwise_distances``. G is the ``.T`` view of
-    a C-ordered receiver-major matrix, so each receiver's incoming gains
-    ``G[:, j]`` are contiguous.
+    ``loss`` is the ``path_loss`` matrix. G is the ``.T`` view of a C-ordered
+    receiver-major matrix, so each receiver's incoming gains ``G[:, j]`` are
+    contiguous.
     """
-    return _gain_matrix(topology, model, distances, model.shadow_samples, True).T
+    return (loss * model.shadow_samples).T
 
 
-def estimated_gain_matrix(topology: list[AccessPoint], model: PropagationModel,
-                          distances: np.ndarray) -> np.ndarray:
+def estimated_gain_matrix(loss: np.ndarray, model: PropagationModel) -> np.ndarray:
     """``true_gain_matrix`` with the mean shadowing gain, C-ordered; zero diagonal."""
-    return _gain_matrix(topology, model, distances, model.mean_linear_gain, False)
+    return np.multiply(loss.T, model.mean_linear_gain, order="C")
 
 
 def candidate_matrix(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
@@ -237,8 +241,8 @@ class Network:
     ``positions`` holds the AP coordinates; ``edge[i]``, ``beta[i]`` and
     ``caps[i]`` are AP i's ``edge_gain``, SINR target and power cap, which
     ``players[i]`` holds too, with its channels, for scalar loops;
-    ``gains_true``, ``gains_est`` and ``candidates`` are the three matrix
-    kernels of one distance matrix, which is not kept. Every array is
+    ``candidates`` and the ``path_loss`` behind ``gains_true`` and ``gains_est``
+    come from one distance matrix; neither is kept. Every array is
     read-only. ``num_channels`` is one more than the highest channel id.
     A topology whose powers times gains, or demands, can overflow raises ValueError.
     """
@@ -259,6 +263,9 @@ class Network:
         topology, model = self.topology, self.model
         positions = ap_positions(topology)
         distances = pairwise_distances(positions, positions)
+        candidates = candidate_matrix(topology, distances)
+        loss = path_loss(topology, model, distances)
+        del distances
         players = tuple(Player(tuple(sorted(ap.channels)), ap.sinr_target, model.noise_power,
                                float(edge_gain(ap, model)), ap.max_power) for ap in topology)
         object.__setattr__(self, "players", players)
@@ -267,9 +274,9 @@ class Network:
             "edge": np.array([p.edge for p in players]),
             "beta": np.array([p.beta for p in players]),
             "caps": np.array([p.cap for p in players]),
-            "gains_true": true_gain_matrix(topology, model, distances),
-            "gains_est": estimated_gain_matrix(topology, model, distances),
-            "candidates": candidate_matrix(topology, distances),
+            "gains_true": true_gain_matrix(loss, model),
+            "gains_est": estimated_gain_matrix(loss, model),
+            "candidates": candidates,
         }
         for name, a in arrays.items():
             a.flags.writeable = False
@@ -289,7 +296,7 @@ class Network:
 def co_channel_mask(state: AllocationState) -> np.ndarray:
     """Matrix with [i, j] true iff i and j are distinct, active and on one channel."""
     ch = state.channels
-    active = (ch != OFF) & (state.powers > 0)
+    active = state.powers > 0
     co = (ch[:, None] == ch[None, :]) & active[:, None] & active[None, :]
     np.fill_diagonal(co, False)
     return co
@@ -302,7 +309,7 @@ def received_interference(state: AllocationState, gains_true: np.ndarray) -> np.
     bit-equal to a column sum over all APs, whose other terms are exact +0.0.
     """
     p, ch = state.powers, state.channels
-    active = (ch != OFF) & (p > 0)
+    active = p > 0
     interference = np.zeros(len(p))
     for k in np.unique(ch[active]).tolist():
         m = np.flatnonzero(active & (ch == k))

@@ -61,23 +61,26 @@ def run_dynamics(
     ``enforce_sufficiency`` adds the mover's nearest cover set at the
     current profile. A move's ``u_before``/``u_after`` are the game utility
     under that knowledge. An AP, mover or not, on a channel outside its own
-    set raises ValueError before anything is written.
+    set, or OFF with a nonzero power, raises ValueError before anything is
+    written.
     """
     players = network.players
     ids = sorted(active) if active is not None else list(range(len(players)))
-    chl = state.channels.tolist()
-    for i, (k, player) in enumerate(zip(chl, players)):
+    chl, pl = state.channels.tolist(), state.powers.tolist()
+    for i, (k, p, player) in enumerate(zip(chl, pl, players)):
+        if k == OFF and p != 0:
+            raise ValueError(f"AP {i} is OFF but has power {p}")
         if k != OFF and k not in player.channels:
             raise ValueError(f"channel {k} is not available to AP {i}")
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
 
-    # The engine's view of the profile: arrays for the interference, lists
-    # for the generated weight, the tie rule and the trace. Only applied
-    # updates write to it.
-    act, ch, wp = game.profile_arrays(state)
-    actl, pl = act.tolist(), state.powers.tolist()
+    # The engine's view of the profile: ``state``'s arrays, the bins ``ch``
+    # (0 for OFF) and list mirrors for the generated weight, the tie rule and
+    # the trace. A silent AP's power is 0, so it adds an exact +0.0 to any
+    # per-channel sum. Only applied updates write to it.
     channels, powers = state.channels, state.powers
+    ch = np.maximum(channels, 0)
     gains_est, num_channels = network.gains_est, network.num_channels
     terms = np.empty(len(players))  # one response's interference terms, reused
     # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
@@ -85,43 +88,44 @@ def run_dynamics(
     no_information = [0.0] * num_channels  # the weight of a mover that knows nobody; never written
     dense_from = DENSE_ROW + len(players) // DENSE_ROW_PER_AP
 
-    def known_row(i: int) -> list[tuple[int, float]] | np.ndarray | None:
+    def known_row(i: int) -> list[tuple[int, float]] | np.ndarray:
         """Mover i's known row for the call: (j, ĝ_ij) pairs, or its boolean row when dense."""
         if knowledge is None:
-            return [] if enforce_sufficiency else None
+            return []
         row = knowledge.known[i]
-        if np.count_nonzero(row) > dense_from:
-            return row
         m = np.flatnonzero(row)
+        if len(m) > dense_from:
+            return row
         return list(zip(m.tolist(), gains_est[i, m].tolist()))
 
     orders = {i: neighbour_order(network.positions, i) for i in ids} if enforce_sufficiency else {}
     # per mover: its id, contiguous incoming-gain column, response constants and known row
     movers = [(i, network.gains_true[:, i], players[i], known_row(i)) for i in ids]
 
-    def weight(i: int, row: list[tuple[int, float]] | np.ndarray | None) -> list[float]:
+    def weight(i: int, row: list[tuple[int, float]] | np.ndarray) -> list[float]:
         """Mover i's generated weight over its known row and, if enforced, its cover set."""
-        if row is None:
-            return no_information
         if type(row) is list:
             if enforce_sufficiency:
                 cover = nearest_cover_set(orders[i], state)
                 row = sorted(set(row).union(zip(cover.tolist(), gains_est[i, cover].tolist())))
+            if not row:
+                return no_information
             w = [0.0] * num_channels
             for j, g in row:
-                if actl[j]:
+                if pl[j] > 0:
                     w[chl[j]] += g
             return w
         if enforce_sufficiency:
             row = row.copy()
             row[nearest_cover_set(orders[i], state)] = True
         # the sum over all APs: an unknown or silent AP adds +0.0, in index order
-        return np.bincount(ch, gains_est[i] * (row & (wp > 0)), num_channels).tolist()
+        return np.bincount(ch, gains_est[i] * (row & (powers > 0)), num_channels).tolist()
 
     def response(mover: tuple) -> tuple:
         """The mover's update against the profile as it is before any write."""
         i, column, player, row = mover
-        interference = np.bincount(ch, np.multiply(wp, column, out=terms), num_channels).tolist()
+        np.multiply(powers, column, out=terms)
+        interference = np.bincount(ch, terms, num_channels).tolist()
         w = weight(i, row)
         return i, player, *game.best_response(interference, w, player, chl[i]), interference, w
 
@@ -155,7 +159,7 @@ def run_dynamics(
                         if old_k != OFF:
                             powers[i] = necessary_power(player, interference[old_k])
                         p_before = exact_potential_full(network, state)
-                    channels[i] = key[i] = chl[i] = new_k
+                    channels[i] = key[i] = ch[i] = chl[i] = new_k
                     powers[i] = new_p
                     if record_potential:
                         p_after = exact_potential_full(network, state)
@@ -166,9 +170,6 @@ def run_dynamics(
                 else:
                     powers[i] = new_p
                 pl[i] = new_p
-                actl[i] = new_p > 0
-                ch[i] = new_k
-                wp[i] = new_p
             if activation_changed:
                 k = key.tobytes()
                 if k in seen:
@@ -194,7 +195,7 @@ def is_nash_equilibrium(network: Network, state: AllocationState) -> bool:
     Power is re-optimized to the necessary power on each candidate channel,
     and every AP knows every other: one synchronous activation of
     ``run_dynamics`` on a copy of ``state`` moves no AP, which a tie allows.
-    Its known rows are dense, so it caches no pairs. Guarded against oversized inputs.
+    Above 50 APs its known rows are dense, so it caches no pairs. Guarded against oversized inputs.
     """
     if state.num_aps * network.num_channels > 1_000_000:
         raise ValueError("instance too large for the NE deviation sweep")

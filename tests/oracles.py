@@ -2,11 +2,11 @@
 
 Each function computes one quantity for one AP (or one pair of APs) with a
 plain Python loop over the topology. The package computes the same
-quantities with whole-array kernels (``model.true_gain_matrix``,
-``model.satisfied_mask``, ``KnowledgeBase.from_topology``,
-``knowledge.nearest_cover_set``, the activation kernel of
-``schedulers.run_dynamics``, ...); the tests hold those kernels to these
-forms, bit for bit where the operation order matches. ``context`` and
+quantities with whole-array kernels (``model.path_loss`` and the two gain
+layouts built from it, ``model.satisfied_mask``,
+``KnowledgeBase.from_topology``, ``knowledge.nearest_cover_set``, the
+activation kernel of ``schedulers.run_dynamics``, ...); the tests hold those
+kernels to these forms, bit for bit where the operation order matches. ``context`` and
 ``generated_weight`` are the engine's former per-player context functions;
 a context is the ``(interference, weight, player)`` triple that
 ``game.utility`` and the response rules take first. ``solve_channel_powers``
@@ -16,7 +16,6 @@ coupling, against which the bound's kept per-channel I - M is held.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -33,21 +32,35 @@ from apgame.model import (
     ap_positions,
     edge_gain,
     pairwise_distances,
+    path_loss,
     power_demand,
 )
 
 Context = tuple[np.ndarray | list[float], np.ndarray | list[float], Player]
 
 
-def topology_distances(topology: list[AccessPoint]) -> np.ndarray:
-    """The distance matrix ``Network`` builds its gain matrices and candidates from."""
+def topology_path_loss(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
+    """The path-loss matrix ``Network`` builds both gain matrices from."""
     pos = ap_positions(topology)
-    return pairwise_distances(pos, pos)
+    return path_loss(topology, model, pairwise_distances(pos, pos))
 
 
 def distance(a: AccessPoint, b: AccessPoint) -> float:
-    """Euclidean distance between two APs in meters."""
-    return math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
+    """Euclidean distance between two APs in meters.
+
+    ``np.hypot``, the function behind ``pairwise_distances``: ``math.hypot``
+    can differ from it in the last bit.
+    """
+    return float(np.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1]))
+
+
+def _loss(d: float, model: PropagationModel) -> float:
+    """Path loss at ``d`` meters past the receiver's coverage edge, clipped at ``min_separation``.
+
+    ``np.power`` on a scalar runs the elementwise routine of the array kernel,
+    which can differ from Python's ``**`` in the last bit.
+    """
+    return float(np.power(max(d, model.min_separation), -model.path_loss_exponent))
 
 
 def estimated_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> float:
@@ -57,16 +70,15 @@ def estimated_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> f
     """
     if i.id == j.id:
         raise ValueError("estimated_gain requires two distinct APs")
-    d = max(distance(i, j) - j.coverage_radius, model.min_separation)
-    return d ** -model.path_loss_exponent * model.mean_linear_gain
+    return _loss(distance(i, j) - j.coverage_radius, model) * model.mean_linear_gain
 
 
 def true_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> float:
     """Linear gain from transmitter i at receiver j with sampled shadowing."""
     if i.id == j.id:
         raise ValueError("true_gain requires two distinct APs")
-    d = max(distance(i, j) - j.coverage_radius, model.min_separation)
-    return d ** -model.path_loss_exponent * float(model.shadow_samples[i.id, j.id])
+    shadow = float(model.shadow_samples[i.id, j.id])
+    return _loss(distance(i, j) - j.coverage_radius, model) * shadow
 
 
 def player(ap: AccessPoint, model: PropagationModel) -> Player:
@@ -168,15 +180,15 @@ def utility_context(
     return interference, generated, player(ap, model)
 
 
-def context(network: Network, i: int, ch: np.ndarray, wp: np.ndarray,
-            weight: list[float]) -> Context:
-    """Player i's list-valued context with the given generated ``weight``.
+def context(network: Network, i: int, state: AllocationState, weight: list[float]) -> Context:
+    """Player i's list-valued context at ``state`` with the given generated ``weight``.
 
-    ``ch`` and ``wp`` are those of ``game.profile_arrays``. Silent APs and i
-    add exact zeros, and ``bincount`` adds in index order like a scalar loop:
-    the sums are bit-equal.
+    A silent AP has zero power and i zero gain to itself, so each adds an
+    exact zero (to bin 0 when OFF), and ``bincount`` adds in index order like
+    a scalar loop: the sums are bit-equal.
     """
-    interference = np.bincount(ch, wp * network.gains_true[:, i], network.num_channels)
+    interference = np.bincount(np.maximum(state.channels, 0),
+                               state.powers * network.gains_true[:, i], network.num_channels)
     return interference.tolist(), weight, network.players[i]
 
 

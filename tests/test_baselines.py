@@ -29,7 +29,7 @@ from apgame.model import (
     true_gain_matrix,
 )
 from apgame.schedulers import run_dynamics
-from oracles import player, solve_channel_powers, topology_distances
+from oracles import player, solve_channel_powers, topology_path_loss
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -88,7 +88,7 @@ class TestRandomAllocation:
                              area_height=150.0, seed=4)
         topo, model = generate_topology(cfg, rng)
         state = random_allocation(Network(topo, model), np.random.default_rng(5))
-        gt = true_gain_matrix(topology=topo, model=model, distances=topology_distances(topo))
+        gt = true_gain_matrix(topology_path_loss(topo, model), model)
         for i, ap in enumerate(topo):
             interference = sum(
                 float(state.powers[j]) * gt[j, i]
@@ -125,7 +125,7 @@ class TestRunSelfish:
 def brute_force_admission_optimum(topo, model):
     """Exhaustive search over channel assignments including powering off."""
     n = len(topo)
-    gt = true_gain_matrix(topo, model, topology_distances(topo))
+    gt = true_gain_matrix(topology_path_loss(topo, model), model)
     k_all = sorted(set().union(*(ap.channels for ap in topo)))
     best = 0
     for assignment in itertools.product([OFF] + k_all, repeat=n):

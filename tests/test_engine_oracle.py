@@ -3,7 +3,8 @@
 The reference below is the engine as it was before its hot paths were made
 lean: one frozen context per mover with both bincounts, a mover list built
 on every activation, a masked argmax for the tie rule and the potential over
-a C-ordered transmitter-major gain matrix. Without knowledge the known set is
+a C-ordered transmitter-major gain matrix. It builds its profile arrays and
+co-channel mask from ``state`` itself. Without knowledge the known set is
 empty: the game without neighbour information, the selfish rule. The lean
 engine must reproduce it bit for bit.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgame.game import TraceRecord, profile_arrays
+from apgame.game import TraceRecord
 from apgame.knowledge import KnowledgeBase, nearest_cover_set, neighbour_order
 from apgame.model import (
     OFF,
@@ -26,10 +27,23 @@ from apgame.model import (
     Network,
     Player,
     PropagationModel,
-    co_channel_mask,
     power_demand,
 )
 from apgame.schedulers import POWER_TOLERANCE, RunResult, run_dynamics
+
+
+def ref_profile(state):
+    """Each AP's activity, channel (0 when silent) and power times activity."""
+    act = (state.channels != OFF) & (state.powers > 0)
+    return act, np.where(act, state.channels, 0), state.powers * act
+
+
+def ref_co_channel(state):
+    """[i, j] true iff i and j are distinct, active and on one channel."""
+    act, ch, _ = ref_profile(state)
+    co = (ch[:, None] == ch[None, :]) & act[:, None] & act[None, :]
+    np.fill_diagonal(co, False)
+    return co
 
 
 @dataclass(frozen=True)
@@ -80,7 +94,7 @@ def ref_best_response(ctx, current_channel):
 
 def ref_exact_potential_full(network, state, gt):
     ge = network.gains_est
-    co = co_channel_mask(state)
+    co = ref_co_channel(state)
     p = state.powers
     received = float(np.sum(co * (p[:, None] * gt)))
     generated = float(np.sum(co * (p[:, None] * ge)))
@@ -94,7 +108,7 @@ def ref_run_dynamics(network, state, max_rounds, *, knowledge, synchronous=False
     if not ids:
         return RunResult(converged=True, iterations=0, trace=[], cycle_detected=False)
     per_round = 1 if synchronous else len(ids)
-    act, ch, wp = profile_arrays(state)
+    act, ch, wp = ref_profile(state)
     trace = []
     seen = {state.channels.tobytes()}
     revisit = False

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgame import game
 from apgame.game import (
     TraceRecord,
     appendixB_potential,
@@ -42,7 +41,7 @@ from oracles import (
     generated_weight,
     local_optimality_check,
     necessary_power,
-    topology_distances,
+    topology_path_loss,
     true_gain,
     utility_context,
 )
@@ -137,9 +136,8 @@ class TestUtility:
         topo, model, state = random_instance(rng, k=4)
         state.powers[3:] = 0.0  # the rest transmit on 0 and 1: 2 and 3 tie at zero
         net = Network(topo, model)
-        act, ch, wp = game.profile_arrays(state)
         for i in range(len(topo)):
-            args = context(net, i, ch, wp, [0.0] * net.num_channels)
+            args = context(net, i, state, [0.0] * net.num_channels)
             for k in range(net.num_channels):
                 assert utility(*args, k) == -args[0][k]
             for current in [OFF, *range(net.num_channels)]:
@@ -427,8 +425,8 @@ def sweep_is_nash_equilibrium(topology, state, model):
     """Deviation sweep over ``utility_context`` that ``is_nash_equilibrium``
     must reproduce: it builds both gain matrices and every context with the
     per-AP loop."""
-    gt = true_gain_matrix(topology, model, topology_distances(topology))
-    ge = estimated_gain_matrix(topology, model, topology_distances(topology))
+    loss = topology_path_loss(topology, model)
+    gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
     for i, ap in enumerate(topology):
         ctx = utility_context(i, topology, state, model, gains_true=gt, gains_est=ge)
         cur = int(state.channels[i])
@@ -442,13 +440,12 @@ def sweep_is_nash_equilibrium(topology, state, model):
 def loop_is_nash_equilibrium(network, state):
     """The per-AP loop ``is_nash_equilibrium`` replaced: each AP's ``best_response``
     on the weight of its whole ``gains_est`` row keeps its channel."""
-    act, ch, wp = game.profile_arrays(state)
-    channels, active = state.channels.tolist(), act.tolist()
+    channels, active = state.channels.tolist(), (state.powers > 0).tolist()
     for i, cur in enumerate(channels):
         # every AP is a neighbour; i's own pair adds its zero gain
         pairs = enumerate(network.gains_est[i].tolist())
         weight = generated_weight(pairs, channels, active, network.num_channels)
-        if best_response(*context(network, i, ch, wp, weight), cur)[0] != cur:
+        if best_response(*context(network, i, state, weight), cur)[0] != cur:
             return False
     return True
 

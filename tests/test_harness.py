@@ -333,6 +333,20 @@ class TestCli:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--num-aps", "20", "--duration", "10", "--out", "unused"],
+        ["domino", "--num-aps", "20", "--duration", "10", "--out", "unused"],
+        ["sweep", "--sizes", "10", "--repeats", "1"],
+        ["verify"],
+    ], ids=["run", "domino", "sweep", "verify"])
+    def test_negative_seed_exit_one(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([*argv, "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: --seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "unused").exists()
+
     def test_missing_seed_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--out", str(tmp_path / "out")])

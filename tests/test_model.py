@@ -1,6 +1,7 @@
 """Physical-layer math: gains, interference, SINR and necessary power."""
 
 import math
+import re
 import sys
 from dataclasses import FrozenInstanceError, replace
 
@@ -36,7 +37,7 @@ from oracles import (
     is_satisfied,
     necessary_power,
     sinr,
-    topology_distances,
+    topology_path_loss,
     true_gain,
 )
 
@@ -118,6 +119,21 @@ class TestAllocationState:
         with pytest.raises(ValueError, match="finite"):
             AllocationState(np.array([0]), np.array([power]))
 
+    @pytest.mark.parametrize("channels, entry", [
+        ([1.7, 2], "channel 1.7 of AP 0"),  # was truncated to channel 1
+        ([2, np.nan], "channel nan of AP 1"),
+        ([0, 1e30], "channel 1e+30 of AP 1"),
+    ])
+    def test_non_integer_channel_rejected(self, channels, entry):
+        with pytest.raises(ValueError, match=re.escape(entry)):
+            AllocationState(channels, [0.1, 0.0])
+
+    @pytest.mark.parametrize("power", [0.0, 0.1])
+    def test_channel_below_off_rejected(self, power):
+        # channel -5 at a positive power counted as a transmitter on channel -5
+        with pytest.raises(ValueError, match="channel -5 of AP 1 is not an integer >= -1"):
+            AllocationState([0, -5], [0.1, power])
+
     def test_all_off(self):
         s = AllocationState.all_off(4)
         assert np.all(s.channels == OFF) and np.all(s.powers == 0)
@@ -165,18 +181,24 @@ class TestGains:
         assert all(x > y for x, y in zip(gains, gains[1:]))
 
     def test_gain_matrices_match_scalar_functions(self):
-        rng = np.random.default_rng(9)
-        m = PropagationModel.sample(5, rng)
-        topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=3.0 + i) for i in range(5)]
-        gt = true_gain_matrix(topo, m, topology_distances(topo))
-        ge = estimated_gain_matrix(topo, m, topology_distances(topo))
-        for i in range(5):
-            for j in range(5):
-                if i == j:
-                    assert gt[i, j] == 0 and ge[i, j] == 0
-                else:
-                    assert gt[i, j] == pytest.approx(true_gain(topo[i], topo[j], m))
-                    assert ge[i, j] == pytest.approx(estimated_gain(topo[i], topo[j], m))
+        # both layouts of one path-loss matrix equal the scalar forms bit for
+        # bit; AP 11 sits on AP 0, so the clip at min_separation is taken
+        for seed in (9, 10, 11):
+            rng = np.random.default_rng(seed)
+            m = PropagationModel.sample(12, rng)
+            topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=float(rng.uniform(3, 15)))
+                    for i in range(11)]
+            topo.append(make_ap(11, *topo[0].position))
+            loss = topology_path_loss(topo, m)
+            gt, ge = true_gain_matrix(loss, m), estimated_gain_matrix(loss, m)
+            assert gt.flags.f_contiguous and ge.flags.c_contiguous
+            for i in range(12):
+                for j in range(12):
+                    if i == j:
+                        assert gt[i, j] == 0 and ge[i, j] == 0
+                    else:
+                        assert gt[i, j] == true_gain(topo[i], topo[j], m)
+                        assert ge[i, j] == estimated_gain(topo[i], topo[j], m)
 
 
 class TestNetwork:
@@ -186,9 +208,9 @@ class TestNetwork:
         topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=3.0 + i, beta=1.0 + i,
                         channels=(0, 2)) for i in range(5)]
         net = Network(topo, m)
-        assert np.array_equal(net.gains_true, true_gain_matrix(topo, m, topology_distances(topo)))
-        assert np.array_equal(net.gains_est,
-                              estimated_gain_matrix(topo, m, topology_distances(topo)))
+        loss = topology_path_loss(topo, m)
+        assert np.array_equal(net.gains_true, true_gain_matrix(loss, m))
+        assert np.array_equal(net.gains_est, estimated_gain_matrix(loss, m))
         assert net.edge.tolist() == [edge_gain(ap, m) for ap in topo]
         assert net.num_channels == 3
         for name in ("edge", "beta", "caps", "gains_true", "gains_est", "candidates"):
@@ -254,27 +276,30 @@ class TestNetwork:
                 Network(topo, make_model(2))
 
     def test_one_distance_matrix_per_network_and_per_experiment_setup(self, monkeypatch):
+        # one distance matrix and one path-loss matrix, each over the 40 APs
         calls = []
-        original = model_module.pairwise_distances
+        for kernel in ("pairwise_distances", "path_loss"):
+            original = getattr(model_module, kernel)
 
-        def counted(a, b):
-            calls.append(a.shape)
-            return original(a, b)
+            def counted(first, *rest, _kernel=kernel, _original=original):
+                calls.append((_kernel, len(first)))
+                return _original(first, *rest)
 
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("apgame") and getattr(mod, "pairwise_distances", None) is original:
-                monkeypatch.setattr(mod, "pairwise_distances", counted)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("apgame") and getattr(mod, kernel, None) is original:
+                    monkeypatch.setattr(mod, kernel, counted)
+        once = [("pairwise_distances", 40), ("path_loss", 40)]
         cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0, area_height=300.0,
                              duration=20.0, seed=4)
         Network(*generate_topology(cfg, np.random.default_rng(4)))
-        assert calls == [(40, 2)]
+        assert calls == once
         calls.clear()
         network, kb, _, _ = harness._setup(cfg)
-        assert calls == [(40, 2)]
+        assert calls == once
         assert kb.candidates is network.candidates and not kb.known.any()
         calls.clear()
         harness.run_experiment(cfg)
-        assert calls == [(40, 2)]
+        assert calls == once
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_receiver_major_build_is_the_exact_transpose(self, clustered):
@@ -292,6 +317,10 @@ class TestNetwork:
         assert net.gains_true.tobytes(order="C") == expected.tobytes()
         assert net.gains_true.flags.f_contiguous
         assert net.gains_true.base.flags.c_contiguous
+        # the estimated gains, taken from the same matrix through its .T view
+        expected = eff ** -m.path_loss_exponent * m.mean_linear_gain
+        np.fill_diagonal(expected, 0.0)
+        assert net.gains_est.tobytes() == expected.tobytes() and net.gains_est.flags.c_contiguous
 
 
 class TestInterference:

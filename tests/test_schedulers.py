@@ -28,7 +28,7 @@ from apgame.schedulers import is_nash_equilibrium, run_dynamics
 from oracles import (
     generated_weight,
     necessary_power,
-    topology_distances,
+    topology_path_loss,
     utility_context,
 )
 from test_engine_oracle import instances
@@ -148,6 +148,21 @@ class TestRunDynamics:
             run_dynamics(net, state, 5, knowledge=KnowledgeBase.full(6),
                          active={0, 1, 2, 3, 5}, **timing)
         assert (state.channels.tobytes(), state.powers.tobytes()) == before
+
+    @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
+    def test_an_off_ap_with_power_is_rejected_before_any_write(self, timing):
+        # AP 3's arrays were mutated after construction: OFF at a positive
+        # power, which the engine's per-channel sums would count on channel 0
+        topo = [make_ap(i, 30.0 * i, 0.0, channels=(0, 1, 2)) for i in range(5)]
+        net = Network(topo, flat_model(5))
+        state = AllocationState(np.array([1, 1, 2, 0, 0]), np.full(5, 0.01))
+        state.channels[3] = OFF
+        before = state.channels.tobytes(), state.powers.tobytes()
+        for active in (None, {0, 1, 2, 4}):
+            with pytest.raises(ValueError, match="AP 3 is OFF but has power 0.01"):
+                run_dynamics(net, state, 5, knowledge=KnowledgeBase.full(5), active=active,
+                             **timing)
+            assert (state.channels.tobytes(), state.powers.tobytes()) == before
 
     def test_knowledge_is_required(self):
         # no default: a call that forgets what the movers know fails loudly
@@ -348,8 +363,8 @@ class TestSufficiencyEnforcement:
 
         # replay the same activations: the player knows its known set plus
         # its nearest channel-covering neighbors at the current profile
-        gt = true_gain_matrix(topo, model, topology_distances(topo))
-        ge = estimated_gain_matrix(topo, model, topology_distances(topo))
+        loss = topology_path_loss(topo, model)
+        gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
         oracle = start.copy()
         moves = []
         n = len(topo)
@@ -400,8 +415,8 @@ class TestEngineContexts:
             dstate = DiscoveryState(rng=np.random.default_rng(74))
             for _ in range(3):
                 discovery_tick(dstate, kb, topo)
-        gt = true_gain_matrix(topo, model, topology_distances(topo))
-        ge = estimated_gain_matrix(topo, model, topology_distances(topo))
+        loss = topology_path_loss(topo, model)
+        gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
         movers = sorted(set(range(30)) - {11, 20})
         seen = []
 
@@ -453,8 +468,8 @@ class TestListContextsBitEqual:
             kb = KnowledgeBase.complete(topo)
             if level == "partial":
                 kb.known &= rng.random((n, n)) < 0.5
-        gt = true_gain_matrix(topo, model, topology_distances(topo))
-        ge = estimated_gain_matrix(topo, model, topology_distances(topo))
+        loss = topology_path_loss(topo, model)
+        gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
         seen = []
 
         def checked(respond):
@@ -547,9 +562,9 @@ class TestWeightForms:
                 if enforce_sufficiency:
                     known |= set(
                         nearest_cover_set(neighbour_order(network.positions, i), state).tolist())
-                act = game.profile_arrays(state)[0]
                 pairs = [(j, float(ge[i, j])) for j in sorted(known)]
-                loop = generated_weight(pairs, state.channels.tolist(), act.tolist(),
+                loop = generated_weight(pairs, state.channels.tolist(),
+                                        (state.powers > 0).tolist(),
                                         network.num_channels)
                 assert type(weight) is list
                 assert np.array(weight).tobytes() == np.array(loop).tobytes()
