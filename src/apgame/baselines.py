@@ -106,7 +106,7 @@ def greedy_admission_bound(
     """
     players, gt = network.players, network.gains_true
     beta, edge, caps = network.beta, network.edge, network.caps
-    const = beta * network.model.noise_power / edge
+    const = beta * network.noise_power / edge
     n = len(players)
     empty = np.empty(0)
     groups = [_Group(n, empty, empty) for _ in range(network.num_channels)]

@@ -157,6 +157,8 @@ class ScenarioConfig:
             if "=" not in line:
                 raise ValueError(f"bad config line: {line!r}")
             key, _, value = line.partition("=")
+            if key.strip() == "seed":  # a file line would lose to the required flag unseen
+                raise ValueError("config key seed is not read from a file; pass --seed")
             mapping[key.strip()] = value.strip()
         cfg = cls()
         cfg.apply(mapping)
@@ -234,7 +236,7 @@ def discovery_completion_ticks(
     ``known`` holds only candidates, a row is complete once it counts them all.
     """
     rng = np.random.default_rng((config.seed, num_aps, rep))
-    topology, _ = generate_topology(config, rng, num_aps=num_aps)
+    topology = generate_topology(config, rng, num_aps=num_aps)[0]
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
     known, log = kb.known, dstate.exchange_log

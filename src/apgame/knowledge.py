@@ -72,13 +72,15 @@ def nearest_cover_set(order: np.ndarray, state: AllocationState) -> np.ndarray:
     ``order`` is a ``neighbour_order``; a channel counts as busy when one of
     its APs transmits on it, and channels that none of them uses impose no
     requirement. The prefix ends at the last of the busy channels' first
-    transmitters; it is empty when none transmits.
+    transmitters, found without a sort; it is empty when none transmits.
     """
     on = np.flatnonzero(state.powers[order] > 0)
     if not len(on):
         return order[:0]
-    _, first = np.unique(state.channels[order[on]], return_index=True)
-    return order[:on[first.max()] + 1]
+    channels = state.channels[order[on]]
+    first = np.full(channels.max() + 1, len(on))  # len(on) marks an idle channel
+    np.minimum.at(first, channels, np.arange(len(on)))
+    return order[:on[first[first < len(on)].max()] + 1]
 
 
 def discovery_tick(

@@ -1,14 +1,15 @@
 """Physical-layer arithmetic: topology, propagation, SINR and transmit power.
 
 All quantities are linear (not dB) and in SI units: meters, watts,
-dimensionless gains and ratios. Functions here are pure; they never mutate
-their inputs.
+dimensionless gains and ratios. Functions here never mutate their inputs,
+except that ``path_loss`` and ``true_gain_matrix`` overwrite the N x N
+buffer they are given, so that set-up holds no temporary N x N copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -102,9 +103,13 @@ class PropagationModel:
         noise_power: float = 1e-8,
     ) -> "PropagationModel":
         """Draw one symmetric shadowing matrix and bundle the parameters."""
-        x_db = rng.normal(shadow_mean_db, shadow_std_db, size=(num_aps, num_aps))
-        upper = np.triu(10.0 ** (x_db / 10.0), 1)
-        z = upper + upper.T + np.eye(num_aps)
+        # in place, and mirrored by row slices: triangle indices would cost N² index pairs
+        z = rng.normal(shadow_mean_db, shadow_std_db, size=(num_aps, num_aps))
+        z /= 10.0
+        np.power(10.0, z, out=z)
+        for i in range(1, num_aps):
+            z[i, :i] = z[:i, i]
+        np.fill_diagonal(z, 1.0)
         return cls(
             path_loss_exponent=path_loss_exponent,
             mean_linear_gain=lognormal_mean_linear(shadow_mean_db, shadow_std_db),
@@ -169,19 +174,21 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The one distance kernel: each entry is the same elementwise hypot, so a
     row computed alone equals that row of the whole matrix bit for bit.
     """
-    return np.hypot(a[:, 0:1] - b[:, 0], a[:, 1:2] - b[:, 1])
+    dx = a[:, 0:1] - b[:, 0]
+    return np.hypot(dx, a[:, 1:2] - b[:, 1], out=dx)
 
 
 def path_loss(topology: list[AccessPoint], model: PropagationModel,
               distances: np.ndarray) -> np.ndarray:
     """Receiver-major path loss: entry [j, i] from transmitter i to receiver j's coverage edge.
 
-    ``distances`` is the APs' ``pairwise_distances``; the diagonal is zero.
-    Distances and shadowing are symmetric, so both gain layouts are products
-    of this one matrix (``true_gain_matrix``, ``estimated_gain_matrix``).
+    ``distances`` is the APs' ``pairwise_distances``, which this overwrites
+    and returns as the loss; the diagonal is zero. Distances and shadowing
+    are symmetric, so both gain layouts are products of this one matrix
+    (``true_gain_matrix``, ``estimated_gain_matrix``).
     """
     r = np.array([ap.coverage_radius for ap in topology])
-    loss = np.subtract(distances, r[:, None])
+    loss = np.subtract(distances, r[:, None], out=distances)
     np.maximum(loss, model.min_separation, out=loss)
     loss **= -model.path_loss_exponent
     np.fill_diagonal(loss, 0.0)
@@ -191,11 +198,11 @@ def path_loss(topology: list[AccessPoint], model: PropagationModel,
 def true_gain_matrix(loss: np.ndarray, model: PropagationModel) -> np.ndarray:
     """Gain G[i, j] from transmitter i at receiver j, sampled shadowing; zero diagonal.
 
-    ``loss`` is the ``path_loss`` matrix. G is the ``.T`` view of a C-ordered
-    receiver-major matrix, so each receiver's incoming gains ``G[:, j]`` are
-    contiguous.
+    ``loss`` is the ``path_loss`` matrix, which this overwrites: G is the
+    ``.T`` view of ``loss`` times the shadowing, so each receiver's incoming
+    gains ``G[:, j]`` are contiguous. Take ``estimated_gain_matrix`` first.
     """
-    return (loss * model.shadow_samples).T
+    return np.multiply(loss, model.shadow_samples, out=loss).T
 
 
 def estimated_gain_matrix(loss: np.ndarray, model: PropagationModel) -> np.ndarray:
@@ -242,13 +249,17 @@ class Network:
     ``caps[i]`` are AP i's ``edge_gain``, SINR target and power cap, which
     ``players[i]`` holds too, with its channels, for scalar loops;
     ``candidates`` and the ``path_loss`` behind ``gains_true`` and ``gains_est``
-    come from one distance matrix; neither is kept. Every array is
-    read-only. ``num_channels`` is one more than the highest channel id.
-    A topology whose powers times gains, or demands, can overflow raises ValueError.
+    come from one distance matrix, whose buffer ends as ``gains_true``'s.
+    Of ``model`` only ``noise_power`` is kept: the shadowing sample is freed
+    with the caller's reference, so set-up holds at most three N x N float
+    matrices and keeps two. Every array is read-only. ``num_channels`` is one
+    more than the highest channel id. A topology whose powers times gains,
+    or demands, can overflow raises ValueError.
     """
 
     topology: list[AccessPoint]
-    model: PropagationModel
+    model: InitVar[PropagationModel]
+    noise_power: float = field(init=False)
     positions: np.ndarray = field(init=False, repr=False)
     edge: np.ndarray = field(init=False, repr=False)
     beta: np.ndarray = field(init=False, repr=False)
@@ -259,13 +270,13 @@ class Network:
     candidates: np.ndarray = field(init=False, repr=False)
     num_channels: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        topology, model = self.topology, self.model
+    def __post_init__(self, model: PropagationModel) -> None:
+        topology = self.topology
+        object.__setattr__(self, "noise_power", model.noise_power)
         positions = ap_positions(topology)
         distances = pairwise_distances(positions, positions)
         candidates = candidate_matrix(topology, distances)
         loss = path_loss(topology, model, distances)
-        del distances
         players = tuple(Player(tuple(sorted(ap.channels)), ap.sinr_target, model.noise_power,
                                float(edge_gain(ap, model)), ap.max_power) for ap in topology)
         object.__setattr__(self, "players", players)
@@ -274,8 +285,8 @@ class Network:
             "edge": np.array([p.edge for p in players]),
             "beta": np.array([p.beta for p in players]),
             "caps": np.array([p.cap for p in players]),
-            "gains_true": true_gain_matrix(loss, model),
             "gains_est": estimated_gain_matrix(loss, model),
+            "gains_true": true_gain_matrix(loss, model),  # overwrites loss, so it comes last
             "candidates": candidates,
         }
         for name, a in arrays.items():
@@ -286,7 +297,7 @@ class Network:
         gain = max(float(self.gains_true.max()), float(self.gains_est.max()))
         received = len(topology) * float(self.caps.max()) * gain
         edge = float(self.edge.min())
-        demand = (float(self.beta.max()) * (model.noise_power + received) / edge
+        demand = (float(self.beta.max()) * (self.noise_power + received) / edge
                   if edge > 0 else math.inf)
         if not math.isfinite(demand):
             raise ValueError(f"the largest received power (APs x max_power x gain), {received}, "
@@ -320,5 +331,5 @@ def received_interference(state: AllocationState, gains_true: np.ndarray) -> np.
 def satisfied_mask(network: Network, state: AllocationState) -> np.ndarray:
     """Whether each AP transmits and meets its SINR target at its coverage edge."""
     # a silent AP has zero power, so an SINR of zero, below its positive target
-    noise_plus_i = network.model.noise_power + received_interference(state, network.gains_true)
+    noise_plus_i = network.noise_power + received_interference(state, network.gains_true)
     return network.edge * state.powers / noise_plus_i >= network.beta

@@ -12,6 +12,10 @@ a context is the ``(interference, weight, player)`` triple that
 ``game.utility`` and the response rules take first. ``solve_channel_powers``
 is the greedy bound's admission solve with a fresh gather of the group's
 coupling, against which the bound's kept per-channel I - M is held.
+``shadow_out_of_place``, ``distances_out_of_place`` and
+``loss_out_of_place`` are the set-up formulas that held a temporary N x N
+copy per step, and ``unique_cover_set`` is the cover set by ``np.unique``;
+the package's in-place and sort-free forms must return the same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from apgame.baselines import _POWER_PAD
+from apgame.harness import ScenarioConfig, generate_topology
 from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
@@ -43,6 +48,40 @@ def topology_path_loss(topology: list[AccessPoint], model: PropagationModel) -> 
     """The path-loss matrix ``Network`` builds both gain matrices from."""
     pos = ap_positions(topology)
     return path_loss(topology, model, pairwise_distances(pos, pos))
+
+
+def setup_topology(config: ScenarioConfig) -> tuple[list[AccessPoint], PropagationModel]:
+    """The topology and model that ``harness._setup`` draws for ``config``, drawn again.
+
+    ``Network`` keeps no ``PropagationModel``; a test that needs the model
+    behind a ``_setup`` network redraws it from the same topology stream.
+    """
+    seeds = np.random.default_rng(config.seed).integers(2**63, size=6)
+    return generate_topology(config, np.random.default_rng(seeds[0]))
+
+
+def shadow_out_of_place(num_aps: int, rng: np.random.Generator, *,
+                        shadow_mean_db: float = 0.0, shadow_std_db: float = 8.0) -> np.ndarray:
+    """``PropagationModel.sample``'s matrix as the upper triangle plus its transpose plus I."""
+    x_db = rng.normal(shadow_mean_db, shadow_std_db, size=(num_aps, num_aps))
+    upper = np.triu(10.0 ** (x_db / 10.0), 1)
+    return upper + upper.T + np.eye(num_aps)
+
+
+def distances_out_of_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``pairwise_distances`` with ``np.hypot`` into a fresh array."""
+    return np.hypot(a[:, 0:1] - b[:, 0], a[:, 1:2] - b[:, 1])
+
+
+def loss_out_of_place(topology: list[AccessPoint], model: PropagationModel,
+                      distances: np.ndarray) -> np.ndarray:
+    """``path_loss`` that leaves ``distances`` as it was."""
+    r = np.array([ap.coverage_radius for ap in topology])
+    loss = np.subtract(distances, r[:, None])
+    np.maximum(loss, model.min_separation, out=loss)
+    loss **= -model.path_loss_exponent
+    np.fill_diagonal(loss, 0.0)
+    return loss
 
 
 def distance(a: AccessPoint, b: AccessPoint) -> float:
@@ -290,6 +329,15 @@ def nearest_cover_set(
         if not needed:
             return prefix
     return prefix
+
+
+def unique_cover_set(order: np.ndarray, state: AllocationState) -> np.ndarray:
+    """``knowledge.nearest_cover_set``, the busy channels' first transmitters from ``np.unique``."""
+    on = np.flatnonzero(state.powers[order] > 0)
+    if not len(on):
+        return order[:0]
+    _, first = np.unique(state.channels[order[on]], return_index=True)
+    return order[:on[first.max()] + 1]
 
 
 def sufficiency_check(

@@ -29,7 +29,7 @@ from apgame.model import (
     true_gain_matrix,
 )
 from apgame.schedulers import run_dynamics
-from oracles import player, solve_channel_powers, topology_path_loss
+from oracles import player, setup_topology, solve_channel_powers, topology_path_loss
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -194,7 +194,8 @@ class TestGreedyAdmissionBound:
         topo = [make_ap(0, -30.0, 0.0, channels=(left_channel,)),
                 make_ap(1, 30.0, 0.0, channels=(1 - left_channel,)),
                 make_ap(2, 0.0, 0.0)]
-        net = Network(topo, flat_model(3))
+        model = flat_model(3)
+        net = Network(topo, model)
         seed = next(s for s in range(100) if np.random.default_rng(s).permutation(3)[2] == 2)
         state, count = greedy_admission_bound(net, np.random.default_rng(seed))
         gt = net.gains_true
@@ -202,7 +203,7 @@ class TestGreedyAdmissionBound:
         assert gt[0, 2] == gt[1, 2] and net.players[0][1:] == net.players[1][1:]
         assert count == 3
         assert state.channels[2] == 0
-        expected, _ = masked_greedy_admission_bound(topo, net.model, np.random.default_rng(seed),
+        expected, _ = masked_greedy_admission_bound(topo, model, np.random.default_rng(seed),
                                                     np.ascontiguousarray(gt))
         assert state.powers.tobytes() == expected.powers.tobytes()
 
@@ -287,7 +288,7 @@ class TestChannelPowerSolve:
             assert (True, False) in outcomes
 
 
-def masked_draw_allocation(state, ids, network, rng):
+def masked_draw_allocation(state, ids, network, model, rng):
     """The allocation pass with one scalar draw per AP and O(N) co-channel masks."""
     topology, gt = network.topology, network.gains_true
     for i in ids:
@@ -298,7 +299,7 @@ def masked_draw_allocation(state, ids, network, rng):
         co = (state.channels == state.channels[i]) & (state.powers > 0)
         co[i] = False
         interference = float(np.sum(state.powers[co] * gt[co, i]))
-        demand = power_demand(player(ap, network.model), interference)
+        demand = power_demand(player(ap, model), interference)
         state.powers[i] = min(demand, ap.max_power)
 
 
@@ -336,6 +337,7 @@ def allocation_instances(draw):
 
     Windows of one width over the channel range give equal sizes on
     different sets; with mixed sizes the singleton sets pin their APs.
+    Returns the network, its ``PropagationModel`` and the rng.
     """
     n = draw(st.integers(1, 40))
     k = draw(st.integers(1, 5))
@@ -355,17 +357,19 @@ def allocation_instances(draw):
             coverage_radius=float(rng.uniform(3.0, 20.0)), coordination_radius=40.0,
             sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=channels,
         ))
-    return Network(topology, PropagationModel.sample(n, rng)), rng
+    model = PropagationModel.sample(n, rng)
+    return Network(topology, model), model, rng
 
 
 def one_channel_network(n, rng, side):
-    """``n`` APs that all have channel 0 alone, placed in a ``side`` x ``side`` square."""
+    """``n`` APs with channel 0 alone in a ``side`` x ``side`` square, and their model."""
     topology = [AccessPoint(
         id=i, position=(float(rng.uniform(0, side)), float(rng.uniform(0, side))),
         coverage_radius=float(rng.uniform(3.0, 20.0)), coordination_radius=40.0,
         sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=frozenset({0}),
     ) for i in range(n)]
-    return Network(topology, PropagationModel.sample(n, rng))
+    model = PropagationModel.sample(n, rng)
+    return Network(topology, model), model
 
 
 @st.composite
@@ -383,7 +387,7 @@ class TestMemberListOracle:
     @given(instance=allocation_instances(), pre_active=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_draw_allocation_equals_masked_pass(self, instance, pre_active, seed):
-        network, rng = instance
+        network, model, rng = instance
         n = len(network.topology)
         start = AllocationState.all_off(n)
         if pre_active:
@@ -398,7 +402,7 @@ class TestMemberListOracle:
         state, expected = start.copy(), start.copy()
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         _draw_allocation(state, ids, network, rng_a)
-        masked_draw_allocation(expected, ids, network, rng_b)
+        masked_draw_allocation(expected, ids, network, model, rng_b)
         assert state.channels.tobytes() == expected.channels.tobytes()
         assert state.powers.tobytes() == expected.powers.tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -407,7 +411,8 @@ class TestMemberListOracle:
         rng = np.random.default_rng(81)
         cfg = ScenarioConfig(num_aps=60, num_channels=3, clustered=True, num_clusters=3,
                              seed=81)
-        network = Network(*generate_topology(cfg, rng))
+        topology, model = generate_topology(cfg, rng)
+        network = Network(topology, model)
         ids = list(range(20, 35))
         start = AllocationState.all_off(60)
         _draw_allocation(start, [i for i in range(60) if i not in ids], network,
@@ -415,7 +420,7 @@ class TestMemberListOracle:
         state, expected = start.copy(), start.copy()
         rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
         _draw_allocation(state, ids, network, rng_a)
-        masked_draw_allocation(expected, ids, network, rng_b)
+        masked_draw_allocation(expected, ids, network, model, rng_b)
         assert state.channels.tobytes() == expected.channels.tobytes()
         assert state.powers.tobytes() == expected.powers.tobytes()
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -423,8 +428,8 @@ class TestMemberListOracle:
     @settings(max_examples=100, deadline=None)
     @given(instance=allocation_instances(), seed=st.integers(0, 2**32 - 1))
     def test_greedy_bound_equals_masked_bound(self, instance, seed):
-        network, _ = instance
-        topology, model = network.topology, network.model
+        network, model, _ = instance
+        topology = network.topology
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         state, admitted = greedy_admission_bound(network, rng_a)
         expected, expected_admitted = masked_greedy_admission_bound(
@@ -439,10 +444,11 @@ class TestMemberListOracle:
     def test_one_channel_bound_equals_masked_bound(self, instance, seed):
         # every admission borders the one group's kept I - M, whatever the
         # AP's place among the admitted ids, and rejections leave it as it was
+        network, model = instance
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        state, admitted = greedy_admission_bound(instance, rng_a)
+        state, admitted = greedy_admission_bound(network, rng_a)
         expected, expected_admitted = masked_greedy_admission_bound(
-            instance.topology, instance.model, rng_b, np.ascontiguousarray(instance.gains_true))
+            network.topology, model, rng_b, np.ascontiguousarray(network.gains_true))
         assert admitted == expected_admitted
         assert state.channels.tobytes() == expected.channels.tobytes()
         assert state.powers.tobytes() == expected.powers.tobytes()
@@ -451,12 +457,12 @@ class TestMemberListOracle:
         # a fixed dense one-channel instance of the strategy above: admissions
         # land first, between and last among the admitted ids, and some APs
         # are turned away; the bound still equals the masked oracle
-        instance = one_channel_network(80, np.random.default_rng(12), side=60.0)
+        network, model = one_channel_network(80, np.random.default_rng(12), side=60.0)
         perm = np.random.default_rng(3).permutation(80).tolist()
-        state, admitted = greedy_admission_bound(instance, np.random.default_rng(3))
+        state, admitted = greedy_admission_bound(network, np.random.default_rng(3))
         expected, _ = masked_greedy_admission_bound(
-            instance.topology, instance.model, np.random.default_rng(3),
-            np.ascontiguousarray(instance.gains_true))
+            network.topology, model, np.random.default_rng(3),
+            np.ascontiguousarray(network.gains_true))
         assert state.powers.tobytes() == expected.powers.tobytes()
         assert 1 < admitted < 80
         members, places = [], set()
@@ -473,13 +479,16 @@ class TestMemberListOracle:
     def test_benchmark_networks_equal_the_masked_bound(self, scenario):
         # the run networks and bound stream of seed 1; compared on this
         # machine, since LAPACK builds may differ in the last bits
-        network, _, _, streams = _setup(ScenarioConfig(seed=1, **scenario))
+        config = ScenarioConfig(seed=1, **scenario)
+        network, _, _, streams = _setup(config)
+        topology, model = setup_topology(config)
+        assert topology == network.topology
         bound_rng = streams[3]
         twin = np.random.default_rng()
         twin.bit_generator.state = bound_rng.bit_generator.state
         state, admitted = greedy_admission_bound(network, bound_rng)
         expected, expected_admitted = masked_greedy_admission_bound(
-            network.topology, network.model, twin, np.ascontiguousarray(network.gains_true))
+            topology, model, twin, np.ascontiguousarray(network.gains_true))
         assert admitted == expected_admitted
         assert state.channels.tobytes() == expected.channels.tobytes()
         assert state.powers.tobytes() == expected.powers.tobytes()

@@ -177,7 +177,8 @@ def instances(draw):
     """A small network with some restricted channel sets and a mixed profile.
 
     Silent APs are OFF or hold a channel at zero power; dense placements make
-    co-channel moves, ties and the power cap likely.
+    co-channel moves, ties and the power cap likely. Returns the network, the
+    profile, the rng and the network's ``PropagationModel``, which it does not keep.
     """
     n = draw(st.integers(2, 12))
     k = draw(st.integers(2, 4))
@@ -195,13 +196,14 @@ def instances(draw):
             coverage_radius=radius, coordination_radius=40.0,
             sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=channels,
         ))
-    network = Network(topology, PropagationModel.sample(n, rng))
+    model = PropagationModel.sample(n, rng)
+    network = Network(topology, model)
     channels = np.array([
         draw(st.sampled_from([OFF] + sorted(ap.channels))) for ap in topology
     ])
     powers = np.array([draw(st.just(0.0) | st.floats(1e-5, 0.1)) for _ in range(n)])
     powers[channels == OFF] = 0.0
-    return network, AllocationState(channels, powers), rng
+    return network, AllocationState(channels, powers), rng, model
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,7 +218,7 @@ def instances(draw):
 )
 def test_engine_equals_reference(instance, synchronous, knowledge_level, enforce_sufficiency,
                                  record_potential, subset, max_rounds):
-    network, start, rng = instance
+    network, start, rng, _ = instance
     n = len(network.topology)
     knowledge = None
     if knowledge_level == "full":

@@ -352,7 +352,8 @@ class TestReceiverMajorLayout:
         rng = np.random.default_rng(seed)
         cfg = ScenarioConfig(num_aps=n, num_channels=int(rng.integers(1, 14)),
                              clustered=clustered, seed=0)
-        net = Network(*generate_topology(cfg, rng))
+        topo, model = generate_topology(cfg, rng)
+        net = Network(topo, model)
         assert net.gains_true.flags.f_contiguous and net.gains_true.base is not None
         gt = np.ascontiguousarray(net.gains_true)
         ge = net.gains_est
@@ -365,13 +366,13 @@ class TestReceiverMajorLayout:
         # every active AP's target is set to its SINR exactly, so a sum that
         # adds in another order and ends a bit higher flips its AP
         interference = np.sum(co * (p[:, None] * gt), axis=0)
-        ratio = net.edge * p / (net.model.noise_power + interference)
+        ratio = net.edge * p / (model.noise_power + interference)
         topology = [replace(ap, sinr_target=float(ratio[i])) if p[i] > 0 else ap
                     for i, ap in enumerate(net.topology)]
         beta = np.array([ap.sinr_target for ap in topology])
         expected_mask = ratio >= beta
         assert expected_mask.sum() == np.count_nonzero(p)
-        assert np.array_equal(satisfied_mask(Network(topology, net.model), state), expected_mask)
+        assert np.array_equal(satisfied_mask(Network(topology, model), state), expected_mask)
         # the mask reads the F-ordered gains; its interference equals the C-ordered one's
         assert (received_interference(state, net.gains_true).tobytes()
                 == received_interference(state, gt).tobytes())
@@ -426,7 +427,7 @@ def sweep_is_nash_equilibrium(topology, state, model):
     must reproduce: it builds both gain matrices and every context with the
     per-AP loop."""
     loss = topology_path_loss(topology, model)
-    gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
+    ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
     for i, ap in enumerate(topology):
         ctx = utility_context(i, topology, state, model, gains_true=gt, gains_est=ge)
         cur = int(state.channels[i])

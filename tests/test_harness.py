@@ -268,6 +268,19 @@ class TestCli:
         text = (tmp_path / "out" / "metrics.csv").read_text()
         assert text.splitlines()[-1].startswith("30,")
 
+    @pytest.mark.parametrize("line", ["seed=-4", "seed = 3"])
+    def test_seed_in_config_file_exit_one(self, tmp_path, capsys, line):
+        # the required --seed flag would silently override the file's value
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"num_aps=20\n{line}\n")
+        code = cli.main(["run", "--config", str(cfg), "--seed", "3",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "--seed" in err
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exit_one(self, tmp_path):
         code = cli.main(self.run_flags(tmp_path, extra=["--num-aps", "-5"]))
         assert code == 1

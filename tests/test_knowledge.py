@@ -15,7 +15,7 @@ from apgame.knowledge import (
     neighbour_order,
 )
 from apgame.model import OFF, AccessPoint, AllocationState, ap_positions, pairwise_distances
-from oracles import candidate_test, sufficiency_check
+from oracles import candidate_test, sufficiency_check, unique_cover_set
 from oracles import nearest_cover_set as oracle_cover_set
 
 
@@ -192,6 +192,39 @@ class TestCoverSetAgainstOracle:
             assert row.tobytes() == full[i].tobytes()
             order = neighbour_order(pos, i)
             assert sorted(order.tolist(), key=lambda j: (full[i, j], j)) == order.tolist()
+
+
+class TestCoverSetWithoutSort:
+    """The sort-free first transmitters give the prefix of the ``np.unique`` form."""
+
+    @staticmethod
+    def assert_equals_unique_form(order, state):
+        got, expected = nearest_cover_set(order, state), unique_cover_set(order, state)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_unique_form(self, data):
+        n = data.draw(st.integers(1, 40))
+        # a few channel ids, far apart or not, that many APs repeat
+        pool = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=6, unique=True))
+        channels = data.draw(st.lists(st.sampled_from([OFF] + pool), min_size=n, max_size=n))
+        powers = data.draw(st.lists(st.sampled_from([0.0, 1e-6, 0.05]), min_size=n, max_size=n))
+        powers = [0.0 if k == OFF else p for k, p in zip(channels, powers)]
+        state = AllocationState(np.array(channels), np.array(powers))
+        order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)[1:]
+        self.assert_equals_unique_form(order, state)
+
+    @pytest.mark.parametrize("channels, powers", [
+        ([OFF] * 5, [0.0] * 5),  # every AP OFF
+        ([0, 2, 2, OFF, 1], [0.0] * 5),  # channels held at zero power
+        ([3, 3, 3, 3, 3], [0.01] * 5),  # one channel, all transmitting
+    ])
+    def test_no_or_one_busy_channel(self, channels, powers):
+        state = AllocationState(np.array(channels), np.array(powers))
+        for i in range(5):
+            self.assert_equals_unique_form(neighbour_order(np.zeros((5, 2)), i), state)
+        self.assert_equals_unique_form(np.arange(0), state)
 
 
 class TestSufficiency:

@@ -3,6 +3,8 @@
 import math
 import re
 import sys
+import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -27,15 +29,19 @@ from apgame.model import (
     estimated_gain_matrix,
     lognormal_mean_linear,
     pairwise_distances,
+    path_loss,
     received_interference,
     satisfied_mask,
     true_gain_matrix,
 )
 from oracles import (
+    distances_out_of_place,
     estimated_gain,
     interference_at,
     is_satisfied,
+    loss_out_of_place,
     necessary_power,
+    shadow_out_of_place,
     sinr,
     topology_path_loss,
     true_gain,
@@ -190,7 +196,7 @@ class TestGains:
                     for i in range(11)]
             topo.append(make_ap(11, *topo[0].position))
             loss = topology_path_loss(topo, m)
-            gt, ge = true_gain_matrix(loss, m), estimated_gain_matrix(loss, m)
+            ge, gt = estimated_gain_matrix(loss, m), true_gain_matrix(loss, m)
             assert gt.flags.f_contiguous and ge.flags.c_contiguous
             for i in range(12):
                 for j in range(12):
@@ -209,8 +215,8 @@ class TestNetwork:
                         channels=(0, 2)) for i in range(5)]
         net = Network(topo, m)
         loss = topology_path_loss(topo, m)
-        assert np.array_equal(net.gains_true, true_gain_matrix(loss, m))
         assert np.array_equal(net.gains_est, estimated_gain_matrix(loss, m))
+        assert np.array_equal(net.gains_true, true_gain_matrix(loss, m))
         assert net.edge.tolist() == [edge_gain(ap, m) for ap in topo]
         assert net.num_channels == 3
         for name in ("edge", "beta", "caps", "gains_true", "gains_est", "candidates"):
@@ -321,6 +327,64 @@ class TestNetwork:
         expected = eff ** -m.path_loss_exponent * m.mean_linear_gain
         np.fill_diagonal(expected, 0.0)
         assert net.gains_est.tobytes() == expected.tobytes() and net.gains_est.flags.c_contiguous
+
+
+class TestSetUpInPlace:
+    """Set-up builds each N x N matrix in place, with the bits of the out-of-place formulas."""
+
+    @pytest.mark.parametrize("n", [1, 2, 305])
+    def test_sample_equals_the_three_temporary_formula(self, n):
+        for seed, (mean_db, std_db) in enumerate([(0.0, 8.0), (0.0, 0.0), (-3.0, 12.0),
+                                                  (2.5, 4.0)]):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = PropagationModel.sample(n, rng, shadow_mean_db=mean_db, shadow_std_db=std_db)
+            expected = shadow_out_of_place(n, twin, shadow_mean_db=mean_db,
+                                           shadow_std_db=std_db)
+            assert np.array_equal(got.shadow_samples, expected)
+            assert got.shadow_samples.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 305])
+    def test_distances_and_loss_equal_the_out_of_place_forms(self, n):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            cfg = ScenarioConfig(num_aps=n, clustered=seed == 2, num_clusters=2, seed=seed)
+            topo, m = generate_topology(cfg, rng)
+            pos = ap_positions(topo)
+            d = pairwise_distances(pos, pos)
+            assert np.array_equal(d, distances_out_of_place(pos, pos))
+            assert np.array_equal(pairwise_distances(pos[:1], pos),
+                                  distances_out_of_place(pos[:1], pos))
+            expected = loss_out_of_place(topo, m, d.copy())
+            loss = path_loss(topo, m, d)
+            assert loss is d  # the distance buffer, overwritten
+            assert np.array_equal(loss, expected)
+
+    def test_setup_holds_three_matrices_and_keeps_two(self):
+        # the shadowing draw, the distances (later the loss and the true
+        # gains) and the estimated gains; bools and the topology's objects
+        # make up the rest
+        n = 1000
+        cfg = ScenarioConfig(num_aps=n, duration=10.0, seed=1)
+        tracemalloc.start()
+        try:
+            setup = harness._setup(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert setup[0].gains_true.shape == (n, n)
+        matrix = 8 * n * n
+        assert peak <= 3.5 * matrix
+        assert kept <= 2.5 * matrix
+
+    def test_network_frees_the_model_it_is_given(self):
+        cfg = ScenarioConfig(num_aps=30, seed=3)
+        made = generate_topology(cfg, np.random.default_rng(3))
+        sampled = weakref.ref(made[1])
+        net = Network(*made)
+        del made
+        assert sampled() is None
+        assert net.noise_power == cfg.noise_power and not hasattr(net, "model")
 
 
 class TestInterference:

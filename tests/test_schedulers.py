@@ -173,7 +173,7 @@ class TestRunDynamics:
     def test_sufficiency_without_knowledge_is_the_cover_set_alone(self):
         # the cover set extends an empty known row: the same run as an empty
         # KnowledgeBase with the flag, and not the selfish run without it
-        net, start, _ = TestSufficiencyEnforcement.instance()
+        net, start, _, _ = TestSufficiencyEnforcement.instance()
         runs = []
         for kwargs in (dict(knowledge=None, enforce_sufficiency=True),
                        dict(knowledge=KnowledgeBase.from_topology(net.topology),
@@ -346,17 +346,18 @@ class TestSufficiencyEnforcement:
         rng = np.random.default_rng(71)
         cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0,
                              area_height=300.0, seed=71)
-        net = Network(*generate_topology(cfg, rng))
+        topo, model = generate_topology(cfg, rng)
+        net = Network(topo, model)
         state = random_allocation(net, rng)
         kb = KnowledgeBase.from_topology(net.topology)
         dstate = DiscoveryState(rng=np.random.default_rng(72))
         for _ in range(3):
             discovery_tick(dstate, kb, net.topology)
-        return net, state, kb
+        return net, state, kb, model
 
     def test_moves_match_step_by_step_oracle(self):
-        net, state, kb = self.instance()
-        topo, model = net.topology, net.model
+        net, state, kb, model = self.instance()
+        topo = net.topology
         start = state.copy()
         result = run_dynamics(net, state, 30, knowledge=kb, enforce_sufficiency=True)
         assert result.trace
@@ -364,7 +365,7 @@ class TestSufficiencyEnforcement:
         # replay the same activations: the player knows its known set plus
         # its nearest channel-covering neighbors at the current profile
         loss = topology_path_loss(topo, model)
-        gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
+        ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
         oracle = start.copy()
         moves = []
         n = len(topo)
@@ -388,7 +389,7 @@ class TestSufficiencyEnforcement:
         assert np.array_equal(state.powers, oracle.powers)
 
     def test_flag_changes_the_outcome(self):
-        net, state, kb = self.instance()
+        net, state, kb, _ = self.instance()
         plain = state.copy()
         run_dynamics(net, state, 30, knowledge=kb, enforce_sufficiency=True)
         run_dynamics(net, plain, 30, knowledge=kb)
@@ -404,8 +405,8 @@ class TestEngineContexts:
         rng = np.random.default_rng(73)
         cfg = ScenarioConfig(num_aps=30, num_channels=4, area_width=250.0,
                              area_height=250.0, seed=73)
-        net = Network(*generate_topology(cfg, rng))
-        topo, model = net.topology, net.model
+        topo, model = generate_topology(cfg, rng)
+        net = Network(topo, model)
         state = random_allocation(net, rng)
         state.channels[[3, 11, 20]] = OFF  # silent, two of them never move
         state.powers[[3, 11, 20, 25]] = 0.0  # AP 25 keeps a channel at zero power
@@ -416,7 +417,7 @@ class TestEngineContexts:
             for _ in range(3):
                 discovery_tick(dstate, kb, topo)
         loss = topology_path_loss(topo, model)
-        gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
+        ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
         movers = sorted(set(range(30)) - {11, 20})
         seen = []
 
@@ -458,8 +459,8 @@ class TestListContextsBitEqual:
            synchronous=st.booleans())
     def test_contexts_bit_equal_utility_context(self, instance, level, enforce_sufficiency,
                                                 synchronous):
-        network, state, rng = instance
-        topo, model = network.topology, network.model
+        network, state, rng, model = instance
+        topo = network.topology
         n = len(topo)
         kb = None
         if level == "full":
@@ -469,7 +470,7 @@ class TestListContextsBitEqual:
             if level == "partial":
                 kb.known &= rng.random((n, n)) < 0.5
         loss = topology_path_loss(topo, model)
-        gt, ge = true_gain_matrix(loss, model), estimated_gain_matrix(loss, model)
+        ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
         seen = []
 
         def checked(respond):
@@ -504,7 +505,7 @@ class TestTracerSeam:
     @pytest.mark.parametrize("active", [None, set(range(0, 40, 3))])
     @pytest.mark.parametrize("informed", [True, False])
     def test_counting_wrapper_sees_every_activation(self, monkeypatch, timing, active, informed):
-        net, start, kb = TestSufficiencyEnforcement.instance()
+        net, start, kb, _ = TestSufficiencyEnforcement.instance()
         knowledge = kb if informed else None
         plain = start.copy()
         expected = run_dynamics(net, plain, 30, knowledge=knowledge, active=active, **timing)
