@@ -240,13 +240,15 @@ def discovery_completion_ticks(
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
     known, log = kb.known, dstate.exchange_log
-    wanted = np.count_nonzero(kb.candidates, axis=1).tolist()
-    incomplete = {i for i, w in enumerate(wanted) if w}
+    wanted = np.count_nonzero(kb.candidates, axis=1)
+    incomplete = set(np.flatnonzero(wanted).tolist())
     while incomplete:
         start = len(log)
         discovery_tick(dstate, kb, topology)
-        touched = {r for _, i, j in log[start:] for r in (i, j)} & incomplete
-        incomplete -= {r for r in touched if np.count_nonzero(known[r]) == wanted[r]}
+        if len(log) > start:
+            touched = np.fromiter({r for _, i, j in log[start:] for r in (i, j)} & incomplete, int)
+            done = np.count_nonzero(known[touched], axis=1) == wanted[touched]
+            incomplete.difference_update(touched[done].tolist())
         if dstate.tick > max_ticks:
             break
     return dstate.tick

@@ -96,21 +96,25 @@ def discovery_tick(
     they are candidates of the receiver. Hits are handled in probe order,
     each exchange seeing the ones before it.
     """
-    ids = np.array(sorted(active) if active is not None else range(len(topology)), dtype=int)
-    n = len(ids)
+    n = len(topology) if active is None else len(active)
     if n > 1:
         # numpy draws bounded integers one element at a time, so this equals
         # one scalar draw per probe in probe order (tests/golden pins it)
-        draws = dstate.rng.integers(n - 1, size=(n, dstate.samples_per_tick))
-        owners = np.broadcast_to(ids[:, None], draws.shape)
-        peers = ids[draws + (draws >= np.arange(n)[:, None])]
+        peers = dstate.rng.integers(n - 1, size=(n, dstate.samples_per_tick))
+        owners = np.arange(n)[:, None]
+        peers += peers >= owners  # a draw indexes the others: skip the owner's position
+        if active is not None:
+            ids = np.array(sorted(active))
+            owners, peers = ids[owners], ids[peers]
         known, cand = knowledge.known, knowledge.candidates
-        hits = cand[owners, peers]
-        for i, j in zip(owners[hits].tolist(), peers[hits].tolist()):
-            known[i, j] = known[j, i] = True
-            dstate.exchange_log.append((dstate.tick, i, j))
-            known[i] |= known[j] & cand[i]
-            known[j] |= known[i] & cand[j]
+        probes, samples = np.nonzero(cand[owners, peers])  # the hits, in probe order
+        log, tick = dstate.exchange_log, dstate.tick
+        for i, j in zip(owners[probes, 0].tolist(), peers[probes, samples].tolist()):
+            row_i, row_j = known[i], known[j]
+            row_i[j] = row_j[i] = True
+            log.append((tick, i, j))
+            row_i |= row_j & cand[i]
+            row_j |= row_i & cand[j]
     dstate.tick += 1
     return knowledge
 

@@ -322,7 +322,7 @@ def received_interference(state: AllocationState, gains_true: np.ndarray) -> np.
     p, ch = state.powers, state.channels
     active = p > 0
     interference = np.zeros(len(p))
-    for k in np.unique(ch[active]).tolist():
+    for k in np.flatnonzero(np.bincount(ch[active])).tolist():  # the busy channels, ascending
         m = np.flatnonzero(active & (ch == k))
         interference[m] = np.multiply(p[m, None], gains_true[np.ix_(m, m)], order="C").sum(axis=0)
     return interference

@@ -88,19 +88,30 @@ def run_dynamics(
     no_information = [0.0] * num_channels  # the weight of a mover that knows nobody; never written
     dense_from = DENSE_ROW + len(players) // DENSE_ROW_PER_AP
 
-    def known_row(i: int) -> list[tuple[int, float]] | np.ndarray:
-        """Mover i's known row for the call: (j, ĝ_ij) pairs, or its boolean row when dense."""
+    def known_rows() -> list[list[tuple[int, float]] | np.ndarray]:
+        """Each mover's known row for the call: its (j, ĝ_ij) pairs in ascending j,
+        or its boolean row when dense. One nonzero scans the short rows alone."""
         if knowledge is None:
-            return []
-        row = knowledge.known[i]
-        m = np.flatnonzero(row)
-        if len(m) > dense_from:
-            return row
-        return list(zip(m.tolist(), gains_est[i, m].tolist()))
+            return [[]] * len(ids)
+        known = knowledge.known
+        counts = np.count_nonzero(known, axis=1).tolist()
+        short = [i for i in ids if counts[i] <= dense_from]
+        # ``known`` itself, not a copy, when every AP moves and every row is short
+        r, c = np.nonzero(known if len(short) == len(known) else known[short])
+        cl, gl = c.tolist(), gains_est[np.array(short, dtype=np.intp)[r], c].tolist()
+        rows, end = [], 0
+        for i in ids:
+            m = counts[i]
+            if m > dense_from:
+                rows.append(known[i])
+            else:
+                rows.append(list(zip(cl[end:end + m], gl[end:end + m])))
+                end += m
+        return rows
 
     orders = {i: neighbour_order(network.positions, i) for i in ids} if enforce_sufficiency else {}
     # per mover: its id, contiguous incoming-gain column, response constants and known row
-    movers = [(i, network.gains_true[:, i], players[i], known_row(i)) for i in ids]
+    movers = [(i, network.gains_true[:, i], players[i], row) for i, row in zip(ids, known_rows())]
 
     def weight(i: int, row: list[tuple[int, float]] | np.ndarray) -> list[float]:
         """Mover i's generated weight over its known row and, if enforced, its cover set."""

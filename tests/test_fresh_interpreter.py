@@ -2,7 +2,7 @@
 
 Outputs must be a pure function of ``(config, seed)``: two interpreters with
 different string-hash seeds write the same bytes. The README's library
-example must run as documented.
+example must run as documented. A run must not import ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -56,3 +56,13 @@ def test_readme_library_example_runs(tmp_path):
     # a converged best-response run ends at a Nash equilibrium
     assert (converged, nash) == ("True", "True")
     assert int(iterations) > 0
+
+
+def test_a_run_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 8 ms and 1.4 MB to import; np.unique pulls it in
+    code = ("import sys\nfrom apgame.cli import main\n"
+            "main(['run', '--seed', '1', '--num-aps', '20', '--duration', '20', '--out', 'run'])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = run_python(["-c", code], tmp_path, "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

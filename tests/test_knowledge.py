@@ -398,3 +398,26 @@ class TestMatrixTickOracle:
         assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
         assert ds.exchange_log == ref_log
         assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("active", [None, set(range(200))], ids=["all", "prefix"])
+    @pytest.mark.parametrize("clustered", [False, True], ids=["uniform", "clustered"])
+    def test_matrix_tick_equals_set_tick_at_300_aps(self, clustered, active, samples):
+        # the paper's scale, 100 ticks: 5 to 55 hits per tick, and gossip
+        # carried along chains of earlier exchanges
+        cfg = ScenarioConfig(num_aps=300, clustered=clustered, seed=0)
+        seed = 300 + 2 * samples + clustered
+        topo, _ = generate_topology(cfg, np.random.default_rng(seed))
+        kb = KnowledgeBase.from_topology(topo)
+        ds = DiscoveryState(rng=np.random.default_rng(seed), samples_per_tick=samples)
+        candidates = [set(np.flatnonzero(row).tolist()) for row in kb.candidates]
+        known = [set() for _ in topo]
+        ref_rng, ref_log = np.random.default_rng(seed), []
+        ids = sorted(active) if active is not None else list(range(len(topo)))
+        for t in range(100):
+            discovery_tick(ds, kb, topo, active)
+            set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
+        assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
+        assert ds.exchange_log == ref_log
+        assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(ref_log) > 100

@@ -1,11 +1,13 @@
 """Update schedules, dynamics loop, convergence and cycle detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgame import game, schedulers
+from apgame import game, harness, schedulers
 from apgame.baselines import random_allocation
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.knowledge import (
@@ -580,3 +582,93 @@ class TestWeightForms:
             assert len(seen) == n * result.iterations
             runs.append((repr(result), state.channels.tobytes(), state.powers.tobytes()))
         assert runs[0] == runs[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=weight_cases(), data=st.data(), enforce_sufficiency=st.booleans(),
+           synchronous=st.booleans())
+    def test_mixed_forms_and_active_subsets_equal_the_pair_loop(self, case, data,
+                                                                enforce_sufficiency, synchronous):
+        network, start, kb = case
+        n, ge = len(network.topology), network.gains_est
+        active = data.draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
+        ids = sorted(active) if active is not None else list(range(n))
+        # rows of more than ``split`` known APs are dense, the rest short, in one call
+        split = data.draw(st.integers(0, n - 2))
+        respond, runs = game.best_response, []
+        for dense_row in (n, split):
+            state, seen = start.copy(), []
+
+            def spy(interference, weight, player, current):
+                i = ids[len(seen) % len(ids)]  # the movers in ascending id order
+                known = set(np.flatnonzero(kb.known[i]).tolist())
+                if enforce_sufficiency:
+                    known |= set(
+                        nearest_cover_set(neighbour_order(network.positions, i), state).tolist())
+                pairs = [(j, float(ge[i, j])) for j in sorted(known)]
+                loop = generated_weight(pairs, state.channels.tolist(),
+                                        (state.powers > 0).tolist(), network.num_channels)
+                assert type(weight) is list
+                assert np.array(weight).tobytes() == np.array(loop).tobytes()
+                seen.append(i)
+                return respond(interference, weight, player, current)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(schedulers, "DENSE_ROW", dense_row)
+                patch.setattr(game, "best_response", spy)
+                result = run_dynamics(network, state, 3, knowledge=kb, synchronous=synchronous,
+                                      enforce_sufficiency=enforce_sufficiency, active=active)
+            assert len(seen) == len(ids) * result.iterations
+            runs.append((repr(result), state.channels.tobytes(), state.powers.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("dense_row", [schedulers.DENSE_ROW, 4])
+    def test_rows_follow_discovery_between_calls(self, dense_row):
+        # the game's track in small: an active prefix, then every AP, with
+        # discovery ticks between calls; DENSE_ROW = 4 moves rows from the
+        # pair form to the dense one as they grow
+        cfg = ScenarioConfig(num_aps=80, num_channels=3, clustered=True, num_clusters=3,
+                             cluster_std=60.0, seed=4)
+        network, kb, dstate, streams = harness._setup(cfg)
+        ge, state = network.gains_est, random_allocation(network, streams[0])
+        respond, weights = game.best_response, 0
+
+        def spy(interference, weight, player, current):
+            nonlocal weights
+            i = ids[weights % len(ids)]
+            pairs = [(j, float(ge[i, j])) for j in np.flatnonzero(kb.known[i]).tolist()]
+            loop = generated_weight(pairs, state.channels.tolist(), (state.powers > 0).tolist(),
+                                    network.num_channels)
+            assert np.array(weight).tobytes() == np.array(loop).tobytes()
+            weights += 1
+            return respond(interference, weight, player, current)
+
+        lengths = set()
+        for call in range(10):
+            active = set(range(50)) if call < 5 else None
+            ids = sorted(active) if active is not None else list(range(80))
+            for _ in range(2):
+                discovery_tick(dstate, kb, network.topology, active=active)
+            lengths |= set(np.count_nonzero(kb.known[ids], axis=1).tolist())
+            weights = 0
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(schedulers, "DENSE_ROW", dense_row)
+                patch.setattr(game, "best_response", spy)
+                result = run_dynamics(network, state, 4, knowledge=kb, active=active)
+            assert weights == len(ids) * result.iterations
+        assert min(lengths) <= 4 < max(lengths)  # both forms were taken
+
+
+class TestFullKnowledgeMemory:
+    def test_nash_check_at_1000_aps_builds_no_pairs(self):
+        # every row of KnowledgeBase.full is dense at 1,000 APs: the check
+        # must not scan them for pairs (an N x N nonzero peaks near 80 MiB)
+        n = 1000
+        network, _, _, streams = harness._setup(ScenarioConfig(num_aps=n, seed=1))
+        state = random_allocation(network, streams[0])
+        tracemalloc.start()
+        try:
+            is_nash_equilibrium(network, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
