@@ -70,10 +70,9 @@ class _Group:
         """Sum of ``powers[j] * gains_in[j]`` over the group.
 
         ``np.add.reduce`` is the reduction ``np.sum`` runs, so the sum adds in
-        the order a boolean mask over all APs would select.
+        the order a boolean mask over all APs would select, and an empty group
+        gives 0.0.
         """
-        if not len(self.ids):
-            return 0.0
         return float(np.add.reduce(self.powers * gains_in.take(self.ids)))
 
     def insert(self, i: int, p: float) -> int:

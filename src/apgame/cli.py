@@ -84,7 +84,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     if min(sizes) < 1:
         raise ValueError(f"--sizes must be positive, got {args.sizes}")
     check_count("each --sizes value", max(sizes), "num_aps")

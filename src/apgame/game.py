@@ -125,9 +125,8 @@ def verify_exact_potential(
     trials: int,
     tol: float,
     rng: np.random.Generator,
-    power: float = 0.05,
 ) -> VerificationReport:
-    """Sweep random unilateral channel deviations at a fixed uniform power.
+    """Sweep random unilateral channel deviations, every AP at 0.05 W.
 
     Compares each mover's change in altered selfish utility (its measured
     co-channel interference scaled by its own power) with the change of the
@@ -137,7 +136,7 @@ def verify_exact_potential(
     reported rather than raised.
     """
     players, gt = network.players, network.gains_true
-    n = len(players)
+    n, power = len(players), 0.05  # watts
     channels = [p.channels[int(rng.integers(len(p.channels)))] for p in players]
     state = AllocationState(channels, np.full(n, power))
 

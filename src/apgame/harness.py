@@ -16,7 +16,7 @@ import pickle
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -141,10 +141,12 @@ class ScenarioConfig:
                 if spelling not in _BOOLEANS:
                     raise ValueError(f"config field {key} must be true or false, got {raw!r}")
                 value: object = _BOOLEANS[spelling]
-            elif isinstance(current, int):
-                value = int(raw)
             else:
-                value = float(raw)
+                kind, name = (int, "an integer") if isinstance(current, int) else (float, "a float")
+                try:
+                    value = kind(raw)
+                except ValueError:
+                    raise ValueError(f"config field {key} must be {name}, got {raw!r}") from None
             setattr(self, key, value)
 
     @classmethod
@@ -166,14 +168,11 @@ class ScenarioConfig:
 
 
 def generate_topology(
-    config: ScenarioConfig,
-    rng: np.random.Generator,
-    *,
-    num_aps: int | None = None,
+    config: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[list[AccessPoint], PropagationModel]:
     """Seeded synthetic topology plus one sampled shadowing realization."""
     config.validate()
-    n = num_aps if num_aps is not None else config.num_aps
+    n = config.num_aps
     if config.clustered:
         centers = rng.uniform(
             [0.0, 0.0], [config.area_width, config.area_height], size=(config.num_clusters, 2)
@@ -236,7 +235,7 @@ def discovery_completion_ticks(
     ``known`` holds only candidates, a row is complete once it counts them all.
     """
     rng = np.random.default_rng((config.seed, num_aps, rep))
-    topology = generate_topology(config, rng, num_aps=num_aps)[0]
+    topology = generate_topology(replace(config, num_aps=num_aps), rng)[0]
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
     known, log = kb.known, dstate.exchange_log
@@ -259,7 +258,7 @@ def _timestamps(config: ScenarioConfig) -> list[float]:
     return [t * config.allocation_period for t in range(steps + 1)]
 
 
-def _setup(config: ScenarioConfig, num_aps: int | None = None) -> tuple[
+def _setup(config: ScenarioConfig) -> tuple[
     Network, KnowledgeBase, DiscoveryState, list[np.random.Generator],
 ]:
     """Network, empty knowledge, discovery state and the four allocation streams.
@@ -269,7 +268,7 @@ def _setup(config: ScenarioConfig, num_aps: int | None = None) -> tuple[
     """
     seeds = np.random.default_rng(config.seed).integers(2**63, size=6)
     topo_rng, discovery_rng, *streams = [np.random.default_rng(s) for s in seeds]
-    network = Network(*generate_topology(config, topo_rng, num_aps=num_aps))
+    network = Network(*generate_topology(config, topo_rng))
     kb = KnowledgeBase(known=np.zeros_like(network.candidates), candidates=network.candidates)
     dstate = DiscoveryState(rng=discovery_rng, samples_per_tick=config.samples_per_tick)
     return network, kb, dstate, streams
@@ -385,11 +384,11 @@ def _baseline_rows(
 
 def _game_rows(
     network: Network, kb: KnowledgeBase, dstate: DiscoveryState, rng: np.random.Generator,
-    config: ScenarioConfig, num_initial: int, insert_time: float,
+    config: ScenarioConfig, insert_time: float,
 ) -> list[list[float]]:
     """The game's track: discovery and best response, period by period.
 
-    APs ``0..num_initial-1`` start from a random allocation; the rest switch
+    APs ``0..config.num_aps-1`` start from a random allocation; the rest switch
     on the same way at the first timestamp at or after ``insert_time``, so
     the APs on are always a prefix of the ids (``active`` is None once all
     are). Per timestamp: time, satisfied APs, rounds, missing candidates,
@@ -397,8 +396,8 @@ def _game_rows(
     """
     total = len(network.topology)
     state = AllocationState.all_off(total)
-    _draw_allocation(state, range(num_initial), network, rng)
-    on = prev_on = num_initial
+    _draw_allocation(state, range(config.num_aps), network, rng)
+    on = prev_on = config.num_aps
     prev_channels = state.channels.copy()
     rows = []
     for t in _timestamps(config):
@@ -435,7 +434,7 @@ def run_experiment(config: ScenarioConfig) -> MetricsSeries:
         "missing_candidates", "channel_changes",
     ]
     with _forked(_baseline_rows, network, streams, config) as baseline_rows:
-        game_rows = _game_rows(network, kb, dstate, streams[0], config, config.num_aps, math.inf)
+        game_rows = _game_rows(network, kb, dstate, streams[0], config, math.inf)
         rows = [
             [t, game, selfish, random, bound, rounds, rounds_selfish, missing, changes]
             for (t, game, rounds, missing, changes, _), (selfish, random, bound, rounds_selfish)
@@ -461,11 +460,11 @@ def domino_experiment(
         raise ValueError("insert_time must fall inside the experiment duration")
     total = config.num_aps + num_inserted
     check_count("num_aps + num_inserted", total, "num_aps")
-    network, kb, dstate, streams = _setup(config, total)
+    network, kb, dstate, streams = _setup(replace(config, num_aps=total))
     columns = ["time", "satisfied_game", "rounds_game", "missing_candidates",
                "channel_changes", "active_aps"]
     return MetricsSeries(columns, _game_rows(network, kb, dstate, streams[0], config,
-                                             config.num_aps, insert_time))
+                                             insert_time))
 
 
 _FIGURE_FAMILIES = {

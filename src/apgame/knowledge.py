@@ -88,7 +88,7 @@ def discovery_tick(
     knowledge: KnowledgeBase,
     topology: list[AccessPoint],
     active: set[int] | None = None,
-) -> KnowledgeBase:
+) -> None:
     """One second of sampling: every active AP probes random peers.
 
     A probe that hits a candidate makes the pair mutually known and triggers
@@ -116,7 +116,6 @@ def discovery_tick(
             row_i |= row_j & cand[i]
             row_j |= row_i & cand[j]
     dstate.tick += 1
-    return knowledge
 
 
 def discovery_complete(

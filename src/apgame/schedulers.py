@@ -89,8 +89,11 @@ def run_dynamics(
     dense_from = DENSE_ROW + len(players) // DENSE_ROW_PER_AP
 
     def known_rows() -> list[list[tuple[int, float]] | np.ndarray]:
-        """Each mover's known row for the call: its (j, ĝ_ij) pairs in ascending j,
-        or its boolean row when dense. One nonzero scans the short rows alone."""
+        """Each mover's known row for the call: its boolean row when enforced or dense,
+        else its (j, ĝ_ij) pairs in ascending j. One nonzero scans the short rows alone."""
+        if enforce_sufficiency:
+            none_known = np.zeros(len(players), dtype=bool)
+            return [none_known if knowledge is None else knowledge.known[i] for i in ids]
         if knowledge is None:
             return [[]] * len(ids)
         known = knowledge.known
@@ -116,9 +119,6 @@ def run_dynamics(
     def weight(i: int, row: list[tuple[int, float]] | np.ndarray) -> list[float]:
         """Mover i's generated weight over its known row and, if enforced, its cover set."""
         if type(row) is list:
-            if enforce_sufficiency:
-                cover = nearest_cover_set(orders[i], state)
-                row = sorted(set(row).union(zip(cover.tolist(), gains_est[i, cover].tolist())))
             if not row:
                 return no_information
             w = [0.0] * num_channels

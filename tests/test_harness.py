@@ -1,5 +1,7 @@
 """Scenario config, experiments, metrics export and the CLI."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,7 +195,7 @@ class TestDominoExperiment:
 def full_scan_completion_ticks(config, num_aps, rep, max_ticks):
     """The completion loop that rescans every row after each tick."""
     rng = np.random.default_rng((config.seed, num_aps, rep))
-    topology, _ = generate_topology(config, rng, num_aps=num_aps)
+    topology, _ = generate_topology(replace(config, num_aps=num_aps), rng)
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
     while not discovery_complete(kb)[0]:
@@ -359,6 +361,54 @@ class TestCli:
         assert code == 1 and out == ""
         assert err == "error: --seed must be nonnegative, got -1\n"
         assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--num-aps", "1.5", "config field num_aps must be an integer, got '1.5'"),
+        ("--noise-power", "abc", "config field noise_power must be a float, got 'abc'"),
+    ])
+    def test_number_that_does_not_parse_names_its_field(self, tmp_path, capsys, flag, value,
+                                                         message):
+        code = cli.main(["run", "--seed", "1", flag, value, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_line_that_does_not_parse_names_its_field(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("num_aps=x\n")
+        code = cli.main(["run", "--config", str(cfg), "--seed", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: config field num_aps must be an integer, got 'x'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_size_that_does_not_parse_names_sizes(self, capsys):
+        code = cli.main(["sweep", "--seed", "1", "--sizes", "5,,3", "--repeats", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: --sizes must be comma-separated integers, got '5,,3'\n"
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--area-width", "10", "--area-height", "10"], "coverage radius exceeds the area scale"),
+        (["--shadow-std-db", "-1"], "shadow_std_db must be nonnegative"),
+    ])
+    def test_radius_above_area_or_negative_shadowing_exit_one(self, tmp_path, capsys, extra,
+                                                              message):
+        code = cli.main(["run", "--seed", "1", *extra, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_unwritable_out_exit_two(self, tmp_path, capsys):
+        blocked = tmp_path / "file"
+        blocked.write_text("x")
+        out = blocked / "sub" / "sweep.csv"
+        code = cli.main(["sweep", "--seed", "2", "--sizes", "10", "--repeats", "1",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: failed to write {out}: ") and len(err.splitlines()) == 1
 
     def test_missing_seed_exit_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:

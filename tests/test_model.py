@@ -83,6 +83,15 @@ class TestAccessPoint:
         with pytest.raises(ValueError):
             make_ap(0, 0, 0, channels=())
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(beta=0.0), "sinr_target must be a positive linear ratio"),
+        (dict(pmax=-0.1), "max_power must be positive"),
+        (dict(channels=(0, -2)), "channel ids must be nonnegative"),
+    ])
+    def test_rejects_bad_target_cap_or_channel(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_ap(0, 0, 0, **kwargs)
+
 
 class TestPropagationModel:
     def test_rejects_asymmetric_shadow_matrix(self):
@@ -114,6 +123,21 @@ class TestPropagationModel:
         with pytest.raises(ValueError, match=name):
             PropagationModel(**params)
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(shadow_samples=np.ones((2, 3))), "shadow_samples must be a square matrix"),
+        (dict(shadow_samples=np.ones(4)), "shadow_samples must be a square matrix"),
+        (dict(shadow_samples=np.array([[1.0, 0.0], [0.0, 1.0]])),
+         "shadow gains must be positive"),
+        (dict(min_separation=0.0), "min_separation must be positive"),
+        (dict(path_loss_exponent=1.5), "path_loss_exponent must be >= 2"),
+        (dict(noise_power=0.0), "noise_power must be positive"),
+    ])
+    def test_out_of_range_parameter_rejected(self, changes, message):
+        params = dict(path_loss_exponent=3.0, mean_linear_gain=1.0,
+                      shadow_samples=np.ones((2, 2)), noise_power=1e-8)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PropagationModel(**{**params, **changes})
+
 
 class TestAllocationState:
     def test_positive_power_requires_channel(self):
@@ -139,6 +163,14 @@ class TestAllocationState:
         # channel -5 at a positive power counted as a transmitter on channel -5
         with pytest.raises(ValueError, match="channel -5 of AP 1 is not an integer >= -1"):
             AllocationState([0, -5], [0.1, power])
+
+    @pytest.mark.parametrize("channels, powers", [
+        ([0, 1], [0.1]),
+        ([[0, 1]], [[0.1, 0.1]]),
+    ])
+    def test_unequal_or_not_1d_arrays_rejected(self, channels, powers):
+        with pytest.raises(ValueError, match="^channels and powers must be 1-D arrays of equal"):
+            AllocationState(channels, powers)
 
     def test_all_off(self):
         s = AllocationState.all_off(4)

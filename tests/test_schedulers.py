@@ -72,6 +72,16 @@ SYNCHRONOUS = {"synchronous": True}
 
 
 class TestRunDynamics:
+    def test_empty_active_set_converges_after_zero_rounds(self):
+        topo, model, state = symmetric_pair()
+        before = state.copy()
+        result = run_dynamics(Network(topo, model), state, 10, knowledge=KnowledgeBase.full(2),
+                              active=set())
+        assert result == schedulers.RunResult(converged=True, iterations=0, trace=[],
+                                              cycle_detected=False)
+        assert state.channels.tobytes() == before.channels.tobytes()
+        assert state.powers.tobytes() == before.powers.tobytes()
+
     def test_single_ap_converges_immediately(self):
         topo = [make_ap(0, 0.0, 0.0)]
         model = flat_model(1)
@@ -656,6 +666,39 @@ class TestWeightForms:
                 result = run_dynamics(network, state, 4, knowledge=kb, active=active)
             assert weights == len(ids) * result.iterations
         assert min(lengths) <= 4 < max(lengths)  # both forms were taken
+
+
+    @pytest.mark.parametrize("synchronous", [False, True], ids=["sequential", "synchronous"])
+    @pytest.mark.parametrize("informed", [True, False], ids=["complete", "none"])
+    def test_enforced_weights_at_305_aps_equal_the_pair_loop(self, informed, synchronous):
+        # the paper's scale: the cover set joins the known row (complete
+        # knowledge, or nobody) and the weight sums over the union
+        network, _, _, streams = harness._setup(ScenarioConfig(seed=5))
+        n, ge = len(network.topology), network.gains_est
+        kb = KnowledgeBase.complete(network.topology) if informed else None
+        state, seen, covers = random_allocation(network, streams[0]), [], 0
+        respond = game.best_response
+
+        def spy(interference, weight, player, current):
+            nonlocal covers
+            i = len(seen) % n  # every activation in ascending id order
+            cover = nearest_cover_set(neighbour_order(network.positions, i), state)
+            known = set(np.flatnonzero(kb.known[i]).tolist()) if informed else set()
+            covers += bool(set(cover.tolist()) - known)
+            pairs = [(j, float(ge[i, j])) for j in sorted(known | set(cover.tolist()))]
+            loop = generated_weight(pairs, state.channels.tolist(), (state.powers > 0).tolist(),
+                                    network.num_channels)
+            assert type(weight) is list
+            assert np.array(weight).tobytes() == np.array(loop).tobytes()
+            seen.append(i)
+            return respond(interference, weight, player, current)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game, "best_response", spy)
+            result = run_dynamics(network, state, 2, knowledge=kb, synchronous=synchronous,
+                                  enforce_sufficiency=True)
+        assert len(seen) == n * result.iterations > 0
+        assert covers > 0  # the cover set added APs the row did not hold
 
 
 class TestFullKnowledgeMemory:
