@@ -22,9 +22,11 @@ def utility(interference: list[float], weight: list[float], player: Player, k: i
 
     ``interference`` and ``weight`` are per channel, as ``best_response`` takes them.
     """
-    if k not in player.channels:
-        raise ValueError(f"channel {k} is not among the player's channels {player.channels}")
-    return -interference[k] - necessary_power(player, interference[k]) * weight[k]
+    channels, beta, noise, edge, cap = player
+    if k not in channels:
+        raise ValueError(f"channel {k} is not among the player's channels {channels}")
+    p = beta * (noise + interference[k]) / edge  # necessary_power, inlined as in best_response
+    return -interference[k] - (cap if cap < p else p) * weight[k]
 
 
 def best_response(interference: list[float], weight: list[float], player: Player,
@@ -34,19 +36,28 @@ def best_response(interference: list[float], weight: list[float], player: Player
     ``interference`` and ``weight`` give the measured interference and the
     generated weight per channel. Scores keep the operation order of
     ``utility``; without generated weight a channel scores exactly its
-    negated interference. Exact ties keep the current channel if it is among
-    the maximizers, else the lowest id wins.
+    negated interference, so the least interference wins, compared directly.
+    Exact ties keep the current channel if it is among the maximizers, else
+    the lowest id wins.
     """
     channels, beta, noise, edge, cap = player
-    best_k, best = OFF, -math.inf
-    for k in channels:
-        score = -interference[k]
-        if weight[k] != 0:
-            # necessary_power(player, interference[k]), inlined
-            score -= min(beta * (noise + interference[k]) / edge, cap) * weight[k]
-        if score > best or (score == best and k == current_channel):
-            best_k, best = k, score
-    return best_k, min(beta * (noise + interference[best_k]) / edge, cap)
+    best_k = OFF
+    if not any(weight):  # -I[k] orders the channels as I[k] does, ties included
+        least = math.inf
+        for k in channels:
+            if interference[k] < least or (interference[k] == least and k == current_channel):
+                best_k, least = k, interference[k]
+    else:
+        best = -math.inf
+        for k in channels:
+            score = -interference[k]
+            if weight[k] != 0:  # necessary_power(player, interference[k]), inlined
+                p = beta * (noise + interference[k]) / edge
+                score -= (cap if cap < p else p) * weight[k]
+            if score > best or (score == best and k == current_channel):
+                best_k, best = k, score
+    p = beta * (noise + interference[best_k]) / edge
+    return best_k, cap if cap < p else p  # min(p, cap): the same comparison, without the call
 
 
 def selfish_response(interference: list[float], weight: list[float], player: Player,
@@ -146,13 +157,14 @@ def verify_exact_potential(
         return power * float(np.sum(state.powers[on_k] * gt[on_k, i]))
 
     report = VerificationReport()
+    p_new = appendixB_potential(network, state)
     for _ in range(trials):
         i = int(rng.integers(n))
         ks = players[i].channels
         new_k = ks[int(rng.integers(len(ks)))]
         old_k = int(state.channels[i])
         du = altered_utility(i, new_k) - altered_utility(i, old_k)
-        p_old = appendixB_potential(network, state)
+        p_old = p_new  # the state after the last trial is the state before this one
         state.channels[i] = new_k
         p_new = appendixB_potential(network, state)
         d_phi = 0.5 * (p_new - p_old)

@@ -105,6 +105,9 @@ class ScenarioConfig:
             raise ValueError("sinr_target_high must be >= sinr_target_low")
         if self.coverage_radius_max < self.coverage_radius_min:
             raise ValueError("coverage_radius_max must be >= coverage_radius_min")
+        if self.coordination_factor < 1:  # a coverage radius may reach coverage_radius_max
+            raise ValueError("config field coordination_factor must be >= 1, "
+                             f"got {self.coordination_factor}")
         if self.coverage_radius_max > min(self.area_width, self.area_height):
             raise ValueError("coverage radius exceeds the area scale")
         if self.shadow_std_db < 0:

@@ -83,6 +83,15 @@ def nearest_cover_set(order: np.ndarray, state: AllocationState) -> np.ndarray:
     return order[:on[first[first < len(on)].max()] + 1]
 
 
+def sorted_ids(active: set[int], n: int) -> list[int]:
+    """The AP ids in ``active`` in ascending order; one outside [0, n) raises ValueError."""
+    ids = sorted(active)
+    for i in ids[:1] + ids[-1:]:
+        if not 0 <= i < n:  # as an index, -1 would wrap to the last AP
+            raise ValueError(f"active id {i} is not an AP of the {n}-AP network")
+    return ids
+
+
 def discovery_tick(
     dstate: DiscoveryState,
     knowledge: KnowledgeBase,
@@ -96,15 +105,15 @@ def discovery_tick(
     they are candidates of the receiver. Hits are handled in probe order,
     each exchange seeing the ones before it.
     """
-    n = len(topology) if active is None else len(active)
+    ids = None if active is None else np.array(sorted_ids(active, len(topology)))
+    n = len(topology) if ids is None else len(ids)
     if n > 1:
         # numpy draws bounded integers one element at a time, so this equals
         # one scalar draw per probe in probe order (tests/golden pins it)
         peers = dstate.rng.integers(n - 1, size=(n, dstate.samples_per_tick))
         owners = np.arange(n)[:, None]
         peers += peers >= owners  # a draw indexes the others: skip the owner's position
-        if active is not None:
-            ids = np.array(sorted(active))
+        if ids is not None:
             owners, peers = ids[owners], ids[peers]
         known, cand = knowledge.known, knowledge.candidates
         probes, samples = np.nonzero(cand[owners, peers])  # the hits, in probe order
@@ -129,7 +138,7 @@ def discovery_complete(
     """
     unknown = knowledge.candidates & ~knowledge.known
     if active is not None:
-        ids = sorted(active)
+        ids = sorted_ids(active, len(unknown))
         unknown = unknown[np.ix_(ids, ids)]
     missing = int(unknown.any(axis=1).sum())
     return missing == 0, missing

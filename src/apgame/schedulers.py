@@ -15,7 +15,7 @@ import numpy as np
 
 from . import game
 from .game import TraceRecord, exact_potential_full, utility
-from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order
+from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order, sorted_ids
 from .model import OFF, AllocationState, Network, necessary_power
 
 POWER_TOLERANCE = 1e-12  # watts
@@ -61,11 +61,11 @@ def run_dynamics(
     ``enforce_sufficiency`` adds the mover's nearest cover set at the
     current profile. A move's ``u_before``/``u_after`` are the game utility
     under that knowledge. An AP, mover or not, on a channel outside its own
-    set, or OFF with a nonzero power, raises ValueError before anything is
-    written.
+    set, or OFF with a nonzero power, or an ``active`` id that is no AP, raises
+    ValueError before anything is written.
     """
     players = network.players
-    ids = sorted(active) if active is not None else list(range(len(players)))
+    ids = sorted_ids(active, len(players)) if active is not None else list(range(len(players)))
     chl, pl = state.channels.tolist(), state.powers.tolist()
     for i, (k, p, player) in enumerate(zip(chl, pl, players)):
         if k == OFF and p != 0:
@@ -132,61 +132,60 @@ def run_dynamics(
         # the sum over all APs: an unknown or silent AP adds +0.0, in index order
         return np.bincount(ch, gains_est[i] * (row & (powers > 0)), num_channels).tolist()
 
-    def response(mover: tuple) -> tuple:
-        """The mover's update against the profile as it is before any write."""
-        i, column, player, row = mover
-        np.multiply(powers, column, out=terms)
-        interference = np.bincount(ch, terms, num_channels).tolist()
-        w = weight(i, row)
-        return i, player, *game.best_response(interference, w, player, chl[i]), interference, w
-
-    per_round = 1 if synchronous else len(movers)
+    bincount, multiply, respond = np.bincount, np.multiply, game.best_response
     trace: list[TraceRecord] = []
-    seen = {key.tobytes()}
-    revisit = False
+    seen, visits = {key.tobytes()}, 1  # profiles recorded; a revisit leaves len(seen) < visits
     converged = False
     rounds = 0
-
+    # where the updates go: the live profile, or under the synchronous schedule
+    # a copy of it taken per activation, so every mover reads the profile before it
+    target, t_ch, t_chl, t_pl = state, ch, chl, pl
     for rnd in range(max_rounds):
         round_channel_change = False
         round_max_dp = 0.0
-        for a in range(per_round):
-            # synchronous movers respond to the pre-activation profile: all
-            # responses are computed before the first write
-            updates = [response(m) for m in movers] if synchronous else (response(movers[a]),)
-            activation_changed = False
-            for i, player, new_k, new_p, interference, w in updates:
-                old_k, old_p = chl[i], pl[i]
-                if new_k == old_k and new_p == old_p:
-                    continue  # the write would store the bits already there
-                round_max_dp = max(round_max_dp, abs(new_p - old_p))
-                if new_k != old_k:
-                    view = (interference, w, player)
-                    u_before = utility(*view, old_k) if old_k != OFF else -math.inf
-                    p_before = p_after = None
-                    if record_potential:
-                        # the response refreshes the mover's power before the
-                        # channel switch; book the potential against that
-                        if old_k != OFF:
-                            powers[i] = necessary_power(player, interference[old_k])
-                        p_before = exact_potential_full(network, state)
-                    channels[i] = key[i] = ch[i] = chl[i] = new_k
-                    powers[i] = new_p
-                    if record_potential:
-                        p_after = exact_potential_full(network, state)
-                    trace.append(TraceRecord(i, old_k, new_k, old_p, new_p, u_before,
-                                             utility(*view, new_k), p_before, p_after))
-                    activation_changed = True
-                    round_channel_change = True
-                else:
-                    powers[i] = new_p
-                pl[i] = new_p
-            if activation_changed:
-                k = key.tobytes()
-                if k in seen:
-                    revisit = True
-                else:
-                    seen.add(k)
+        if synchronous:
+            target, t_ch, t_chl, t_pl = state.copy(), ch.copy(), chl[:], pl[:]
+        t_channels, t_powers = target.channels, target.powers
+        for i, column, player, row in movers:
+            multiply(powers, column, out=terms)
+            interference = bincount(ch, terms, num_channels).tolist()
+            w = weight(i, row)
+            old_k, old_p = chl[i], pl[i]
+            new_k, new_p = respond(interference, w, player, old_k)
+            if new_k == old_k and new_p == old_p:
+                continue  # the write would store the bits already there
+            dp = abs(new_p - old_p)
+            if dp > round_max_dp:  # max(), without the call
+                round_max_dp = dp
+            if new_k != old_k:
+                view = (interference, w, player)
+                u_before = utility(*view, old_k) if old_k != OFF else -math.inf
+                p_before = p_after = None
+                if record_potential:
+                    # the response refreshes the mover's power before the
+                    # channel switch; book the potential against that
+                    if old_k != OFF:
+                        t_powers[i] = necessary_power(player, interference[old_k])
+                    p_before = exact_potential_full(network, target)
+                t_channels[i] = key[i] = t_ch[i] = t_chl[i] = new_k
+                t_powers[i] = new_p
+                if record_potential:
+                    p_after = exact_potential_full(network, target)
+                trace.append(TraceRecord(i, old_k, new_k, old_p, new_p, u_before,
+                                         utility(*view, new_k), p_before, p_after))
+                round_channel_change = True
+                if not synchronous:
+                    seen.add(key.tobytes())
+                    visits += 1
+            else:
+                t_powers[i] = new_p
+            t_pl[i] = new_p
+        if synchronous:
+            channels[:], powers[:], ch[:] = t_channels, t_powers, t_ch
+            chl[:], pl[:] = t_chl, t_pl
+            if round_channel_change:
+                seen.add(key.tobytes())
+                visits += 1
         rounds = rnd + 1
         if not round_channel_change and round_max_dp < POWER_TOLERANCE:
             converged = True
@@ -196,7 +195,7 @@ def run_dynamics(
         converged=converged,
         iterations=rounds,
         trace=trace,
-        cycle_detected=revisit and not converged,
+        cycle_detected=len(seen) < visits and not converged,
     )
 
 

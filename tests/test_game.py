@@ -45,6 +45,7 @@ from oracles import (
     true_gain,
     utility_context,
 )
+from test_engine_oracle import RefContext, ref_best_response
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -300,6 +301,38 @@ class TestVectorisedResponses:
     def test_selfish_response_equals_channel_loop(self, case):
         ctx, current = case
         assert selfish_response(*ctx, current) == loop_selfish_response(ctx, current)
+
+
+@st.composite
+def zero_weight_cases(draw):
+    """Interference from a three-value pool, so exact ties are common, a zero
+    weight that may hold -0.0, a channel subset, and a current channel that is
+    OFF, outside the subset or on a channel tied with another."""
+    k_total = draw(st.integers(1, 6))
+    interference = [draw(st.sampled_from([0.0, 1e-12, 2e-12])) for _ in range(k_total)]
+    weight = [draw(st.sampled_from([0.0, -0.0])) for _ in range(k_total)]
+    channels = tuple(sorted(draw(st.sets(st.integers(0, k_total - 1), min_size=1))))
+    player = Player(channels, draw(st.floats(1.0, 6.0)), draw(st.sampled_from([0.0, 1e-8])),
+                    draw(st.sampled_from([1e-3, 0.5, 1.0])),
+                    draw(st.sampled_from([1e-4, 0.1, 100.0])))
+    values = [interference[k] for k in channels]
+    outside = [k for k in range(k_total) if k not in channels]
+    tied = [k for k in channels if values.count(interference[k]) > 1]
+    return interference, weight, player, draw(st.sampled_from([OFF, *outside, *tied]))
+
+
+class TestZeroWeightResponse:
+    """Without generated weight best response compares the interference
+    directly; it must equal the selfish rule and the vectorised reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(zero_weight_cases())
+    def test_equals_selfish_and_reference_on_exact_ties(self, case):
+        interference, weight, player, current = case
+        got = best_response(interference, weight, player, current)
+        assert repr(got) == repr(selfish_response(interference, weight, player, current))
+        ctx = RefContext(player, np.array(interference), np.array(weight))
+        assert repr(got) == repr(ref_best_response(ctx, current))
 
 
 class TestPotentials:

@@ -283,6 +283,17 @@ class TestCli:
         assert "--seed" in err
         assert not (tmp_path / "out").exists()
 
+    def test_coordination_factor_below_one_exit_one(self, tmp_path, capsys):
+        # an AP's coverage radius may reach coverage_radius_max, above 0.95 of
+        # it; seed 2 draws none that high, so only the config check catches it
+        code = cli.main(["run", "--seed", "2", "--num-aps", "10", "--duration", "10",
+                         "--coordination-factor", "0.95", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config field coordination_factor must be >= 1")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exit_one(self, tmp_path):
         code = cli.main(self.run_flags(tmp_path, extra=["--num-aps", "-5"]))
         assert code == 1

@@ -344,6 +344,24 @@ class TestDiscovery:
         assert not kb.known[0, 2] and not kb.known[1, 2]
         assert not kb.known[2].any()
 
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_active_id_outside_the_network_is_rejected_before_any_draw(self, bad):
+        # as an index, -1 would wrap to AP 19 and 20 would raise IndexError
+        topo, _ = generate_topology(ScenarioConfig(num_aps=20, seed=1), np.random.default_rng(1))
+        kb = KnowledgeBase.from_topology(topo)
+        ds = DiscoveryState(rng=np.random.default_rng(0))
+        drawn = ds.rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"active id {bad} is not an AP"):
+            discovery_tick(ds, kb, topo, active={bad, 0, 5})
+        assert ds.rng.bit_generator.state == drawn
+        assert ds.tick == 0 and not kb.known.any() and not ds.exchange_log
+
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_active_id_outside_the_network_fails_the_completion_check(self, bad):
+        topo, _ = generate_topology(ScenarioConfig(num_aps=20, seed=1), np.random.default_rng(1))
+        with pytest.raises(ValueError, match=f"active id {bad} is not an AP"):
+            discovery_complete(KnowledgeBase.from_topology(topo), active={bad, 0})
+
 
 def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, ids, log):
     """The tick on per-AP known and candidate sets that the matrix tick must

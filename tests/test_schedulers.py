@@ -176,6 +176,17 @@ class TestRunDynamics:
                              **timing)
             assert (state.channels.tobytes(), state.powers.tobytes()) == before
 
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_active_id_outside_the_network_is_rejected_before_any_write(self, bad):
+        # as an index, -1 would move AP 19 and 20 would raise IndexError
+        network, kb, _, streams = harness._setup(ScenarioConfig(num_aps=20, seed=1))
+        state = random_allocation(network, streams[0])
+        start = state.copy()
+        with pytest.raises(ValueError, match=f"active id {bad} is not an AP"):
+            run_dynamics(network, state, 5, knowledge=kb, active={bad})
+        assert state.channels.tobytes() == start.channels.tobytes()
+        assert state.powers.tobytes() == start.powers.tobytes()
+
     def test_knowledge_is_required(self):
         # no default: a call that forgets what the movers know fails loudly
         topo, model, state = symmetric_pair()
