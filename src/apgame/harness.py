@@ -234,23 +234,21 @@ def discovery_completion_ticks(
 
     Topology and probes come from the stream seeded with ``(config.seed,
     num_aps, rep)``; the count stops at the first tick past ``max_ticks``.
-    A tick changes only the ``known`` rows of its hits' two ends, and since
-    ``known`` holds only candidates, a row is complete once it counts them all.
+    A tick changes only the known rows of its hits' two ends, so only those
+    rows are checked again.
     """
     rng = np.random.default_rng((config.seed, num_aps, rep))
     topology = generate_topology(replace(config, num_aps=num_aps), rng)[0]
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
-    known, log = kb.known, dstate.exchange_log
-    wanted = np.count_nonzero(kb.candidates, axis=1)
-    incomplete = set(np.flatnonzero(wanted).tolist())
+    log = dstate.exchange_log
+    incomplete = set(kb.missing(range(num_aps)))
     while incomplete:
         start = len(log)
         discovery_tick(dstate, kb, topology)
         if len(log) > start:
-            touched = np.fromiter({r for _, i, j in log[start:] for r in (i, j)} & incomplete, int)
-            done = np.count_nonzero(known[touched], axis=1) == wanted[touched]
-            incomplete.difference_update(touched[done].tolist())
+            touched = {r for _, i, j in log[start:] for r in (i, j)} & incomplete
+            incomplete -= touched.difference(kb.missing(touched))
         if dstate.tick > max_ticks:
             break
     return dstate.tick
@@ -272,7 +270,7 @@ def _setup(config: ScenarioConfig) -> tuple[
     seeds = np.random.default_rng(config.seed).integers(2**63, size=6)
     topo_rng, discovery_rng, *streams = [np.random.default_rng(s) for s in seeds]
     network = Network(*generate_topology(config, topo_rng))
-    kb = KnowledgeBase(known=np.zeros_like(network.candidates), candidates=network.candidates)
+    kb = KnowledgeBase(network.candidates)
     dstate = DiscoveryState(rng=discovery_rng, samples_per_tick=config.samples_per_tick)
     return network, kb, dstate, streams
 

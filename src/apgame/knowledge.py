@@ -8,46 +8,81 @@ tick models one second of protocol time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .model import AccessPoint, AllocationState, ap_positions, candidate_matrix, pairwise_distances
 
 
-@dataclass
-class KnowledgeBase:
-    """Who knows whom, and who may: two N x N boolean matrices.
+def _bits(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int whose bit j is the row's entry j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
-    ``candidates[i, j]`` says that the coordination areas of i and j overlap
-    (symmetric, False on the diagonal). ``known[i, j]`` says that i has
-    discovered j; it only ever holds candidates of i (soundness) and never
-    turns back to False.
+
+class KnowledgeBase:
+    """Who knows whom, and who may.
+
+    ``candidates[i, j]``, an N x N boolean matrix, says that the coordination
+    areas of i and j overlap (symmetric, False on the diagonal). AP i's known
+    row is an int whose bit j is set once i has discovered j; it only ever
+    holds candidates of i (soundness) and never loses a bit. ``known`` is the
+    same rows as a read-only N x N boolean matrix.
     Peer metadata (position, radius, current channel) is read from the
     shared topology and allocation state: channel updates are pushed
     instantly once a neighbor is known.
     """
 
-    known: np.ndarray
-    candidates: np.ndarray
+    def __init__(self, candidates: np.ndarray, known: np.ndarray | None = None) -> None:
+        self.candidates = candidates
+        self._cand = _bits(candidates)
+        if known is None:  # np.zeros maps its pages only when a row is written
+            self._rows, self._matrix = [0] * len(candidates), np.zeros(candidates.shape, bool)
+        else:
+            self._rows, self._matrix = _bits(known), np.array(known, dtype=bool)
+        self._view = self._matrix.view()
+        self._view.flags.writeable = False
+        self._dirty: set[int] = set()  # rows written since ``known`` was last read
+
+    @property
+    def known(self) -> np.ndarray:
+        """``known[i, j]``: whether i has discovered j. Read-only; the rows written
+        since the last read are unpacked into it at once."""
+        if self._dirty:
+            ids, n = list(self._dirty), len(self._rows)
+            self._dirty.clear()
+            packed = b"".join([self._rows[i].to_bytes((n + 7) // 8, "little") for i in ids])
+            bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(ids), -1),
+                                 axis=1, count=n, bitorder="little")
+            self._matrix[ids] = bits.view(bool)
+        return self._view
+
+    def missing(self, ids: Iterable[int], among: list[int] | None = None) -> list[int]:
+        """The APs of ``ids`` that have yet to discover a candidate, counting
+        only the candidates in ``among`` (distinct ids) when it is given."""
+        mask = -1 if among is None else sum(1 << i for i in among)  # -1: every bit set
+        rows, cand = self._rows, self._cand
+        return [i for i in ids if cand[i] & mask & ~rows[i]]
 
     @classmethod
     def from_topology(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
         pos = ap_positions(topology)
-        candidates = candidate_matrix(topology, pairwise_distances(pos, pos))
-        return cls(known=np.zeros_like(candidates), candidates=candidates)
+        return cls(candidate_matrix(topology, pairwise_distances(pos, pos)))
 
     @classmethod
     def complete(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
         """Knowledge as if discovery had already finished."""
-        kb = cls.from_topology(topology)
-        kb.known = kb.candidates.copy()
-        return kb
+        candidates = cls.from_topology(topology).candidates
+        return cls(candidates, known=candidates)
 
     @classmethod
     def full(cls, n: int) -> "KnowledgeBase":
         """Full knowledge: each of ``n`` APs knows every other as a candidate."""
-        return cls(known=~np.eye(n, dtype=bool), candidates=~np.eye(n, dtype=bool))
+        everyone = ~np.eye(n, dtype=bool)
+        return cls(everyone, known=everyone)
 
 
 @dataclass
@@ -115,15 +150,15 @@ def discovery_tick(
         peers += peers >= owners  # a draw indexes the others: skip the owner's position
         if ids is not None:
             owners, peers = ids[owners], ids[peers]
-        known, cand = knowledge.known, knowledge.candidates
-        probes, samples = np.nonzero(cand[owners, peers])  # the hits, in probe order
-        log, tick = dstate.exchange_log, dstate.tick
-        for i, j in zip(owners[probes, 0].tolist(), peers[probes, samples].tolist()):
-            row_i, row_j = known[i], known[j]
-            row_i[j] = row_j[i] = True
-            log.append((tick, i, j))
-            row_i |= row_j & cand[i]
-            row_j |= row_i & cand[j]
+        probes, samples = np.nonzero(knowledge.candidates[owners, peers])  # hits, in probe order
+        his, hjs = owners[probes, 0].tolist(), peers[probes, samples].tolist()
+        rows, cand = knowledge._rows, knowledge._cand
+        for i, j in zip(his, hjs):
+            ki, kj = rows[i] | 1 << j, rows[j] | 1 << i
+            ki |= kj & cand[i]
+            rows[i], rows[j] = ki, kj | ki & cand[j]
+        dstate.exchange_log.extend(zip(repeat(dstate.tick), his, hjs))
+        knowledge._dirty.update(his, hjs)
     dstate.tick += 1
 
 
@@ -136,9 +171,7 @@ def discovery_complete(
     With ``active`` only active APs and their active candidates count. APs
     without candidates never count as missing.
     """
-    unknown = knowledge.candidates & ~knowledge.known
-    if active is not None:
-        ids = sorted_ids(active, len(unknown))
-        unknown = unknown[np.ix_(ids, ids)]
-    missing = int(unknown.any(axis=1).sum())
+    n = len(knowledge.candidates)
+    ids = None if active is None else sorted_ids(active, n)
+    missing = len(knowledge.missing(range(n) if ids is None else ids, among=ids))
     return missing == 0, missing

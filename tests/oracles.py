@@ -16,6 +16,8 @@ coupling, against which the bound's kept per-channel I - M is held.
 ``loss_out_of_place`` are the set-up formulas that held a temporary N x N
 copy per step, and ``unique_cover_set`` is the cover set by ``np.unique``;
 the package's in-place and sort-free forms must return the same bits.
+``discovery_missing`` is ``knowledge.discovery_complete``'s count on the
+boolean matrices, which the package counts on its bit rows.
 """
 
 from __future__ import annotations
@@ -348,3 +350,8 @@ def sufficiency_check(
 ) -> bool:
     """True iff i already knows its nearest channel-covering neighbor set."""
     return bool(knowledge.known[i, sorted(nearest_cover_set(i, topology, state))].all())
+
+
+def discovery_missing(candidates: np.ndarray, known: np.ndarray, ids: list[int]) -> int:
+    """APs of ``ids`` with a candidate among ``ids`` that they have not discovered."""
+    return int((candidates & ~known)[np.ix_(ids, ids)].any(axis=1).sum())

@@ -226,7 +226,8 @@ def test_engine_equals_reference(instance, synchronous, knowledge_level, enforce
     elif knowledge_level != "none":
         knowledge = KnowledgeBase.complete(network.topology)
         if knowledge_level == "partial":
-            knowledge.known &= rng.random((n, n)) < 0.5
+            partial = knowledge.known & (rng.random((n, n)) < 0.5)
+            knowledge = KnowledgeBase(knowledge.candidates, known=partial)
     active = set(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()) \
         if subset else None
     kwargs = dict(knowledge=knowledge, synchronous=synchronous,

@@ -15,7 +15,7 @@ from apgame.knowledge import (
     neighbour_order,
 )
 from apgame.model import OFF, AccessPoint, AllocationState, ap_positions, pairwise_distances
-from oracles import candidate_test, sufficiency_check, unique_cover_set
+from oracles import candidate_test, discovery_missing, sufficiency_check, unique_cover_set
 from oracles import nearest_cover_set as oracle_cover_set
 
 
@@ -332,8 +332,21 @@ class TestDiscovery:
         assert not kb.candidates[2].any()
         complete, missing = discovery_complete(kb)
         assert not complete and missing == 2  # only the near pair is missing
-        kb.known[0, 1] = kb.known[1, 0] = True
+        known = np.zeros((3, 3), dtype=bool)
+        known[0, 1] = known[1, 0] = True
+        kb = KnowledgeBase(kb.candidates, known=known)
         assert discovery_complete(kb) == (True, 0)
+
+    def test_known_is_read_only(self):
+        topo = line_topology([0, 30])
+        kb = KnowledgeBase.from_topology(topo)
+        with pytest.raises(ValueError, match="read-only"):
+            kb.known[0, 1] = True
+        with pytest.raises(ValueError, match="read-only"):
+            kb.known[:] |= kb.candidates
+        with pytest.raises(AttributeError):
+            kb.known = kb.candidates.copy()
+        assert not kb.known.any()
 
     def test_active_subset_restricts_sampling(self):
         topo = line_topology([0, 20, 40])
@@ -439,3 +452,44 @@ class TestMatrixTickOracle:
         assert ds.exchange_log == ref_log
         assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
         assert len(ref_log) > 100
+
+
+def run_reading_known(case, seed, read_every):
+    """Run a discovery case, reading ``known`` after every ``read_every``-th
+    tick (never when it is 0), and return its state at the end."""
+    topo, active, samples, ticks = case
+    kb = KnowledgeBase.from_topology(topo)
+    ds = DiscoveryState(rng=np.random.default_rng(seed), samples_per_tick=samples)
+    for t in range(1, 3 * ticks + 1):
+        discovery_tick(ds, kb, topo, active)
+        if read_every and t % read_every == 0:
+            kb.known.copy()
+    return kb.known.copy(), ds.exchange_log, ds.rng.bit_generator.state
+
+
+class TestBitRows:
+    """The bit rows behind ``known`` and the completion check."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(discovery_cases(), st.integers(0, 2**32 - 1))
+    def test_reading_known_midway_changes_nothing(self, case, seed):
+        known, log, rng_state = run_reading_known(case, seed, 0)
+        for read_every in (1, 7):
+            again, again_log, again_state = run_reading_known(case, seed, read_every)
+            assert again.dtype == bool and again.tobytes() == known.tobytes()
+            assert again_log == log and again_state == rng_state
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_completion_count_equals_the_matrix_form(self, data):
+        n = data.draw(st.integers(0, 70))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.random((n, n)) < data.draw(st.sampled_from([0.1, 0.5, 1.0])), 1)
+        candidates = upper | upper.T
+        known = candidates & (rng.random((n, n)) < data.draw(st.sampled_from([0.0, 0.5, 0.9])))
+        kb = KnowledgeBase(candidates, known=known)
+        ids = list(range(n))
+        drawn = data.draw(st.none() | st.sets(st.sampled_from(ids)) if n else st.none())
+        for active in [drawn, set(), *({i} for i in ids)]:  # the empty set and every singleton
+            want = discovery_missing(candidates, known, ids if active is None else sorted(active))
+            assert discovery_complete(kb, active) == (want == 0, want)

@@ -491,7 +491,7 @@ class TestListContextsBitEqual:
         elif level != "none":
             kb = KnowledgeBase.complete(topo)
             if level == "partial":
-                kb.known &= rng.random((n, n)) < 0.5
+                kb = KnowledgeBase(kb.candidates, known=kb.known & (rng.random((n, n)) < 0.5))
         loss = topology_path_loss(topo, model)
         ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
         seen = []
