@@ -234,21 +234,18 @@ def discovery_completion_ticks(
 
     Topology and probes come from the stream seeded with ``(config.seed,
     num_aps, rep)``; the count stops at the first tick past ``max_ticks``.
-    A tick changes only the known rows of its hits' two ends, so only those
-    rows are checked again.
+    A tick changes only the known rows of its hits' two ends, which it
+    returns, so only those rows are checked again.
     """
     rng = np.random.default_rng((config.seed, num_aps, rep))
     topology = generate_topology(replace(config, num_aps=num_aps), rng)[0]
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
-    log = dstate.exchange_log
     incomplete = set(kb.missing(range(num_aps)))
     while incomplete:
-        start = len(log)
-        discovery_tick(dstate, kb, topology)
-        if len(log) > start:
-            touched = {r for _, i, j in log[start:] for r in (i, j)} & incomplete
-            incomplete -= touched.difference(kb.missing(touched))
+        his, hjs = discovery_tick(dstate, kb, topology)
+        touched = incomplete.intersection(his + hjs)  # either end, not both
+        incomplete -= touched.difference(kb.missing(touched))
         if dstate.tick > max_ticks:
             break
     return dstate.tick

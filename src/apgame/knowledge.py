@@ -29,8 +29,9 @@ class KnowledgeBase:
     ``candidates[i, j]``, an N x N boolean matrix, says that the coordination
     areas of i and j overlap (symmetric, False on the diagonal). AP i's known
     row is an int whose bit j is set once i has discovered j; it only ever
-    holds candidates of i (soundness) and never loses a bit. ``known`` is the
-    same rows as a read-only N x N boolean matrix.
+    holds candidates of i (soundness) and never loses a bit. The rows are the
+    one store of knowledge: ``known`` unpacks them into a fresh read-only
+    N x N boolean matrix on each read.
     Peer metadata (position, radius, current channel) is read from the
     shared topology and allocation state: channel updates are pushed
     instantly once a neighbor is known.
@@ -39,26 +40,23 @@ class KnowledgeBase:
     def __init__(self, candidates: np.ndarray, known: np.ndarray | None = None) -> None:
         self.candidates = candidates
         self._cand = _bits(candidates)
-        if known is None:  # np.zeros maps its pages only when a row is written
-            self._rows, self._matrix = [0] * len(candidates), np.zeros(candidates.shape, bool)
-        else:
-            self._rows, self._matrix = _bits(known), np.array(known, dtype=bool)
-        self._view = self._matrix.view()
-        self._view.flags.writeable = False
-        self._dirty: set[int] = set()  # rows written since ``known`` was last read
+        if known is not None and np.shape(known) != candidates.shape:
+            raise ValueError(f"known has shape {np.shape(known)}, not {candidates.shape}")
+        self._rows = [0] * len(candidates) if known is None else _bits(known)
+        if any(k & ~c for k, c in zip(self._rows, self._cand)):
+            raise ValueError("known holds a pair that is not a candidate")
 
     @property
     def known(self) -> np.ndarray:
-        """``known[i, j]``: whether i has discovered j. Read-only; the rows written
-        since the last read are unpacked into it at once."""
-        if self._dirty:
-            ids, n = list(self._dirty), len(self._rows)
-            self._dirty.clear()
-            packed = b"".join([self._rows[i].to_bytes((n + 7) // 8, "little") for i in ids])
-            bits = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(ids), -1),
-                                 axis=1, count=n, bitorder="little")
-            self._matrix[ids] = bits.view(bool)
-        return self._view
+        """``known[i, j]``: whether i has discovered j. A read-only array, every
+        row unpacked afresh with one ``np.unpackbits``."""
+        n = len(self._rows)
+        size = (n + 7) // 8
+        packed = b"".join([row.to_bytes(size, "little") for row in self._rows])
+        known = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, size),
+                              axis=1, count=n, bitorder="little").view(bool)
+        known.flags.writeable = False
+        return known
 
     def missing(self, ids: Iterable[int], among: list[int] | None = None) -> list[int]:
         """The APs of ``ids`` that have yet to discover a candidate, counting
@@ -132,13 +130,15 @@ def discovery_tick(
     knowledge: KnowledgeBase,
     topology: list[AccessPoint],
     active: set[int] | None = None,
-) -> None:
+) -> tuple[list[int], list[int]]:
     """One second of sampling: every active AP probes random peers.
 
     A probe that hits a candidate makes the pair mutually known and triggers
     an exchange of their current known lists; received entries are kept when
     they are candidates of the receiver. Hits are handled in probe order,
-    each exchange seeing the ones before it.
+    each exchange seeing the ones before it. Returns the hits' two ends
+    ``(his, hjs)`` in probe order, the only known rows the tick changed;
+    with fewer than two APs probing, two empty lists.
     """
     ids = None if active is None else np.array(sorted_ids(active, len(topology)))
     n = len(topology) if ids is None else len(ids)
@@ -158,8 +158,10 @@ def discovery_tick(
             ki |= kj & cand[i]
             rows[i], rows[j] = ki, kj | ki & cand[j]
         dstate.exchange_log.extend(zip(repeat(dstate.tick), his, hjs))
-        knowledge._dirty.update(his, hjs)
+    else:
+        his, hjs = [], []
     dstate.tick += 1
+    return his, hjs
 
 
 def discovery_complete(

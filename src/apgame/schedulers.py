@@ -91,12 +91,11 @@ def run_dynamics(
     def known_rows() -> list[list[tuple[int, float]] | np.ndarray]:
         """Each mover's known row for the call: its boolean row when enforced or dense,
         else its (j, ĝ_ij) pairs in ascending j. One nonzero scans the short rows alone."""
-        if enforce_sufficiency:
-            none_known = np.zeros(len(players), dtype=bool)
-            return [none_known if knowledge is None else knowledge.known[i] for i in ids]
         if knowledge is None:
-            return [[]] * len(ids)
-        known = knowledge.known
+            return [np.zeros(len(players), dtype=bool) if enforce_sufficiency else []] * len(ids)
+        known = knowledge.known  # one unpack of every row per call
+        if enforce_sufficiency:
+            return [known[i] for i in ids]
         counts = np.count_nonzero(known, axis=1).tolist()
         short = [i for i in ids if counts[i] <= dense_from]
         # ``known`` itself, not a copy, when every AP moves and every row is short

@@ -265,7 +265,7 @@ class TestDiscovery:
         kb = KnowledgeBase.from_topology(topo)
         ds = DiscoveryState(rng=np.random.default_rng(0))
         for _ in range(5):
-            discovery_tick(ds, kb, topo)
+            assert discovery_tick(ds, kb, topo) == ([], [])
         assert kb.known.tolist() == [[False]]
         assert ds.tick == 5
 
@@ -348,6 +348,19 @@ class TestDiscovery:
             kb.known = kb.candidates.copy()
         assert not kb.known.any()
 
+    def test_known_of_another_shape_is_rejected(self):
+        candidates = KnowledgeBase.from_topology(line_topology([0, 30, 60])).candidates
+        with pytest.raises(ValueError, match=r"known has shape \(2, 2\), not \(3, 3\)"):
+            KnowledgeBase(candidates, known=candidates[:2, :2])
+
+    def test_known_outside_the_candidates_is_rejected(self):
+        candidates = KnowledgeBase.from_topology(line_topology([0, 30, 5000])).candidates
+        known = candidates.copy()
+        known[0, 2] = True  # AP 2 is out of AP 0's coordination area
+        with pytest.raises(ValueError, match="known holds a pair that is not a candidate"):
+            KnowledgeBase(candidates, known=known)
+        assert KnowledgeBase(candidates, known=candidates).known.tolist() == candidates.tolist()
+
     def test_active_subset_restricts_sampling(self):
         topo = line_topology([0, 20, 40])
         kb = KnowledgeBase.from_topology(topo)
@@ -374,6 +387,11 @@ class TestDiscovery:
         topo, _ = generate_topology(ScenarioConfig(num_aps=20, seed=1), np.random.default_rng(1))
         with pytest.raises(ValueError, match=f"active id {bad} is not an AP"):
             discovery_complete(KnowledgeBase.from_topology(topo), active={bad, 0})
+
+
+def hit_ends(log):
+    """The ``(i, j)`` of the ``(tick, i, j)`` entries of an exchange log as two lists."""
+    return [i for _, i, _ in log], [j for _, _, j in log]
 
 
 def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, ids, log):
@@ -424,8 +442,10 @@ class TestMatrixTickOracle:
         ref_rng, ref_log = np.random.default_rng(seed), []
         ids = sorted(active) if active is not None else list(range(n))
         for t in range(ticks):
-            discovery_tick(ds, kb, topo, active)
+            start = len(ref_log)
+            hits = discovery_tick(ds, kb, topo, active)
             set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
+            assert hits == hit_ends(ref_log[start:])  # the rows it changed, in probe order
         assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
         assert ds.exchange_log == ref_log
         assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
@@ -446,8 +466,10 @@ class TestMatrixTickOracle:
         ref_rng, ref_log = np.random.default_rng(seed), []
         ids = sorted(active) if active is not None else list(range(len(topo)))
         for t in range(100):
-            discovery_tick(ds, kb, topo, active)
+            start = len(ref_log)
+            hits = discovery_tick(ds, kb, topo, active)
             set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
+            assert hits == hit_ends(ref_log[start:])  # the rows it changed, in probe order
         assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
         assert ds.exchange_log == ref_log
         assert ds.rng.bit_generator.state == ref_rng.bit_generator.state

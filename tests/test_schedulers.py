@@ -548,6 +548,34 @@ class TestTracerSeam:
         assert state.powers.tobytes() == plain.powers.tobytes()
 
 
+class CountingKnowledge(KnowledgeBase):
+    """Knowledge that counts the reads of ``known``, each an unpack of every row."""
+
+    reads = 0
+
+    @property
+    def known(self):
+        self.reads += 1
+        return super().known
+
+
+class TestKnownReads:
+    @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
+    @pytest.mark.parametrize("active", [None, set(range(0, 40, 3))])
+    @pytest.mark.parametrize("enforce_sufficiency", [False, True])
+    def test_one_read_per_call(self, timing, active, enforce_sufficiency):
+        net, start, kb, _ = TestSufficiencyEnforcement.instance()
+        counting = CountingKnowledge(kb.candidates, known=kb.known)
+        plain, state = start.copy(), start.copy()
+        expected = run_dynamics(net, plain, 30, knowledge=kb, active=active,
+                                enforce_sufficiency=enforce_sufficiency, **timing)
+        result = run_dynamics(net, state, 30, knowledge=counting, active=active,
+                              enforce_sufficiency=enforce_sufficiency, **timing)
+        assert result.iterations > 1 and counting.reads == 1
+        assert repr(result) == repr(expected)
+        assert state.powers.tobytes() == plain.powers.tobytes()
+
+
 @st.composite
 def weight_cases(draw):
     """APs with equal radii on a coarse grid, so estimated gains tie exactly,
