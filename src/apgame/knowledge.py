@@ -27,7 +27,8 @@ class KnowledgeBase:
     """Who knows whom, and who may.
 
     ``candidates[i, j]``, an N x N boolean matrix, says that the coordination
-    areas of i and j overlap (symmetric, False on the diagonal). AP i's known
+    areas of i and j overlap (square, symmetric and False on the diagonal, or
+    ValueError names the check that failed). AP i's known
     row is an int whose bit j is set once i has discovered j; it only ever
     holds candidates of i (soundness) and never loses a bit. The rows are the
     one store of knowledge: ``known`` unpacks them into a fresh read-only
@@ -38,6 +39,12 @@ class KnowledgeBase:
     """
 
     def __init__(self, candidates: np.ndarray, known: np.ndarray | None = None) -> None:
+        if candidates.ndim != 2 or candidates.shape[0] != candidates.shape[1]:
+            raise ValueError(f"candidates has shape {candidates.shape}, which is not square")
+        if candidates.diagonal().any():
+            raise ValueError("candidates is True on the diagonal: an AP would be its own candidate")
+        if (candidates != candidates.T).any():
+            raise ValueError("candidates is not symmetric")
         self.candidates = candidates
         self._cand = _bits(candidates)
         if known is not None and np.shape(known) != candidates.shape:
@@ -73,14 +80,16 @@ class KnowledgeBase:
     @classmethod
     def complete(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
         """Knowledge as if discovery had already finished."""
-        candidates = cls.from_topology(topology).candidates
-        return cls(candidates, known=candidates)
+        kb = cls.from_topology(topology)
+        kb._rows = kb._cand.copy()
+        return kb
 
     @classmethod
     def full(cls, n: int) -> "KnowledgeBase":
         """Full knowledge: each of ``n`` APs knows every other as a candidate."""
-        everyone = ~np.eye(n, dtype=bool)
-        return cls(everyone, known=everyone)
+        kb = cls(~np.eye(n, dtype=bool))
+        kb._rows = kb._cand.copy()
+        return kb
 
 
 @dataclass

@@ -51,8 +51,9 @@ def run_dynamics(
     Movers act one at a time in ascending id order or, when ``synchronous``,
     all at once, each responding to the profile as it was before the
     activation. Mutates ``state`` in place. Non-convergence is a result, not
-    an error. A revisited channel profile after at least one channel change
-    marks a cycle; the flag is only reported when the run did not converge.
+    an error. A state, channels and powers byte for byte, that recurs at the
+    end of a round marks a cycle: each round is a deterministic map of the
+    state, so every exact cycle shows as such a repeat and never converges.
     With ``record_potential`` every move records ``exact_potential_full``.
 
     ``knowledge`` is what each mover knows of its neighbours: its ``known``
@@ -83,8 +84,6 @@ def run_dynamics(
     ch = np.maximum(channels, 0)
     gains_est, num_channels = network.gains_est, network.num_channels
     terms = np.empty(len(players))  # one response's interference terms, reused
-    # revisit keys: the smallest signed type that holds every id in [OFF, num_channels)
-    key = channels.astype(np.min_scalar_type(-num_channels))
     no_information = [0.0] * num_channels  # the weight of a mover that knows nobody; never written
     dense_from = DENSE_ROW + len(players) // DENSE_ROW_PER_AP
 
@@ -133,8 +132,8 @@ def run_dynamics(
 
     bincount, multiply, respond = np.bincount, np.multiply, game.best_response
     trace: list[TraceRecord] = []
-    seen, visits = {key.tobytes()}, 1  # profiles recorded; a revisit leaves len(seen) < visits
-    converged = False
+    seen = {channels.tobytes() + powers.tobytes()}  # the entry state and each round end's
+    converged = cycled = False
     rounds = 0
     # where the updates go: the live profile, or under the synchronous schedule
     # a copy of it taken per activation, so every mover reads the profile before it
@@ -166,35 +165,32 @@ def run_dynamics(
                     if old_k != OFF:
                         t_powers[i] = necessary_power(player, interference[old_k])
                     p_before = exact_potential_full(network, target)
-                t_channels[i] = key[i] = t_ch[i] = t_chl[i] = new_k
+                t_channels[i] = t_ch[i] = t_chl[i] = new_k
                 t_powers[i] = new_p
                 if record_potential:
                     p_after = exact_potential_full(network, target)
                 trace.append(TraceRecord(i, old_k, new_k, old_p, new_p, u_before,
                                          utility(*view, new_k), p_before, p_after))
                 round_channel_change = True
-                if not synchronous:
-                    seen.add(key.tobytes())
-                    visits += 1
             else:
                 t_powers[i] = new_p
             t_pl[i] = new_p
         if synchronous:
             channels[:], powers[:], ch[:] = t_channels, t_powers, t_ch
             chl[:], pl[:] = t_chl, t_pl
-            if round_channel_change:
-                seen.add(key.tobytes())
-                visits += 1
         rounds = rnd + 1
         if not round_channel_change and round_max_dp < POWER_TOLERANCE:
             converged = True
             break
+        end = channels.tobytes() + powers.tobytes()
+        cycled = cycled or end in seen
+        seen.add(end)
 
     return RunResult(
         converged=converged,
         iterations=rounds,
         trace=trace,
-        cycle_detected=len(seen) < visits and not converged,
+        cycle_detected=cycled,
     )
 
 

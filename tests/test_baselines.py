@@ -337,7 +337,9 @@ def allocation_instances(draw):
 
     Windows of one width over the channel range give equal sizes on
     different sets; with mixed sizes the singleton sets pin their APs.
-    Returns the network, its ``PropagationModel`` and the rng.
+    Returns the topology, its ``PropagationModel`` and the rng; each test
+    builds its ``Network``, which hypothesis cannot print (``model`` is an
+    ``InitVar``).
     """
     n = draw(st.integers(1, 40))
     k = draw(st.integers(1, 5))
@@ -358,18 +360,17 @@ def allocation_instances(draw):
             sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=channels,
         ))
     model = PropagationModel.sample(n, rng)
-    return Network(topology, model), model, rng
+    return topology, model, rng
 
 
-def one_channel_network(n, rng, side):
+def one_channel_topology(n, rng, side):
     """``n`` APs with channel 0 alone in a ``side`` x ``side`` square, and their model."""
     topology = [AccessPoint(
         id=i, position=(float(rng.uniform(0, side)), float(rng.uniform(0, side))),
         coverage_radius=float(rng.uniform(3.0, 20.0)), coordination_radius=40.0,
         sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=frozenset({0}),
     ) for i in range(n)]
-    model = PropagationModel.sample(n, rng)
-    return Network(topology, model), model
+    return topology, PropagationModel.sample(n, rng)
 
 
 @st.composite
@@ -377,7 +378,7 @@ def one_channel_instances(draw):
     """Up to 80 APs on one channel; the smaller squares turn some away."""
     n = draw(st.integers(1, 80))
     side = draw(st.sampled_from([40.0, 100.0, 300.0]))
-    return one_channel_network(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), side)
+    return one_channel_topology(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), side)
 
 
 class TestMemberListOracle:
@@ -387,7 +388,8 @@ class TestMemberListOracle:
     @given(instance=allocation_instances(), pre_active=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_draw_allocation_equals_masked_pass(self, instance, pre_active, seed):
-        network, model, rng = instance
+        topology, model, rng = instance
+        network = Network(topology, model)
         n = len(network.topology)
         start = AllocationState.all_off(n)
         if pre_active:
@@ -428,8 +430,8 @@ class TestMemberListOracle:
     @settings(max_examples=100, deadline=None)
     @given(instance=allocation_instances(), seed=st.integers(0, 2**32 - 1))
     def test_greedy_bound_equals_masked_bound(self, instance, seed):
-        network, model, _ = instance
-        topology = network.topology
+        topology, model, _ = instance
+        network = Network(topology, model)
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         state, admitted = greedy_admission_bound(network, rng_a)
         expected, expected_admitted = masked_greedy_admission_bound(
@@ -444,7 +446,8 @@ class TestMemberListOracle:
     def test_one_channel_bound_equals_masked_bound(self, instance, seed):
         # every admission borders the one group's kept I - M, whatever the
         # AP's place among the admitted ids, and rejections leave it as it was
-        network, model = instance
+        topology, model = instance
+        network = Network(topology, model)
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         state, admitted = greedy_admission_bound(network, rng_a)
         expected, expected_admitted = masked_greedy_admission_bound(
@@ -457,7 +460,8 @@ class TestMemberListOracle:
         # a fixed dense one-channel instance of the strategy above: admissions
         # land first, between and last among the admitted ids, and some APs
         # are turned away; the bound still equals the masked oracle
-        network, model = one_channel_network(80, np.random.default_rng(12), side=60.0)
+        topology, model = one_channel_topology(80, np.random.default_rng(12), side=60.0)
+        network = Network(topology, model)
         perm = np.random.default_rng(3).permutation(80).tolist()
         state, admitted = greedy_admission_bound(network, np.random.default_rng(3))
         expected, _ = masked_greedy_admission_bound(

@@ -5,8 +5,9 @@ lean: one frozen context per mover with both bincounts, a mover list built
 on every activation, a masked argmax for the tie rule and the potential over
 a C-ordered transmitter-major gain matrix. It builds its profile arrays and
 co-channel mask from ``state`` itself. Without knowledge the known set is
-empty: the game without neighbour information, the selfish rule. The lean
-engine must reproduce it bit for bit.
+empty: the game without neighbour information, the selfish rule. Its cycle
+check is its own: a list of the states at each round end, scanned for the
+new one. The lean engine must reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def ref_run_dynamics(network, state, max_rounds, *, knowledge, synchronous=False
     per_round = 1 if synchronous else len(ids)
     act, ch, wp = ref_profile(state)
     trace = []
-    seen = {state.channels.tobytes()}
+    # the state, both arrays byte for byte, at entry and after each round that did not converge
+    history = [(state.channels.tobytes(), state.powers.tobytes())]
     revisit = False
     converged = False
     rounds = 0
@@ -129,7 +131,6 @@ def ref_run_dynamics(network, state, max_rounds, *, knowledge, synchronous=False
                 ctx = ref_context(network, i, ch, wp, known, gt)
                 old_k = int(state.channels[i])
                 updates.append((i, old_k, *ref_best_response(ctx, old_k), ctx))
-            activation_changed = False
             for i, old_k, new_k, new_p, ctx in updates:
                 old_p = float(state.powers[i])
                 round_max_dp = max(round_max_dp, abs(new_p - old_p))
@@ -150,7 +151,6 @@ def ref_run_dynamics(network, state, max_rounds, *, knowledge, synchronous=False
                         u_before=u_before, u_after=ref_utility(ctx, new_k),
                         potential_before=p_before, potential_after=p_after,
                     ))
-                    activation_changed = True
                     round_channel_change = True
                 else:
                     state.powers[i] = new_p
@@ -158,16 +158,13 @@ def ref_run_dynamics(network, state, max_rounds, *, knowledge, synchronous=False
                 ch[i] = new_k
                 wp[i] = new_p
             iteration += 1
-            if activation_changed:
-                key = state.channels.tobytes()
-                if key in seen:
-                    revisit = True
-                else:
-                    seen.add(key)
         rounds = rnd + 1
         if not round_channel_change and round_max_dp < POWER_TOLERANCE:
             converged = True
             break
+        snapshot = (state.channels.tobytes(), state.powers.tobytes())
+        revisit = revisit or snapshot in history
+        history.append(snapshot)
     return RunResult(converged=converged, iterations=rounds, trace=trace,
                      cycle_detected=revisit and not converged)
 
@@ -177,8 +174,10 @@ def instances(draw):
     """A small network with some restricted channel sets and a mixed profile.
 
     Silent APs are OFF or hold a channel at zero power; dense placements make
-    co-channel moves, ties and the power cap likely. Returns the network, the
-    profile, the rng and the network's ``PropagationModel``, which it does not keep.
+    co-channel moves, ties and the power cap likely. Returns the topology, its
+    ``PropagationModel``, the profile and the rng. Each test builds its own
+    ``Network``: hypothesis prints a dataclass by its init fields, and
+    ``Network.model`` is an ``InitVar`` it cannot read back.
     """
     n = draw(st.integers(2, 12))
     k = draw(st.integers(2, 4))
@@ -197,13 +196,12 @@ def instances(draw):
             sinr_target=float(rng.uniform(1.0, 6.0)), max_power=0.1, channels=channels,
         ))
     model = PropagationModel.sample(n, rng)
-    network = Network(topology, model)
     channels = np.array([
         draw(st.sampled_from([OFF] + sorted(ap.channels))) for ap in topology
     ])
     powers = np.array([draw(st.just(0.0) | st.floats(1e-5, 0.1)) for _ in range(n)])
     powers[channels == OFF] = 0.0
-    return network, AllocationState(channels, powers), rng, model
+    return topology, model, AllocationState(channels, powers), rng
 
 
 @settings(max_examples=200, deadline=None)
@@ -218,8 +216,9 @@ def instances(draw):
 )
 def test_engine_equals_reference(instance, synchronous, knowledge_level, enforce_sufficiency,
                                  record_potential, subset, max_rounds):
-    network, start, rng, _ = instance
-    n = len(network.topology)
+    topology, model, start, rng = instance
+    network = Network(topology, model)
+    n = len(topology)
     knowledge = None
     if knowledge_level == "full":
         knowledge = KnowledgeBase.full(n)

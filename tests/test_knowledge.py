@@ -360,6 +360,28 @@ class TestDiscovery:
         with pytest.raises(ValueError, match="known holds a pair that is not a candidate"):
             KnowledgeBase(candidates, known=known)
         assert KnowledgeBase(candidates, known=candidates).known.tolist() == candidates.tolist()
+        # complete and full knowledge copy the candidate rows: the two-argument form's state
+        everyone = ~np.eye(3, dtype=bool)
+        for kb, two in [(KnowledgeBase.complete(line_topology([0, 30, 5000])),
+                         KnowledgeBase(candidates, known=candidates)),
+                        (KnowledgeBase.full(3), KnowledgeBase(everyone, known=everyone))]:
+            assert kb.known.tobytes() == two.known.tobytes()
+            assert kb.missing(range(3)) == two.missing(range(3)) == []
+
+    @pytest.mark.parametrize("candidates, check", [
+        (np.zeros((2, 3), dtype=bool), "not square"),
+        (np.zeros(3, dtype=bool), "not square"),
+        (np.eye(3, dtype=bool), "diagonal"),
+        (np.triu(~np.eye(3, dtype=bool)), "not symmetric"),
+    ], ids=["2x3", "vector", "diagonal", "one-sided"])
+    def test_malformed_candidates_are_rejected(self, candidates, check):
+        with pytest.raises(ValueError, match=check):
+            KnowledgeBase(candidates)
+
+    def test_no_aps(self):
+        kb = KnowledgeBase(np.zeros((0, 0), dtype=bool))
+        assert kb.known.shape == (0, 0)
+        assert discovery_complete(kb) == (True, 0)
 
     def test_active_subset_restricts_sampling(self):
         topo = line_topology([0, 20, 40])

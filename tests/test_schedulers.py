@@ -102,7 +102,7 @@ class TestRunDynamics:
         assert sorted(movers[:2]) == [0, 1]
 
     def test_synchronous_pair_cycles_near_channel_999(self):
-        # the revisit keys hold the largest channel ids the CLI accepts
+        # a cycle among the largest channel ids the CLI accepts
         topo = [make_ap(0, 0.0, 0.0, channels=(998, 999)),
                 make_ap(1, 40.0, 0.0, channels=(998, 999))]
         model = flat_model(2)
@@ -115,7 +115,8 @@ class TestRunDynamics:
         assert {rec.new_channel for rec in result.trace} == {998, 999}
 
     def test_channel_ids_with_equal_low_byte_are_distinct_profiles(self):
-        # 743 and 999 differ by 256: a one-byte key would take the move for a revisit
+        # 743 and 999 differ by 256, so their low bytes are equal: a key of one
+        # byte per channel would take the move for a return to the entry state
         topo = [make_ap(0, 0.0, 0.0, channels=(743, 999)), make_ap(1, 40.0, 0.0, channels=(999,))]
         model = flat_model(2)
         p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
@@ -124,6 +125,22 @@ class TestRunDynamics:
         assert [(r.mover, r.old_channel, r.new_channel) for r in result.trace] == [(0, 999, 743)]
         assert not result.converged
         assert not result.cycle_detected
+
+    @pytest.mark.parametrize("informed", [False, True], ids=["none", "full"])
+    @pytest.mark.parametrize("n, seed, cycled, moves", [
+        (30, 11, False, (514, 209)), (30, 19, False, (437, 294)), (20, 2, True, (64, 61))])
+    def test_a_cycle_is_an_exact_repeat_of_the_state(self, n, seed, cycled, moves, informed):
+        # clustered APs on 3 channels without shadowing never converge here; at
+        # 30 APs channel profiles come back at other powers, which is no cycle
+        cfg = ScenarioConfig(num_aps=n, num_channels=3, clustered=True, num_clusters=3,
+                             shadow_std_db=0.0, seed=seed)
+        network = harness._setup(cfg)[0]
+        state = random_allocation(network, np.random.default_rng(5))
+        result = run_dynamics(network, state, 50,
+                              knowledge=KnowledgeBase.full(n) if informed else None)
+        assert (result.converged, result.iterations) == (False, 50)
+        assert result.cycle_detected is cycled
+        assert len(result.trace) == moves[informed]
 
     def test_round_robin_pair_converges_to_orthogonal_ne(self):
         topo, model, state = symmetric_pair()
@@ -482,8 +499,8 @@ class TestListContextsBitEqual:
            synchronous=st.booleans())
     def test_contexts_bit_equal_utility_context(self, instance, level, enforce_sufficiency,
                                                 synchronous):
-        network, state, rng, model = instance
-        topo = network.topology
+        topo, model, state, rng = instance
+        network = Network(topo, model)
         n = len(topo)
         kb = None
         if level == "full":
@@ -579,7 +596,8 @@ class TestKnownReads:
 @st.composite
 def weight_cases(draw):
     """APs with equal radii on a coarse grid, so estimated gains tie exactly,
-    a random known matrix, and a profile with OFF and zero-power APs."""
+    their model, a profile with OFF and zero-power APs, and a random known
+    matrix. Each test builds its ``Network``, which hypothesis cannot print."""
     n = draw(st.integers(2, 10))
     k = draw(st.integers(1, 3))
     grid = st.sampled_from([0.0, 30.0, 60.0])
@@ -591,7 +609,7 @@ def weight_cases(draw):
     powers[channels == OFF] = 0.0
     known = (rng.random((n, n)) < draw(st.sampled_from([0.3, 0.7, 1.0]))) & ~np.eye(n, dtype=bool)
     kb = KnowledgeBase(known=known, candidates=~np.eye(n, dtype=bool))
-    return Network(topo, model), AllocationState(channels, powers), kb
+    return topo, model, AllocationState(channels, powers), kb
 
 
 class TestWeightForms:
@@ -601,8 +619,9 @@ class TestWeightForms:
     @settings(max_examples=150, deadline=None)
     @given(case=weight_cases(), enforce_sufficiency=st.booleans(), synchronous=st.booleans())
     def test_both_forms_equal_the_pair_loop(self, case, enforce_sufficiency, synchronous):
-        network, start, kb = case
-        n, ge = len(network.topology), network.gains_est
+        topo, model, start, kb = case
+        network = Network(topo, model)
+        n, ge = len(topo), network.gains_est
         respond, runs = game.best_response, []
         # DENSE_ROW = n makes every row short; -n makes every row dense
         for dense_row in (n, -n):
@@ -637,8 +656,9 @@ class TestWeightForms:
            synchronous=st.booleans())
     def test_mixed_forms_and_active_subsets_equal_the_pair_loop(self, case, data,
                                                                 enforce_sufficiency, synchronous):
-        network, start, kb = case
-        n, ge = len(network.topology), network.gains_est
+        topo, model, start, kb = case
+        network = Network(topo, model)
+        n, ge = len(topo), network.gains_est
         active = data.draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
         ids = sorted(active) if active is not None else list(range(n))
         # rows of more than ``split`` known APs are dense, the rest short, in one call
