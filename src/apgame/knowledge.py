@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -28,7 +29,9 @@ class KnowledgeBase:
 
     ``candidates[i, j]``, an N x N boolean matrix, says that the coordination
     areas of i and j overlap (square, symmetric and False on the diagonal, or
-    ValueError names the check that failed). AP i's known
+    ValueError names the check that failed). It is kept C-ordered, so that a
+    discovery tick reads it flat without a copy: a C-contiguous array, a view
+    included, is kept as given, and any other layout is copied once. AP i's known
     row is an int whose bit j is set once i has discovered j; it only ever
     holds candidates of i (soundness) and never loses a bit. The rows are the
     one store of knowledge: ``known`` unpacks them into a fresh read-only
@@ -45,7 +48,7 @@ class KnowledgeBase:
             raise ValueError("candidates is True on the diagonal: an AP would be its own candidate")
         if (candidates != candidates.T).any():
             raise ValueError("candidates is not symmetric")
-        self.candidates = candidates
+        self.candidates = np.ascontiguousarray(candidates)
         self._cand = _bits(candidates)
         if known is not None and np.shape(known) != candidates.shape:
             raise ValueError(f"known has shape {np.shape(known)}, not {candidates.shape}")
@@ -134,6 +137,17 @@ def sorted_ids(active: set[int], n: int) -> list[int]:
     return ids
 
 
+@lru_cache(maxsize=4)
+def _probe_owners(n: int, samples: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe's owner, ``samples`` per position of ``n`` in turn, and the
+    offset of the owner's row in a flat ``size`` x ``size`` matrix. Read-only:
+    every tick of one shape shares them."""
+    owners = np.arange(n).repeat(samples)
+    offsets = owners * size
+    owners.flags.writeable = offsets.flags.writeable = False
+    return owners, offsets
+
+
 def discovery_tick(
     dstate: DiscoveryState,
     knowledge: KnowledgeBase,
@@ -154,13 +168,16 @@ def discovery_tick(
     if n > 1:
         # numpy draws bounded integers one element at a time, so this equals
         # one scalar draw per probe in probe order (tests/golden pins it)
-        peers = dstate.rng.integers(n - 1, size=(n, dstate.samples_per_tick))
-        owners = np.arange(n)[:, None]
+        peers = dstate.rng.integers(n - 1, size=n * dstate.samples_per_tick)
+        candidates = knowledge.candidates
+        owners, offsets = _probe_owners(n, dstate.samples_per_tick, len(candidates))
         peers += peers >= owners  # a draw indexes the others: skip the owner's position
         if ids is not None:
             owners, peers = ids[owners], ids[peers]
-        probes, samples = np.nonzero(knowledge.candidates[owners, peers])  # hits, in probe order
-        his, hjs = owners[probes, 0].tolist(), peers[probes, samples].tolist()
+            offsets = owners * len(candidates)
+        # one gather from the C-ordered matrix, read flat in place: the hits, in probe order
+        hits = candidates.take(offsets + peers).nonzero()[0]
+        his, hjs = owners[hits].tolist(), peers[hits].tolist()
         rows, cand = knowledge._rows, knowledge._cand
         for i, j in zip(his, hjs):
             ki, kj = rows[i] | 1 << j, rows[j] | 1 << i

@@ -9,6 +9,7 @@ buffer they are given, so that set-up holds no temporary N x N copy.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
@@ -16,6 +17,23 @@ import numpy as np
 
 # Channel value used for an AP that is not transmitting.
 OFF = -1
+
+# Rows per block of the symmetric set-up matrices: 64 timed no slower than 32, 128 or 256.
+BLOCK = 64
+
+
+def _mirrored(m: np.ndarray, fill: Callable[[int, int], object]) -> np.ndarray:
+    """Square ``m`` made symmetric with each unordered pair computed once.
+
+    Per block of rows ``i0:i1``, ``fill(i0, i1)`` writes ``m[i0:i1, i0:]`` with
+    a symmetric corner ``m[i0:i1, i0:i1]``, and the rest is mirrored below it.
+    """
+    n = len(m)
+    for i0 in range(0, n, BLOCK):
+        i1 = min(i0 + BLOCK, n)
+        fill(i0, i1)
+        m[i1:, i0:i1] = m[i0:i1, i1:].T
+    return m
 
 
 @dataclass(frozen=True)
@@ -103,13 +121,17 @@ class PropagationModel:
         noise_power: float = 1e-8,
     ) -> "PropagationModel":
         """Draw one symmetric shadowing matrix and bundle the parameters."""
-        # in place, and mirrored by row slices: triangle indices would cost N² index pairs
+        # all N² normals are drawn, for the stream's sake; those above the diagonal count
         z = rng.normal(shadow_mean_db, shadow_std_db, size=(num_aps, num_aps))
-        z /= 10.0
-        np.power(10.0, z, out=z)
-        for i in range(1, num_aps):
-            z[i, :i] = z[:i, i]
-        np.fill_diagonal(z, 1.0)
+
+        def fill(i0: int, i1: int) -> None:
+            block = z[i0:i1, i0:]
+            block /= 10.0
+            np.power(10.0, block, out=block)
+            corner = block[:, :i1 - i0]
+            np.copyto(corner, corner.T, where=np.tri(i1 - i0, k=-1, dtype=bool))
+
+        np.fill_diagonal(_mirrored(z, fill), 1.0)
         return cls(
             path_loss_exponent=path_loss_exponent,
             mean_linear_gain=lognormal_mean_linear(shadow_mean_db, shadow_std_db),
@@ -173,9 +195,20 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The one distance kernel: each entry is the same elementwise hypot, so a
     row computed alone equals that row of the whole matrix bit for bit.
+    When ``b is a``, each unordered pair is computed once and mirrored, with
+    the same bits: fl(x_i - x_j) = -fl(x_j - x_i), and hypot ignores signs.
     """
-    dx = a[:, 0:1] - b[:, 0]
-    return np.hypot(dx, a[:, 1:2] - b[:, 1], out=dx)
+    if b is not a:
+        dx = a[:, 0:1] - b[:, 0]
+        return np.hypot(dx, a[:, 1:2] - b[:, 1], out=dx)
+    x, y = a.T
+    d = np.empty((len(a), len(a)))
+
+    def fill(i0: int, i1: int) -> None:
+        dx = np.subtract(x[i0:i1, None], x[i0:], out=d[i0:i1, i0:])
+        np.hypot(dx, y[i0:i1, None] - y[i0:], out=dx)
+
+    return _mirrored(d, fill)
 
 
 def path_loss(topology: list[AccessPoint], model: PropagationModel,
@@ -211,10 +244,17 @@ def estimated_gain_matrix(loss: np.ndarray, model: PropagationModel) -> np.ndarr
 
 
 def candidate_matrix(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
-    """Whether the coordination areas of distinct APs, ``distances`` apart, overlap."""
+    """Whether the coordination areas of distinct APs, ``distances`` apart, overlap.
+
+    ``distances`` must be symmetric: each pair is tested once, r_i + r_j = r_j + r_i.
+    """
     r = np.array([ap.coordination_radius for ap in topology])
-    candidates = distances < r[:, None] + r[None, :]
-    np.fill_diagonal(candidates, False)
+    candidates = np.empty(distances.shape, dtype=bool)
+
+    def fill(i0: int, i1: int) -> None:
+        np.less(distances[i0:i1, i0:], r[i0:i1, None] + r[i0:], out=candidates[i0:i1, i0:])
+
+    np.fill_diagonal(_mirrored(candidates, fill), False)
     return candidates
 
 

@@ -75,6 +75,14 @@ def distances_out_of_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(a[:, 0:1] - b[:, 0], a[:, 1:2] - b[:, 1])
 
 
+def candidates_out_of_place(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
+    """``candidate_matrix`` as one broadcast test over every ordered pair."""
+    r = np.array([ap.coordination_radius for ap in topology])
+    candidates = distances < r[:, None] + r[None, :]
+    np.fill_diagonal(candidates, False)
+    return candidates
+
+
 def loss_out_of_place(topology: list[AccessPoint], model: PropagationModel,
                       distances: np.ndarray) -> np.ndarray:
     """``path_loss`` that leaves ``distances`` as it was."""

@@ -437,6 +437,26 @@ def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, ids, log)
                             known[owner].add(c)
 
 
+def assert_tick_equals_set_tick(kb, topo, active, samples, seed, ticks):
+    """Run ``ticks`` discovery ticks on ``kb`` and on per-AP sets of its
+    candidates from one seed: the returns, known rows, log and generator
+    state must agree. Returns the log."""
+    ds = DiscoveryState(rng=np.random.default_rng(seed), samples_per_tick=samples)
+    candidates = [set(np.flatnonzero(row).tolist()) for row in kb.candidates]
+    known = [set() for _ in topo]
+    ref_rng, ref_log = np.random.default_rng(seed), []
+    ids = sorted(active) if active is not None else list(range(len(topo)))
+    for t in range(ticks):
+        start = len(ref_log)
+        hits = discovery_tick(ds, kb, topo, active)
+        set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
+        assert hits == hit_ends(ref_log[start:])  # the rows it changed, in probe order
+    assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
+    assert ds.exchange_log == ref_log
+    assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
+    return ref_log
+
+
 @st.composite
 def discovery_cases(draw):
     """A dense uniform or clustered topology, an optional active subset and
@@ -481,21 +501,50 @@ class TestMatrixTickOracle:
         cfg = ScenarioConfig(num_aps=300, clustered=clustered, seed=0)
         seed = 300 + 2 * samples + clustered
         topo, _ = generate_topology(cfg, np.random.default_rng(seed))
+        log = assert_tick_equals_set_tick(KnowledgeBase.from_topology(topo), topo, active,
+                                          samples, seed, 100)
+        assert len(log) > 100
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("xs", [[0, 10], [0, 500]], ids=["candidates", "apart"])
+    def test_two_aps(self, xs, samples):
+        # each AP can only draw the other: one hit per probe, or none
+        topo = line_topology(xs)
+        log = assert_tick_equals_set_tick(KnowledgeBase.from_topology(topo), topo, None,
+                                          samples, 7 + samples, 5)
+        assert len(log) == (5 * 2 * samples if xs[1] == 10 else 0)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_two_active_aps_in_a_300_ap_network(self, samples):
+        topo, _ = generate_topology(ScenarioConfig(num_aps=300, seed=0), np.random.default_rng(5))
         kb = KnowledgeBase.from_topology(topo)
-        ds = DiscoveryState(rng=np.random.default_rng(seed), samples_per_tick=samples)
-        candidates = [set(np.flatnonzero(row).tolist()) for row in kb.candidates]
-        known = [set() for _ in topo]
-        ref_rng, ref_log = np.random.default_rng(seed), []
-        ids = sorted(active) if active is not None else list(range(len(topo)))
-        for t in range(100):
-            start = len(ref_log)
-            hits = discovery_tick(ds, kb, topo, active)
-            set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
-            assert hits == hit_ends(ref_log[start:])  # the rows it changed, in probe order
-        assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
-        assert ds.exchange_log == ref_log
-        assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
-        assert len(ref_log) > 100
+        i = int(np.flatnonzero(kb.candidates.any(axis=1))[-1])
+        j = int(np.flatnonzero(kb.candidates[i])[0])
+        far = int(np.flatnonzero(~kb.candidates[i])[-1])
+        for active in ({j, i}, {i, far}):
+            kb = KnowledgeBase.from_topology(topo)
+            log = assert_tick_equals_set_tick(kb, topo, active, samples, 11, 4)
+            assert len(log) == (4 * 2 * samples if active == {j, i} else 0)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_fortran_ordered_candidates(self, samples):
+        cfg = ScenarioConfig(num_aps=300, clustered=True, seed=0)
+        topo, _ = generate_topology(cfg, np.random.default_rng(3))
+        c_kb = KnowledgeBase.from_topology(topo)
+        f_kb = KnowledgeBase(np.asfortranarray(c_kb.candidates))
+        assert f_kb.candidates.flags.c_contiguous
+        c_log = assert_tick_equals_set_tick(c_kb, topo, None, samples, 13, 30)
+        f_log = assert_tick_equals_set_tick(f_kb, topo, None, samples, 13, 30)
+        assert f_log == c_log and f_kb.known.tobytes() == c_kb.known.tobytes()
+
+    def test_a_c_ordered_matrix_is_kept_as_given(self):
+        # a C-contiguous view included: the tick then reads it flat with no copy
+        candidates = KnowledgeBase.from_topology(line_topology(range(0, 300, 30))).candidates
+        padded = np.zeros((len(candidates) + 2, len(candidates)), dtype=bool)
+        padded[1:-1] = candidates
+        view = padded[1:-1]
+        assert KnowledgeBase(candidates).candidates is candidates
+        assert KnowledgeBase(view).candidates is view
 
 
 def run_reading_known(case, seed, read_every):

@@ -24,6 +24,7 @@ from apgame.model import (
     Player,
     PropagationModel,
     ap_positions,
+    candidate_matrix,
     co_channel_mask,
     edge_gain,
     estimated_gain_matrix,
@@ -35,6 +36,7 @@ from apgame.model import (
     true_gain_matrix,
 )
 from oracles import (
+    candidates_out_of_place,
     distances_out_of_place,
     estimated_gain,
     interference_at,
@@ -361,10 +363,18 @@ class TestNetwork:
         assert net.gains_est.tobytes() == expected.tobytes() and net.gains_est.flags.c_contiguous
 
 
+# both sides of every block edge of the symmetric set-up passes (model.BLOCK = 64)
+BLOCK_EDGES = [1, 2, 63, 64, 65, 129, 305]
+
+
 class TestSetUpInPlace:
     """Set-up builds each N x N matrix in place, with the bits of the out-of-place formulas."""
 
-    @pytest.mark.parametrize("n", [1, 2, 305])
+    def test_the_sizes_straddle_the_block_edges(self):
+        b = model_module.BLOCK
+        assert {b - 1, b, b + 1, 2 * b + 1} <= set(BLOCK_EDGES)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_sample_equals_the_three_temporary_formula(self, n):
         for seed, (mean_db, std_db) in enumerate([(0.0, 8.0), (0.0, 0.0), (-3.0, 12.0),
                                                   (2.5, 4.0)]):
@@ -376,7 +386,7 @@ class TestSetUpInPlace:
             assert got.shadow_samples.tobytes() == expected.tobytes()
             assert rng.bit_generator.state == twin.bit_generator.state
 
-    @pytest.mark.parametrize("n", [1, 2, 305])
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_distances_and_loss_equal_the_out_of_place_forms(self, n):
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -391,6 +401,32 @@ class TestSetUpInPlace:
             loss = path_loss(topo, m, d)
             assert loss is d  # the distance buffer, overwritten
             assert np.array_equal(loss, expected)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_self_distances_with_duplicates_and_negative_coordinates(self, n):
+        # signed differences of both orders, and exact zeros off the diagonal
+        rng = np.random.default_rng(n)
+        pos = rng.uniform(-1e3, 1e3, size=(n, 2)) * rng.choice([1e-6, 1.0, 1e6], size=(n, 1))
+        pos[n // 2:] = pos[:n - n // 2]  # AP i + n // 2 stands on AP i
+        d = pairwise_distances(pos, pos)
+        assert d.tobytes() == distances_out_of_place(pos, pos).tobytes()
+        assert d.flags.c_contiguous and np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_candidates_equal_the_broadcast_test(self, n):
+        # per-AP coordination radii, so that r_i + r_j is not one number
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            cfg = ScenarioConfig(num_aps=n, clustered=seed == 2, num_clusters=2, seed=seed)
+            topo, _ = generate_topology(cfg, rng)
+            topo = [replace(ap, coordination_radius=ap.coverage_radius * f)
+                    for ap, f in zip(topo, rng.uniform(1.0, 8.0, size=n))]
+            pos = ap_positions(topo)
+            d = pairwise_distances(pos, pos)
+            got = candidate_matrix(topo, d)
+            expected = candidates_out_of_place(topo, d)
+            assert got.dtype == bool and got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
 
     def test_setup_holds_three_matrices_and_keeps_two(self):
         # the shadowing draw, the distances (later the loss and the true
