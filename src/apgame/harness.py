@@ -31,6 +31,7 @@ from .model import (
     PropagationModel,
     lognormal_mean_linear,
     satisfied_mask,
+    shadowing_db,
 )
 from .schedulers import run_dynamics
 
@@ -174,6 +175,17 @@ def generate_topology(
     config: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[list[AccessPoint], PropagationModel]:
     """Seeded synthetic topology plus one sampled shadowing realization."""
+    topology = _access_points(config, rng)
+    model = PropagationModel.sample(len(topology), rng,
+                                   path_loss_exponent=config.path_loss_exponent,
+                                   shadow_mean_db=config.shadow_mean_db,
+                                   shadow_std_db=config.shadow_std_db,
+                                   noise_power=config.noise_power)
+    return topology, model
+
+
+def _access_points(config: ScenarioConfig, rng: np.random.Generator) -> list[AccessPoint]:
+    """The APs of ``generate_topology``, drawn first from its stream."""
     config.validate()
     n = config.num_aps
     if config.clustered:
@@ -190,7 +202,7 @@ def generate_topology(
     radii = rng.uniform(config.coverage_radius_min, config.coverage_radius_max, size=n)
     coordination = config.coordination_factor * config.coverage_radius_max
     channels = frozenset(range(config.num_channels))
-    topology = [
+    return [
         AccessPoint(
             id=i,
             position=(float(xy[i, 0]), float(xy[i, 1])),
@@ -202,11 +214,6 @@ def generate_topology(
         )
         for i in range(n)
     ]
-    model = PropagationModel.sample(n, rng, path_loss_exponent=config.path_loss_exponent,
-                                   shadow_mean_db=config.shadow_mean_db,
-                                   shadow_std_db=config.shadow_std_db,
-                                   noise_power=config.noise_power)
-    return topology, model
 
 
 @dataclass
@@ -233,12 +240,14 @@ def discovery_completion_ticks(
     """Discovery ticks until every AP knows all its candidates.
 
     Topology and probes come from the stream seeded with ``(config.seed,
-    num_aps, rep)``; the count stops at the first tick past ``max_ticks``.
-    A tick changes only the known rows of its hits' two ends, which it
-    returns, so only those rows are checked again.
+    num_aps, rep)``: the probes follow ``generate_topology``'s draws, of which
+    the shadowing is drawn but never converted. The count stops at the first
+    tick past ``max_ticks``. A tick changes only the known rows of its hits'
+    two ends, which it returns, so only those rows are checked again.
     """
     rng = np.random.default_rng((config.seed, num_aps, rep))
-    topology = generate_topology(replace(config, num_aps=num_aps), rng)[0]
+    topology = _access_points(replace(config, num_aps=num_aps), rng)
+    shadowing_db(num_aps, rng, config.shadow_mean_db, config.shadow_std_db)
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
     incomplete = set(kb.missing(range(num_aps)))

@@ -15,7 +15,14 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import AccessPoint, AllocationState, ap_positions, candidate_matrix, pairwise_distances
+from .model import (
+    BLOCK,
+    AccessPoint,
+    AllocationState,
+    ap_positions,
+    candidate_matrix,
+    pairwise_distances,
+)
 
 
 def _bits(rows: np.ndarray) -> list[int]:
@@ -46,7 +53,9 @@ class KnowledgeBase:
             raise ValueError(f"candidates has shape {candidates.shape}, which is not square")
         if candidates.diagonal().any():
             raise ValueError("candidates is True on the diagonal: an AP would be its own candidate")
-        if (candidates != candidates.T).any():
+        # each block of rows from its diagonal on against the columns below: no N x N temporary
+        if any((candidates[i0:i0 + BLOCK, i0:] != candidates[i0:, i0:i0 + BLOCK].T).any()
+               for i0 in range(0, len(candidates), BLOCK)):
             raise ValueError("candidates is not symmetric")
         self.candidates = np.ascontiguousarray(candidates)
         self._cand = _bits(candidates)

@@ -2,8 +2,10 @@
 
 All quantities are linear (not dB) and in SI units: meters, watts,
 dimensionless gains and ratios. Functions here never mutate their inputs,
-except that ``path_loss`` and ``true_gain_matrix`` overwrite the N x N
-buffer they are given, so that set-up holds no temporary N x N copy.
+except that ``true_gain_matrix`` and ``estimated_gain_matrix`` write the
+block they are given first, and ``Network`` takes its model's shadowing
+sample: the sample's buffer becomes the true gains, and
+``model.shadow_samples`` is None from then on.
 """
 
 from __future__ import annotations
@@ -74,6 +76,15 @@ def lognormal_mean_linear(mean_db: float, std_db: float) -> float:
     return math.exp(scale * mean_db + 0.5 * (scale * std_db) ** 2)
 
 
+def shadowing_db(num_aps: int, rng: np.random.Generator, mean_db: float,
+                 std_db: float) -> np.ndarray:
+    """The N x N normal draw, in dB, that ``PropagationModel.sample`` converts.
+
+    All N² normals are drawn, for the stream's sake; those above the diagonal count.
+    """
+    return rng.normal(mean_db, std_db, size=(num_aps, num_aps))
+
+
 @dataclass
 class PropagationModel:
     """Path loss plus symmetric log-normal shadowing between AP pairs.
@@ -82,11 +93,12 @@ class PropagationModel:
     unordered pair (i, j); the matrix is symmetric and frequency-flat.
     ``mean_linear_gain`` is the analytic mean of the shadowing distribution
     and is used wherever the shadowing realization is assumed unknown.
+    A ``Network`` built from the model takes the sample and sets it to None.
     """
 
     path_loss_exponent: float
     mean_linear_gain: float
-    shadow_samples: np.ndarray
+    shadow_samples: np.ndarray | None
     noise_power: float
     min_separation: float = 0.1
 
@@ -121,8 +133,7 @@ class PropagationModel:
         noise_power: float = 1e-8,
     ) -> "PropagationModel":
         """Draw one symmetric shadowing matrix and bundle the parameters."""
-        # all N² normals are drawn, for the stream's sake; those above the diagonal count
-        z = rng.normal(shadow_mean_db, shadow_std_db, size=(num_aps, num_aps))
+        z = shadowing_db(num_aps, rng, shadow_mean_db, shadow_std_db)
 
         def fill(i0: int, i1: int) -> None:
             block = z[i0:i1, i0:]
@@ -211,36 +222,32 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _mirrored(d, fill)
 
 
-def path_loss(topology: list[AccessPoint], model: PropagationModel,
-              distances: np.ndarray) -> np.ndarray:
-    """Receiver-major path loss: entry [j, i] from transmitter i to receiver j's coverage edge.
+def path_loss(distances: np.ndarray, radii: np.ndarray, model: PropagationModel) -> np.ndarray:
+    """Receiver-major path loss: entry [r, c] from transmitter c to the coverage edge,
+    ``radii[r]`` meters out, of the receiver ``distances[r, c]`` away.
 
-    ``distances`` is the APs' ``pairwise_distances``, which this overwrites
-    and returns as the loss; the diagonal is zero. Distances and shadowing
-    are symmetric, so both gain layouts are products of this one matrix
-    (``true_gain_matrix``, ``estimated_gain_matrix``).
+    A fresh array in the layout of ``distances``: one subtract, clip and power
+    pass. Self pairs are not zeroed; the caller knows where they are.
     """
-    r = np.array([ap.coverage_radius for ap in topology])
-    loss = np.subtract(distances, r[:, None], out=distances)
+    loss = np.subtract(distances, radii[:, None])
     np.maximum(loss, model.min_separation, out=loss)
     loss **= -model.path_loss_exponent
-    np.fill_diagonal(loss, 0.0)
     return loss
 
 
-def true_gain_matrix(loss: np.ndarray, model: PropagationModel) -> np.ndarray:
-    """Gain G[i, j] from transmitter i at receiver j, sampled shadowing; zero diagonal.
+def true_gain_matrix(shadow: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """Receiver-major true gains: the ``shadow`` block times the ``loss`` block, into ``shadow``.
 
-    ``loss`` is the ``path_loss`` matrix, which this overwrites: G is the
-    ``.T`` view of ``loss`` times the shadowing, so each receiver's incoming
-    gains ``G[:, j]`` are contiguous. Take ``estimated_gain_matrix`` first.
+    ``Network`` views the whole result through ``.T``, so that G[i, j], from
+    transmitter i at receiver j, has each receiver's incoming gains contiguous.
     """
-    return np.multiply(loss, model.shadow_samples, out=loss).T
+    return np.multiply(shadow, loss, out=shadow)
 
 
-def estimated_gain_matrix(loss: np.ndarray, model: PropagationModel) -> np.ndarray:
-    """``true_gain_matrix`` with the mean shadowing gain, C-ordered; zero diagonal."""
-    return np.multiply(loss.T, model.mean_linear_gain, order="C")
+def estimated_gain_matrix(out: np.ndarray, loss: np.ndarray, mean_gain: float) -> np.ndarray:
+    """Transmitter-major estimated gains: the receiver-major ``loss`` block, transposed,
+    times the mean shadowing gain, into ``out``."""
+    return np.multiply(loss.T, mean_gain, out=out)
 
 
 def candidate_matrix(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
@@ -287,12 +294,18 @@ class Network:
 
     ``positions`` holds the AP coordinates; ``edge[i]``, ``beta[i]`` and
     ``caps[i]`` are AP i's ``edge_gain``, SINR target and power cap, which
-    ``players[i]`` holds too, with its channels, for scalar loops;
-    ``candidates`` and the ``path_loss`` behind ``gains_true`` and ``gains_est``
-    come from one distance matrix, whose buffer ends as ``gains_true``'s.
-    Of ``model`` only ``noise_power`` is kept: the shadowing sample is freed
-    with the caller's reference, so set-up holds at most three N x N float
-    matrices and keeps two. Every array is read-only. ``num_channels`` is one
+    ``players[i]`` holds too, with its channels, for scalar loops.
+    ``candidates``, ``gains_true`` and ``gains_est`` are built in one pass over
+    blocks of ``BLOCK`` rows: each block's distances, from its diagonal on, give
+    its candidate rows and two fresh ``path_loss`` blocks, the block's receiver
+    rows and, through the distances' transpose, its transmitter columns below
+    the corner. Both multiply into the shadowing sample and write the
+    estimated gains. No N x N distance or loss matrix is made, so set-up holds
+    two N x N float matrices, and keeps them.
+    The model's sample is consumed: its buffer becomes ``gains_true``'s
+    C-ordered base, ``model.shadow_samples`` is None from then on, and a second
+    Network from that model raises ValueError. Of ``model`` only
+    ``noise_power`` is kept. Every array is read-only. ``num_channels`` is one
     more than the highest channel id. A topology whose powers times gains,
     or demands, can overflow raises ValueError.
     """
@@ -312,11 +325,35 @@ class Network:
 
     def __post_init__(self, model: PropagationModel) -> None:
         topology = self.topology
+        n = len(topology)
+        shadow = model.shadow_samples
+        if shadow is None:
+            raise ValueError("the model's shadowing sample was consumed by an earlier Network; "
+                             "draw the model again")
+        if shadow.shape != (n, n):
+            raise ValueError(f"shadow_samples has shape {shadow.shape}, not {(n, n)} for {n} APs")
+        model.shadow_samples = None
+        gains = np.require(shadow, requirements="CW")  # receiver-major, in the sample's buffer
         object.__setattr__(self, "noise_power", model.noise_power)
         positions = ap_positions(topology)
-        distances = pairwise_distances(positions, positions)
-        candidates = candidate_matrix(topology, distances)
-        loss = path_loss(topology, model, distances)
+        radii = np.array([ap.coverage_radius for ap in topology])
+        reach = np.array([ap.coordination_radius for ap in topology])
+        gains_est = np.empty((n, n))
+        candidates = np.empty((n, n), dtype=bool)
+
+        def fill(i0: int, i1: int) -> None:
+            # later blocks read only rows and columns from i1 on, which this one leaves
+            d = pairwise_distances(positions[i0:i1], positions[i0:])
+            np.less(d, reach[i0:i1, None] + reach[i0:], out=candidates[i0:i1, i0:])
+            rows = path_loss(d, radii[i0:i1], model)
+            np.fill_diagonal(rows, 0.0)
+            columns = path_loss(d[:, i1 - i0:].T, radii[i1:], model)
+            true_gain_matrix(gains[i0:i1, i0:], rows)
+            true_gain_matrix(gains[i1:, i0:i1], columns)
+            estimated_gain_matrix(gains_est[i0:, i0:i1], rows, model.mean_linear_gain)
+            estimated_gain_matrix(gains_est[i0:i1, i1:], columns, model.mean_linear_gain)
+
+        np.fill_diagonal(_mirrored(candidates, fill), False)
         players = tuple(Player(tuple(sorted(ap.channels)), ap.sinr_target, model.noise_power,
                                float(edge_gain(ap, model)), ap.max_power) for ap in topology)
         object.__setattr__(self, "players", players)
@@ -325,8 +362,8 @@ class Network:
             "edge": np.array([p.edge for p in players]),
             "beta": np.array([p.beta for p in players]),
             "caps": np.array([p.cap for p in players]),
-            "gains_est": estimated_gain_matrix(loss, model),
-            "gains_true": true_gain_matrix(loss, model),  # overwrites loss, so it comes last
+            "gains_est": gains_est,
+            "gains_true": gains.T,
             "candidates": candidates,
         }
         for name, a in arrays.items():

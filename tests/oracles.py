@@ -2,8 +2,8 @@
 
 Each function computes one quantity for one AP (or one pair of APs) with a
 plain Python loop over the topology. The package computes the same
-quantities with whole-array kernels (``model.path_loss`` and the two gain
-layouts built from it, ``model.satisfied_mask``,
+quantities with whole-array kernels (``Network``'s block pass over
+``model.path_loss`` and the two gain layouts, ``model.satisfied_mask``,
 ``KnowledgeBase.from_topology``, ``knowledge.nearest_cover_set``, the
 activation kernel of ``schedulers.run_dynamics``, ...); the tests hold those
 kernels to these forms, bit for bit where the operation order matches. ``context`` and
@@ -12,10 +12,12 @@ a context is the ``(interference, weight, player)`` triple that
 ``game.utility`` and the response rules take first. ``solve_channel_powers``
 is the greedy bound's admission solve with a fresh gather of the group's
 coupling, against which the bound's kept per-channel I - M is held.
-``shadow_out_of_place``, ``distances_out_of_place`` and
-``loss_out_of_place`` are the set-up formulas that held a temporary N x N
-copy per step, and ``unique_cover_set`` is the cover set by ``np.unique``;
-the package's in-place and sort-free forms must return the same bits.
+``shadow_out_of_place``, ``distances_out_of_place``, ``loss_out_of_place``
+and ``gain_matrices`` are the set-up formulas over whole N x N matrices, and
+``unique_cover_set`` is the cover set by ``np.unique``; the package's
+in-place, per-block and sort-free forms must return the same bits.
+``Network`` takes its model's shadowing sample, so a test that reads the
+model after building a Network builds it with ``network_of_copy``.
 ``discovery_missing`` is ``knowledge.discovery_complete``'s count on the
 boolean matrices, which the package counts on its bit rows.
 """
@@ -23,6 +25,7 @@ boolean matrices, which the package counts on its bit rows.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,18 +41,16 @@ from apgame.model import (
     PropagationModel,
     ap_positions,
     edge_gain,
-    pairwise_distances,
-    path_loss,
     power_demand,
 )
 
 Context = tuple[np.ndarray | list[float], np.ndarray | list[float], Player]
 
 
-def topology_path_loss(topology: list[AccessPoint], model: PropagationModel) -> np.ndarray:
-    """The path-loss matrix ``Network`` builds both gain matrices from."""
-    pos = ap_positions(topology)
-    return path_loss(topology, model, pairwise_distances(pos, pos))
+def network_of_copy(topology: list[AccessPoint], model: PropagationModel) -> Network:
+    """``Network(topology, model)`` built on a copy of the model's shadowing sample,
+    so that ``model`` keeps it for the scalar forms."""
+    return Network(topology, replace(model, shadow_samples=model.shadow_samples.copy()))
 
 
 def setup_topology(config: ScenarioConfig) -> tuple[list[AccessPoint], PropagationModel]:
@@ -85,13 +86,24 @@ def candidates_out_of_place(topology: list[AccessPoint], distances: np.ndarray) 
 
 def loss_out_of_place(topology: list[AccessPoint], model: PropagationModel,
                       distances: np.ndarray) -> np.ndarray:
-    """``path_loss`` that leaves ``distances`` as it was."""
+    """Receiver-major path loss over the whole ``distances`` matrix, zero diagonal."""
     r = np.array([ap.coverage_radius for ap in topology])
     loss = np.subtract(distances, r[:, None])
     np.maximum(loss, model.min_separation, out=loss)
     loss **= -model.path_loss_exponent
     np.fill_diagonal(loss, 0.0)
     return loss
+
+
+def gain_matrices(topology: list[AccessPoint],
+                  model: PropagationModel) -> tuple[np.ndarray, np.ndarray]:
+    """``Network``'s ``gains_est`` and ``gains_true``, from one whole loss matrix:
+    its C-ordered transpose times the mean gain, and the ``.T`` view of its
+    product with the shadowing sample."""
+    pos = ap_positions(topology)
+    loss = loss_out_of_place(topology, model, distances_out_of_place(pos, pos))
+    return (np.multiply(loss.T, model.mean_linear_gain, order="C"),
+            np.multiply(loss, model.shadow_samples).T)
 
 
 def distance(a: AccessPoint, b: AccessPoint) -> float:

@@ -31,7 +31,7 @@ from apgame.model import (
     satisfied_mask,
 )
 from apgame.schedulers import is_nash_equilibrium, run_dynamics
-from oracles import estimated_gain, necessary_power, true_gain
+from oracles import estimated_gain, necessary_power, network_of_copy, true_gain
 
 
 def report(num, ok, detail):
@@ -165,7 +165,7 @@ def test_criterion_3_ne_oracle():
         cfg = ScenarioConfig(num_aps=4, num_channels=3, area_width=120.0,
                              area_height=120.0, seed=104)
         topo, model = generate_topology(cfg, rng)
-        net = Network(topo, model)
+        net = network_of_copy(topo, model)
         for code in range(3 ** 4):
             channels = np.array(
                 [(code // 3 ** i) % 3 for i in range(4)], dtype=np.int64

@@ -26,10 +26,9 @@ from apgame.model import (
     edge_gain,
     power_demand,
     satisfied_mask,
-    true_gain_matrix,
 )
 from apgame.schedulers import run_dynamics
-from oracles import player, setup_topology, solve_channel_powers, topology_path_loss
+from oracles import gain_matrices, network_of_copy, player, setup_topology, solve_channel_powers
 
 
 def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
@@ -87,8 +86,8 @@ class TestRandomAllocation:
         cfg = ScenarioConfig(num_aps=10, num_channels=2, area_width=150.0,
                              area_height=150.0, seed=4)
         topo, model = generate_topology(cfg, rng)
+        gt = gain_matrices(topo, model)[1]
         state = random_allocation(Network(topo, model), np.random.default_rng(5))
-        gt = true_gain_matrix(topology_path_loss(topo, model), model)
         for i, ap in enumerate(topo):
             interference = sum(
                 float(state.powers[j]) * gt[j, i]
@@ -125,7 +124,7 @@ class TestRunSelfish:
 def brute_force_admission_optimum(topo, model):
     """Exhaustive search over channel assignments including powering off."""
     n = len(topo)
-    gt = true_gain_matrix(topology_path_loss(topo, model), model)
+    gt = gain_matrices(topo, model)[1]
     k_all = sorted(set().union(*(ap.channels for ap in topo)))
     best = 0
     for assignment in itertools.product([OFF] + k_all, repeat=n):
@@ -228,7 +227,7 @@ class TestGreedyAdmissionBound:
                                  coverage_radius_max=12.0, sinr_target_low=3.0,
                                  sinr_target_high=6.0, seed=73)
             topo, model = generate_topology(cfg, rng)
-            _, count = greedy_admission_bound(Network(topo, model), rng)
+            _, count = greedy_admission_bound(network_of_copy(topo, model), rng)
             optimum = brute_force_admission_optimum(topo, model)
             assert count <= optimum
 

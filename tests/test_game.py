@@ -28,20 +28,19 @@ from apgame.model import (
     PropagationModel,
     co_channel_mask,
     edge_gain,
-    estimated_gain_matrix,
     received_interference,
     satisfied_mask,
-    true_gain_matrix,
 )
 from apgame.model import necessary_power as capped_power
 from apgame.schedulers import is_nash_equilibrium
 from oracles import (
     context,
     estimated_gain,
+    gain_matrices,
     generated_weight,
     local_optimality_check,
     necessary_power,
-    topology_path_loss,
+    network_of_copy,
     true_gain,
     utility_context,
 )
@@ -386,7 +385,7 @@ class TestReceiverMajorLayout:
         cfg = ScenarioConfig(num_aps=n, num_channels=int(rng.integers(1, 14)),
                              clustered=clustered, seed=0)
         topo, model = generate_topology(cfg, rng)
-        net = Network(topo, model)
+        net = network_of_copy(topo, model)
         assert net.gains_true.flags.f_contiguous and net.gains_true.base is not None
         gt = np.ascontiguousarray(net.gains_true)
         ge = net.gains_est
@@ -459,8 +458,7 @@ def sweep_is_nash_equilibrium(topology, state, model):
     """Deviation sweep over ``utility_context`` that ``is_nash_equilibrium``
     must reproduce: it builds both gain matrices and every context with the
     per-AP loop."""
-    loss = topology_path_loss(topology, model)
-    ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
+    ge, gt = gain_matrices(topology, model)
     for i, ap in enumerate(topology):
         ctx = utility_context(i, topology, state, model, gains_true=gt, gains_est=ge)
         cur = int(state.channels[i])

@@ -1,5 +1,7 @@
 """Neighbor knowledge sets, sufficiency condition and peer discovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,13 @@ class TestSufficiency:
         assert hits / total >= 0.95
 
 
+def one_sided_pair(n, i, j, order):
+    """An n x n candidate matrix, in the given memory order, whose only True entry is [i, j]."""
+    candidates = np.zeros((n, n), dtype=bool, order=order)
+    candidates[i, j] = True
+    return candidates
+
+
 class TestDiscovery:
     def test_single_ap_never_changes(self):
         topo = [make_ap(0, 0.0, 0.0)]
@@ -373,10 +382,29 @@ class TestDiscovery:
         (np.zeros(3, dtype=bool), "not square"),
         (np.eye(3, dtype=bool), "diagonal"),
         (np.triu(~np.eye(3, dtype=bool)), "not symmetric"),
-    ], ids=["2x3", "vector", "diagonal", "one-sided"])
+        # the check compares blocks of model.BLOCK = 64 rows with the columns below them
+        (one_sided_pair(129, 0, 128, "C"), "not symmetric"),
+        (one_sided_pair(129, 128, 127, "C"), "not symmetric"),
+        (one_sided_pair(129, 64, 128, "F"), "not symmetric"),
+        (one_sided_pair(129, 128, 0, "F"), "not symmetric"),
+    ], ids=["2x3", "vector", "diagonal", "one-sided", "first-block-to-last", "last-block",
+            "second-block-F", "last-block-to-first-F"])
     def test_malformed_candidates_are_rejected(self, candidates, check):
         with pytest.raises(ValueError, match=check):
             KnowledgeBase(candidates)
+
+    def test_symmetry_check_makes_no_square_temporary(self):
+        n = 1000
+        rng = np.random.default_rng(4)
+        candidates = np.triu(rng.random((n, n)) < 0.2, 1)
+        candidates |= candidates.T
+        tracemalloc.start()
+        try:
+            KnowledgeBase(candidates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 2  # an N x N bool temporary takes n * n bytes
 
     def test_no_aps(self):
         kb = KnowledgeBase(np.zeros((0, 0), dtype=bool))

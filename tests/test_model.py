@@ -27,25 +27,24 @@ from apgame.model import (
     candidate_matrix,
     co_channel_mask,
     edge_gain,
-    estimated_gain_matrix,
     lognormal_mean_linear,
     pairwise_distances,
     path_loss,
     received_interference,
     satisfied_mask,
-    true_gain_matrix,
 )
 from oracles import (
     candidates_out_of_place,
     distances_out_of_place,
     estimated_gain,
+    gain_matrices,
     interference_at,
     is_satisfied,
     loss_out_of_place,
     necessary_power,
+    network_of_copy,
     shadow_out_of_place,
     sinr,
-    topology_path_loss,
     true_gain,
 )
 
@@ -221,16 +220,16 @@ class TestGains:
         assert all(x > y for x, y in zip(gains, gains[1:]))
 
     def test_gain_matrices_match_scalar_functions(self):
-        # both layouts of one path-loss matrix equal the scalar forms bit for
-        # bit; AP 11 sits on AP 0, so the clip at min_separation is taken
+        # both gain layouts of a Network equal the scalar forms bit for bit;
+        # AP 11 sits on AP 0, so the clip at min_separation is taken
         for seed in (9, 10, 11):
             rng = np.random.default_rng(seed)
             m = PropagationModel.sample(12, rng)
             topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=float(rng.uniform(3, 15)))
                     for i in range(11)]
             topo.append(make_ap(11, *topo[0].position))
-            loss = topology_path_loss(topo, m)
-            ge, gt = estimated_gain_matrix(loss, m), true_gain_matrix(loss, m)
+            net = network_of_copy(topo, m)
+            ge, gt = net.gains_est, net.gains_true
             assert gt.flags.f_contiguous and ge.flags.c_contiguous
             for i in range(12):
                 for j in range(12):
@@ -247,10 +246,10 @@ class TestNetwork:
         m = PropagationModel.sample(5, rng)
         topo = [make_ap(i, *rng.uniform(0, 100, 2), radius=3.0 + i, beta=1.0 + i,
                         channels=(0, 2)) for i in range(5)]
+        ge, gt = gain_matrices(topo, m)
         net = Network(topo, m)
-        loss = topology_path_loss(topo, m)
-        assert np.array_equal(net.gains_est, estimated_gain_matrix(loss, m))
-        assert np.array_equal(net.gains_true, true_gain_matrix(loss, m))
+        assert np.array_equal(net.gains_est, ge)
+        assert np.array_equal(net.gains_true, gt)
         assert net.edge.tolist() == [edge_gain(ap, m) for ap in topo]
         assert net.num_channels == 3
         for name in ("edge", "beta", "caps", "gains_true", "gains_est", "candidates"):
@@ -316,19 +315,19 @@ class TestNetwork:
                 Network(topo, make_model(2))
 
     def test_one_distance_matrix_per_network_and_per_experiment_setup(self, monkeypatch):
-        # one distance matrix and one path-loss matrix, each over the 40 APs
+        # each AP pair's distance once: one distance block per block of
+        # model.BLOCK rows, from the block's diagonal on; 40 APs are one block
         calls = []
-        for kernel in ("pairwise_distances", "path_loss"):
-            original = getattr(model_module, kernel)
+        original = model_module.pairwise_distances
 
-            def counted(first, *rest, _kernel=kernel, _original=original):
-                calls.append((_kernel, len(first)))
-                return _original(first, *rest)
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return original(a, b)
 
-            for name, mod in list(sys.modules.items()):
-                if name.startswith("apgame") and getattr(mod, kernel, None) is original:
-                    monkeypatch.setattr(mod, kernel, counted)
-        once = [("pairwise_distances", 40), ("path_loss", 40)]
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("apgame") and getattr(mod, "pairwise_distances", None) is original:
+                monkeypatch.setattr(mod, "pairwise_distances", counted)
+        once = [(40, 40)]
         cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0, area_height=300.0,
                              duration=20.0, seed=4)
         Network(*generate_topology(cfg, np.random.default_rng(4)))
@@ -340,6 +339,10 @@ class TestNetwork:
         calls.clear()
         harness.run_experiment(cfg)
         assert calls == once
+        calls.clear()
+        n, b = 150, model_module.BLOCK
+        Network(*generate_topology(replace(cfg, num_aps=n), np.random.default_rng(4)))
+        assert calls == [(min(b, n - i0), n - i0) for i0 in range(0, n, b)]
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_receiver_major_build_is_the_exact_transpose(self, clustered):
@@ -348,7 +351,7 @@ class TestNetwork:
         rng = np.random.default_rng(10)
         cfg = ScenarioConfig(num_aps=120, clustered=clustered, num_clusters=3, seed=0)
         topo, m = generate_topology(cfg, rng)
-        net = Network(topo, m)
+        net = network_of_copy(topo, m)
         r = np.array([ap.coverage_radius for ap in topo])
         pos = ap_positions(topo)
         eff = np.maximum(pairwise_distances(pos, pos) - r[None, :], m.min_separation)
@@ -397,9 +400,10 @@ class TestSetUpInPlace:
             assert np.array_equal(d, distances_out_of_place(pos, pos))
             assert np.array_equal(pairwise_distances(pos[:1], pos),
                                   distances_out_of_place(pos[:1], pos))
-            expected = loss_out_of_place(topo, m, d.copy())
-            loss = path_loss(topo, m, d)
-            assert loss is d  # the distance buffer, overwritten
+            expected = loss_out_of_place(topo, m, d)
+            loss = path_loss(d, np.array([ap.coverage_radius for ap in topo]), m)
+            np.fill_diagonal(loss, 0.0)
+            assert np.array_equal(d, distances_out_of_place(pos, pos))  # left as it was
             assert np.array_equal(loss, expected)
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
@@ -428,10 +432,46 @@ class TestSetUpInPlace:
             assert got.dtype == bool and got.flags.c_contiguous
             assert got.tobytes() == expected.tobytes()
 
-    def test_setup_holds_three_matrices_and_keeps_two(self):
-        # the shadowing draw, the distances (later the loss and the true
-        # gains) and the estimated gains; bools and the topology's objects
-        # make up the rest
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_network_equals_the_out_of_place_forms(self, n):
+        # uniform and clustered placement, the clustered one with every AP of
+        # the second half standing on one of the first, and per-AP coordination
+        # radii, so that r_i + r_j is not one number
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            cfg = ScenarioConfig(num_aps=n, clustered=seed > 0, num_clusters=2, seed=seed)
+            topo, m = generate_topology(cfg, rng)
+            if seed == 2:
+                topo = [replace(ap, position=topo[i - n // 2].position) if i >= n // 2 else ap
+                        for i, ap in enumerate(topo)]
+            topo = [replace(ap, coordination_radius=ap.coverage_radius * f)
+                    for ap, f in zip(topo, rng.uniform(1.0, 8.0, size=n))]
+            pos = ap_positions(topo)
+            ge, gt = gain_matrices(topo, m)
+            candidates = candidates_out_of_place(topo, distances_out_of_place(pos, pos))
+            net = Network(topo, m)
+            assert net.gains_true.T.tobytes() == gt.T.tobytes()
+            assert net.gains_true.flags.f_contiguous and net.gains_true.base.flags.c_contiguous
+            assert net.gains_est.tobytes() == ge.tobytes() and net.gains_est.flags.c_contiguous
+            assert net.candidates.tobytes() == candidates.tobytes()
+
+    def test_network_allocates_one_matrix_and_the_candidates(self):
+        # the sample's buffer becomes the true gains, so the build allocates
+        # the estimated gains, the candidates and blocks of model.BLOCK rows
+        n = 1000
+        made = generate_topology(ScenarioConfig(num_aps=n, seed=1), np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            network = Network(*made)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert network.gains_true.base is not None
+        assert peak <= 1.5 * 8 * n * n
+
+    def test_setup_holds_two_matrices_and_keeps_two(self):
+        # the shadowing draw, which becomes the true gains, and the estimated
+        # gains; bools, blocks and the topology's objects make up the rest
         n = 1000
         cfg = ScenarioConfig(num_aps=n, duration=10.0, seed=1)
         tracemalloc.start()
@@ -442,8 +482,20 @@ class TestSetUpInPlace:
             tracemalloc.stop()
         assert setup[0].gains_true.shape == (n, n)
         matrix = 8 * n * n
-        assert peak <= 3.5 * matrix
+        assert peak <= 2.75 * matrix
         assert kept <= 2.5 * matrix
+
+    def test_a_consumed_or_misshapen_sample_is_rejected(self):
+        topo, m = generate_topology(ScenarioConfig(num_aps=5, seed=2), np.random.default_rng(2))
+        sample = m.shadow_samples
+        net = Network(topo, m)
+        assert m.shadow_samples is None and net.gains_true.base is sample
+        with pytest.raises(ValueError, match="^the model's shadowing sample was consumed by an "
+                                             "earlier Network; draw the model again$"):
+            Network(topo, m)
+        with pytest.raises(ValueError, match=re.escape("shadow_samples has shape (4, 4), "
+                                                       "not (5, 5) for 5 APs")):
+            Network(topo, make_model(4))
 
     def test_network_frees_the_model_it_is_given(self):
         cfg = ScenarioConfig(num_aps=30, seed=3)
@@ -596,7 +648,7 @@ class TestSatisfaction:
                                              min_size=n, max_size=n)))
         powers[channels == OFF] = 0.0
         state = AllocationState(channels, powers)
-        mask = satisfied_mask(Network(topo, m), state)
+        mask = satisfied_mask(network_of_copy(topo, m), state)
         for i in range(n):
             assert bool(mask[i]) == is_satisfied(topo[i], topo, state, m)
 

@@ -23,14 +23,13 @@ from apgame.model import (
     AllocationState,
     Network,
     PropagationModel,
-    estimated_gain_matrix,
-    true_gain_matrix,
 )
 from apgame.schedulers import is_nash_equilibrium, run_dynamics
 from oracles import (
+    gain_matrices,
     generated_weight,
     necessary_power,
-    topology_path_loss,
+    network_of_copy,
     utility_context,
 )
 from test_engine_oracle import instances
@@ -144,11 +143,12 @@ class TestRunDynamics:
 
     def test_round_robin_pair_converges_to_orthogonal_ne(self):
         topo, model, state = symmetric_pair()
-        result = run_dynamics(Network(topo, model), state, 10, knowledge=KnowledgeBase.full(2))
+        net = Network(topo, model)
+        result = run_dynamics(net, state, 10, knowledge=KnowledgeBase.full(2))
         assert result.converged
         assert result.iterations <= 3
         assert sorted(state.channels.tolist()) == [0, 1]
-        assert is_nash_equilibrium(Network(topo, model), state)
+        assert is_nash_equilibrium(net, state)
 
     @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
     def test_a_mover_on_a_channel_it_lacks_is_rejected_before_any_write(self, timing):
@@ -387,7 +387,7 @@ class TestSufficiencyEnforcement:
         cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0,
                              area_height=300.0, seed=71)
         topo, model = generate_topology(cfg, rng)
-        net = Network(topo, model)
+        net = network_of_copy(topo, model)
         state = random_allocation(net, rng)
         kb = KnowledgeBase.from_topology(net.topology)
         dstate = DiscoveryState(rng=np.random.default_rng(72))
@@ -404,8 +404,7 @@ class TestSufficiencyEnforcement:
 
         # replay the same activations: the player knows its known set plus
         # its nearest channel-covering neighbors at the current profile
-        loss = topology_path_loss(topo, model)
-        ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
+        ge, gt = gain_matrices(topo, model)
         oracle = start.copy()
         moves = []
         n = len(topo)
@@ -446,7 +445,7 @@ class TestEngineContexts:
         cfg = ScenarioConfig(num_aps=30, num_channels=4, area_width=250.0,
                              area_height=250.0, seed=73)
         topo, model = generate_topology(cfg, rng)
-        net = Network(topo, model)
+        net = network_of_copy(topo, model)
         state = random_allocation(net, rng)
         state.channels[[3, 11, 20]] = OFF  # silent, two of them never move
         state.powers[[3, 11, 20, 25]] = 0.0  # AP 25 keeps a channel at zero power
@@ -456,8 +455,7 @@ class TestEngineContexts:
             dstate = DiscoveryState(rng=np.random.default_rng(74))
             for _ in range(3):
                 discovery_tick(dstate, kb, topo)
-        loss = topology_path_loss(topo, model)
-        ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
+        ge, gt = gain_matrices(topo, model)
         movers = sorted(set(range(30)) - {11, 20})
         seen = []
 
@@ -500,7 +498,7 @@ class TestListContextsBitEqual:
     def test_contexts_bit_equal_utility_context(self, instance, level, enforce_sufficiency,
                                                 synchronous):
         topo, model, state, rng = instance
-        network = Network(topo, model)
+        network = network_of_copy(topo, model)
         n = len(topo)
         kb = None
         if level == "full":
@@ -509,8 +507,7 @@ class TestListContextsBitEqual:
             kb = KnowledgeBase.complete(topo)
             if level == "partial":
                 kb = KnowledgeBase(kb.candidates, known=kb.known & (rng.random((n, n)) < 0.5))
-        loss = topology_path_loss(topo, model)
-        ge, gt = estimated_gain_matrix(loss, model), true_gain_matrix(loss, model)
+        ge, gt = gain_matrices(topo, model)
         seen = []
 
         def checked(respond):
