@@ -8,7 +8,7 @@ tick models one second of protocol time.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -68,14 +68,25 @@ class KnowledgeBase:
     @property
     def known(self) -> np.ndarray:
         """``known[i, j]``: whether i has discovered j. A read-only array, every
-        row unpacked afresh with one ``np.unpackbits``."""
+        row unpacked afresh by ``known_rows``."""
+        return self.known_rows(range(len(self._rows)))
+
+    def known_rows(self, ids: Sequence[int]) -> np.ndarray:
+        """The known rows of ``ids``, in that order, unpacked with one ``np.unpackbits``
+        into a fresh read-only boolean matrix, one row per id."""
         n = len(self._rows)
         size = (n + 7) // 8
-        packed = b"".join([row.to_bytes(size, "little") for row in self._rows])
-        known = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, size),
+        rows = self._rows
+        packed = b"".join([rows[i].to_bytes(size, "little") for i in ids])
+        known = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(len(ids), size),
                               axis=1, count=n, bitorder="little").view(bool)
         known.flags.writeable = False
         return known
+
+    def known_counts(self, ids: Iterable[int]) -> list[int]:
+        """How many APs each of ``ids`` knows, read from the bit rows without an unpack."""
+        rows = self._rows
+        return [rows[i].bit_count() for i in ids]
 
     def missing(self, ids: Iterable[int], among: list[int] | None = None) -> list[int]:
         """The APs of ``ids`` that have yet to discover a candidate, counting

@@ -2,10 +2,10 @@
 
 All quantities are linear (not dB) and in SI units: meters, watts,
 dimensionless gains and ratios. Functions here never mutate their inputs,
-except that ``true_gain_matrix`` and ``estimated_gain_matrix`` write the
-block they are given first, and ``Network`` takes its model's shadowing
-sample: the sample's buffer becomes the true gains, and
-``model.shadow_samples`` is None from then on.
+except that ``true_gain_matrix`` writes the block it is given first, and
+``Network`` takes its model's shadowing sample: the sample's buffer becomes
+the true gains, and ``model.shadow_samples`` is None from then on. The
+estimated gains have one kernel, ``estimated_gain_matrix``, over any pairs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -244,12 +245,6 @@ def true_gain_matrix(shadow: np.ndarray, loss: np.ndarray) -> np.ndarray:
     return np.multiply(shadow, loss, out=shadow)
 
 
-def estimated_gain_matrix(out: np.ndarray, loss: np.ndarray, mean_gain: float) -> np.ndarray:
-    """Transmitter-major estimated gains: the receiver-major ``loss`` block, transposed,
-    times the mean shadowing gain, into ``out``."""
-    return np.multiply(loss.T, mean_gain, out=out)
-
-
 def candidate_matrix(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
     """Whether the coordination areas of distinct APs, ``distances`` apart, overlap.
 
@@ -292,34 +287,41 @@ def necessary_power(player: Player, interference: float) -> float:
 class Network:
     """Per-topology constants that stay fixed while profiles and knowledge change.
 
-    ``positions`` holds the AP coordinates; ``edge[i]``, ``beta[i]`` and
-    ``caps[i]`` are AP i's ``edge_gain``, SINR target and power cap, which
-    ``players[i]`` holds too, with its channels, for scalar loops.
-    ``candidates``, ``gains_true`` and ``gains_est`` are built in one pass over
-    blocks of ``BLOCK`` rows: each block's distances, from its diagonal on, give
-    its candidate rows and two fresh ``path_loss`` blocks, the block's receiver
+    ``positions`` holds the AP coordinates and ``radii`` their coverage radii;
+    ``edge[i]``, ``beta[i]`` and ``caps[i]`` are AP i's ``edge_gain``, SINR
+    target and power cap, which ``players[i]`` holds too, with its channels,
+    for scalar loops.
+    ``candidates`` and ``gains_true`` are built in one pass over blocks of
+    ``BLOCK`` rows: each block's distances, from its diagonal on, give its
+    candidate rows and two fresh ``path_loss`` blocks, the block's receiver
     rows and, through the distances' transpose, its transmitter columns below
-    the corner. Both multiply into the shadowing sample and write the
-    estimated gains. No N x N distance or loss matrix is made, so set-up holds
-    two N x N float matrices, and keeps them.
+    the corner. Both multiply into the shadowing sample. No N x N distance or
+    loss matrix is made, so set-up holds one N x N float matrix, and keeps it.
+    The estimated gains come from ``estimated_gain_matrix`` over the pairs a
+    caller needs; ``gains_est``, all N x N of them, is built on its first read.
     The model's sample is consumed: its buffer becomes ``gains_true``'s
     C-ordered base, ``model.shadow_samples`` is None from then on, and a second
-    Network from that model raises ValueError. Of ``model`` only
-    ``noise_power`` is kept. Every array is read-only. ``num_channels`` is one
-    more than the highest channel id. A topology whose powers times gains,
-    or demands, can overflow raises ValueError.
+    Network from that model raises ValueError. Of ``model`` the Network keeps
+    ``noise_power`` and the estimated gains' ``path_loss_exponent``,
+    ``min_separation`` and ``mean_gain`` (its ``mean_linear_gain``). Every
+    array is read-only. ``num_channels`` is one more than the highest channel
+    id. A topology whose powers times gains, or demands, can overflow raises
+    ValueError.
     """
 
     topology: list[AccessPoint]
     model: InitVar[PropagationModel]
     noise_power: float = field(init=False)
+    path_loss_exponent: float = field(init=False)
+    min_separation: float = field(init=False)
+    mean_gain: float = field(init=False)
     positions: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
     edge: np.ndarray = field(init=False, repr=False)
     beta: np.ndarray = field(init=False, repr=False)
     caps: np.ndarray = field(init=False, repr=False)
     players: tuple[Player, ...] = field(init=False, repr=False)
     gains_true: np.ndarray = field(init=False, repr=False)
-    gains_est: np.ndarray = field(init=False, repr=False)
     candidates: np.ndarray = field(init=False, repr=False)
     num_channels: int = field(init=False)
 
@@ -334,24 +336,28 @@ class Network:
             raise ValueError(f"shadow_samples has shape {shadow.shape}, not {(n, n)} for {n} APs")
         model.shadow_samples = None
         gains = np.require(shadow, requirements="CW")  # receiver-major, in the sample's buffer
-        object.__setattr__(self, "noise_power", model.noise_power)
+        for name, value in (("noise_power", model.noise_power),
+                            ("path_loss_exponent", model.path_loss_exponent),
+                            ("min_separation", model.min_separation),
+                            ("mean_gain", model.mean_linear_gain)):
+            object.__setattr__(self, name, value)
         positions = ap_positions(topology)
         radii = np.array([ap.coverage_radius for ap in topology])
         reach = np.array([ap.coordination_radius for ap in topology])
-        gains_est = np.empty((n, n))
         candidates = np.empty((n, n), dtype=bool)
+        most_loss = 0.0
 
         def fill(i0: int, i1: int) -> None:
             # later blocks read only rows and columns from i1 on, which this one leaves
+            nonlocal most_loss
             d = pairwise_distances(positions[i0:i1], positions[i0:])
             np.less(d, reach[i0:i1, None] + reach[i0:], out=candidates[i0:i1, i0:])
             rows = path_loss(d, radii[i0:i1], model)
             np.fill_diagonal(rows, 0.0)
             columns = path_loss(d[:, i1 - i0:].T, radii[i1:], model)
+            most_loss = max(most_loss, float(rows.max()), float(columns.max(initial=0.0)))
             true_gain_matrix(gains[i0:i1, i0:], rows)
             true_gain_matrix(gains[i1:, i0:i1], columns)
-            estimated_gain_matrix(gains_est[i0:, i0:i1], rows, model.mean_linear_gain)
-            estimated_gain_matrix(gains_est[i0:i1, i1:], columns, model.mean_linear_gain)
 
         np.fill_diagonal(_mirrored(candidates, fill), False)
         players = tuple(Player(tuple(sorted(ap.channels)), ap.sinr_target, model.noise_power,
@@ -359,10 +365,10 @@ class Network:
         object.__setattr__(self, "players", players)
         arrays = {
             "positions": positions,
+            "radii": radii,
             "edge": np.array([p.edge for p in players]),
             "beta": np.array([p.beta for p in players]),
             "caps": np.array([p.cap for p in players]),
-            "gains_est": gains_est,
             "gains_true": gains.T,
             "candidates": candidates,
         }
@@ -370,8 +376,9 @@ class Network:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         object.__setattr__(self, "num_channels", 1 + max(p.channels[-1] for p in players))
-        # worst cases in Python floats, which overflow to inf without a warning
-        gain = max(float(self.gains_true.max()), float(self.gains_est.max()))
+        # worst cases in Python floats, which overflow to inf without a warning; rounding
+        # is monotone, so the largest loss times the mean gain is the largest estimated gain
+        gain = max(float(self.gains_true.max()), most_loss * float(self.mean_gain))
         received = len(topology) * float(self.caps.max()) * gain
         edge = float(self.edge.min())
         demand = (float(self.beta.max()) * (self.noise_power + received) / edge
@@ -379,6 +386,42 @@ class Network:
         if not math.isfinite(demand):
             raise ValueError(f"the largest received power (APs x max_power x gain), {received}, "
                              f"or the largest power demand, {demand}, is not finite")
+
+    @cached_property
+    def gains_est(self) -> np.ndarray:
+        """Transmitter-major estimated gains, [i, j] from transmitter i at receiver j.
+
+        ``estimated_gain_matrix`` over every pair, built in blocks of ``BLOCK``
+        rows on the first read and kept, read-only and C-ordered. Only dense
+        known rows and ``exact_potential_full`` need every pair.
+        """
+        n = len(self.topology)
+        every = np.arange(n)
+        gains = np.empty((n, n))
+        for i0 in range(0, n, BLOCK):
+            gains[i0:i0 + BLOCK] = estimated_gain_matrix(self, every[i0:i0 + BLOCK, None], every)
+        gains.flags.writeable = False
+        return gains
+
+
+def estimated_gain_matrix(network: Network, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
+    """Estimated gains from transmitters ``tx`` at receivers ``rx``, elementwise over the
+    broadcast of the two index arrays; 0 where ``tx == rx``.
+
+    The mean shadowing gain times the path loss to the receiver's coverage
+    edge: the steps of ``pairwise_distances`` and ``path_loss``, in their
+    order, on fresh contiguous arrays, so each entry has the bits that the
+    whole-matrix formula gives it, whichever pairs are asked for.
+    """
+    x, y = network.positions.T
+    g = np.subtract(x[tx], x[rx])
+    np.hypot(g, y[tx] - y[rx], out=g)
+    g -= network.radii[rx]
+    np.maximum(g, network.min_separation, out=g)
+    g **= -network.path_loss_exponent
+    g *= network.mean_gain
+    g[tx == rx] = 0.0
+    return g
 
 
 def co_channel_mask(state: AllocationState) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from . import game
 from .game import TraceRecord, exact_potential_full, utility
 from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order, sorted_ids
-from .model import OFF, AllocationState, Network, necessary_power
+from .model import BLOCK, OFF, AllocationState, Network, estimated_gain_matrix, necessary_power
 
 POWER_TOLERANCE = 1e-12  # watts
 # A known row longer than DENSE_ROW + N // DENSE_ROW_PER_AP takes the N-wide
@@ -82,29 +82,35 @@ def run_dynamics(
     # per-channel sum. Only applied updates write to it.
     channels, powers = state.channels, state.powers
     ch = np.maximum(channels, 0)
-    gains_est, num_channels = network.gains_est, network.num_channels
+    num_channels = network.num_channels
     terms = np.empty(len(players))  # one response's interference terms, reused
     no_information = [0.0] * num_channels  # the weight of a mover that knows nobody; never written
     dense_from = DENSE_ROW + len(players) // DENSE_ROW_PER_AP
 
     def known_rows() -> list[list[tuple[int, float]] | np.ndarray]:
         """Each mover's known row for the call: its boolean row when enforced or dense,
-        else its (j, ĝ_ij) pairs in ascending j. One nonzero scans the short rows alone."""
+        else its (j, ĝ_ij) pairs in ascending j. Only rows with a bit set are unpacked,
+        the short ones ``BLOCK`` at a time, and one kernel call gives every pair's ĝ."""
         if knowledge is None:
             return [np.zeros(len(players), dtype=bool) if enforce_sufficiency else []] * len(ids)
-        known = knowledge.known  # one unpack of every row per call
         if enforce_sufficiency:
-            return [known[i] for i in ids]
-        counts = np.count_nonzero(known, axis=1).tolist()
-        short = [i for i in ids if counts[i] <= dense_from]
-        # ``known`` itself, not a copy, when every AP moves and every row is short
-        r, c = np.nonzero(known if len(short) == len(known) else known[short])
-        cl, gl = c.tolist(), gains_est[np.array(short, dtype=np.intp)[r], c].tolist()
+            return list(knowledge.known_rows(ids))
+        counts = knowledge.known_counts(ids)
+        dense = iter(knowledge.known_rows([i for i, m in zip(ids, counts) if m > dense_from]))
+        short = np.array([i for i, m in zip(ids, counts) if 0 < m <= dense_from], dtype=np.intp)
+        tx, rx = [], []
+        for b in range(0, len(short), BLOCK):
+            r, c = np.nonzero(knowledge.known_rows(short[b:b + BLOCK]))
+            tx.append(short[b + r])
+            rx.append(c)
+        cl, gl = [], []
+        if tx:
+            c = np.concatenate(rx)
+            cl, gl = c.tolist(), estimated_gain_matrix(network, np.concatenate(tx), c).tolist()
         rows, end = [], 0
-        for i in ids:
-            m = counts[i]
+        for m in counts:
             if m > dense_from:
-                rows.append(known[i])
+                rows.append(next(dense))
             else:
                 rows.append(list(zip(cl[end:end + m], gl[end:end + m])))
                 end += m
@@ -128,7 +134,7 @@ def run_dynamics(
             row = row.copy()
             row[nearest_cover_set(orders[i], state)] = True
         # the sum over all APs: an unknown or silent AP adds +0.0, in index order
-        return np.bincount(ch, gains_est[i] * (row & (powers > 0)), num_channels).tolist()
+        return np.bincount(ch, network.gains_est[i] * (row & (powers > 0)), num_channels).tolist()
 
     bincount, multiply, respond = np.bincount, np.multiply, game.best_response
     trace: list[TraceRecord] = []

@@ -27,6 +27,7 @@ from apgame.model import (
     candidate_matrix,
     co_channel_mask,
     edge_gain,
+    estimated_gain_matrix,
     lognormal_mean_linear,
     pairwise_distances,
     path_loss,
@@ -294,10 +295,10 @@ class TestNetwork:
         assert 0 < net.candidates.sum() < len(topo) * (len(topo) - 1)
         assert net.beta.tolist() == [ap.sinr_target for ap in topo]
         assert net.caps.tolist() == [ap.max_power for ap in topo]
-        # no distance matrix is kept: the only N x N arrays are these three
+        # no distance or estimated-gain matrix is kept: the only N x N arrays are these two
         assert {name for name, v in vars(net).items()
                 if isinstance(v, np.ndarray) and v.shape == (len(topo),) * 2} == \
-            {"gains_true", "gains_est", "candidates"}
+            {"gains_true", "candidates"}
 
     @pytest.mark.parametrize("pmax, beta, what", [
         (1e308, 1e300, "received power"),  # 2 x 1e308 W x gain 1e3 overflows
@@ -313,6 +314,16 @@ class TestNetwork:
         else:
             with pytest.raises(ValueError, match=what):
                 Network(topo, make_model(2))
+
+    def test_an_estimated_gain_that_overflows_is_rejected(self):
+        # shadow samples of 1e-10 keep the true gains near 1e-7, while the mean
+        # gain of 1e304 makes the estimated one about 1e307: 2 x 100 W x 1e307
+        # overflows, and only the estimated gain says so
+        topo = [make_ap(i, 10.1 * i, 0.0, pmax=100.0, channels=(0,)) for i in range(2)]
+        with pytest.raises(ValueError, match="^the largest received power .* is not finite$"):
+            Network(topo, make_model(2, z=np.full((2, 2), 1e-10), mu=1e304))
+        net = Network(topo, make_model(2, z=np.full((2, 2), 1e-10), mu=1e302))
+        assert 1e304 < net.gains_est.max() < 1e306 and net.gains_true.max() < 1e-6
 
     def test_one_distance_matrix_per_network_and_per_experiment_setup(self, monkeypatch):
         # each AP pair's distance once: one distance block per block of
@@ -455,9 +466,10 @@ class TestSetUpInPlace:
             assert net.gains_est.tobytes() == ge.tobytes() and net.gains_est.flags.c_contiguous
             assert net.candidates.tobytes() == candidates.tobytes()
 
-    def test_network_allocates_one_matrix_and_the_candidates(self):
-        # the sample's buffer becomes the true gains, so the build allocates
-        # the estimated gains, the candidates and blocks of model.BLOCK rows
+    def test_network_allocates_the_candidates_and_blocks_alone(self):
+        # the sample's buffer becomes the true gains and the estimated gains wait
+        # for their first read, so the build allocates the candidates (1/8 of a
+        # float matrix) and blocks of model.BLOCK rows: one more matrix breaks it
         n = 1000
         made = generate_topology(ScenarioConfig(num_aps=n, seed=1), np.random.default_rng(1))
         tracemalloc.start()
@@ -466,12 +478,12 @@ class TestSetUpInPlace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert network.gains_true.base is not None
-        assert peak <= 1.5 * 8 * n * n
+        assert network.gains_true.base is not None and "gains_est" not in vars(network)
+        assert peak <= 0.5 * 8 * n * n
 
-    def test_setup_holds_two_matrices_and_keeps_two(self):
-        # the shadowing draw, which becomes the true gains, and the estimated
-        # gains; bools, blocks and the topology's objects make up the rest
+    def test_setup_holds_one_matrix_and_keeps_one(self):
+        # the shadowing draw, which becomes the true gains; bools, blocks and
+        # the topology's objects make up the rest, and a second matrix breaks it
         n = 1000
         cfg = ScenarioConfig(num_aps=n, duration=10.0, seed=1)
         tracemalloc.start()
@@ -482,8 +494,8 @@ class TestSetUpInPlace:
             tracemalloc.stop()
         assert setup[0].gains_true.shape == (n, n)
         matrix = 8 * n * n
-        assert peak <= 2.75 * matrix
-        assert kept <= 2.5 * matrix
+        assert peak <= 1.75 * matrix
+        assert kept <= 1.5 * matrix
 
     def test_a_consumed_or_misshapen_sample_is_rejected(self):
         topo, m = generate_topology(ScenarioConfig(num_aps=5, seed=2), np.random.default_rng(2))
@@ -505,6 +517,62 @@ class TestSetUpInPlace:
         del made
         assert sampled() is None
         assert net.noise_power == cfg.noise_power and not hasattr(net, "model")
+
+
+class TestEstimatedGainKernel:
+    """``estimated_gain_matrix`` over any pairs has the bits of the whole-matrix formula."""
+
+    @staticmethod
+    def networks(n):
+        """Per seed: uniform, clustered, and clustered with every AP of the second
+        half standing on one of the first; coverage radii drawn per AP. Each
+        ``Network`` with the oracle's estimated gains, taken before set-up."""
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            cfg = ScenarioConfig(num_aps=n, clustered=seed > 0, num_clusters=2, seed=seed)
+            topo, m = generate_topology(cfg, rng)
+            if seed == 2:
+                topo = [replace(ap, position=topo[i - n // 2].position) if i >= n // 2 else ap
+                        for i, ap in enumerate(topo)]
+            assert len({ap.coverage_radius for ap in topo}) == n
+            ge, _ = gain_matrices(topo, m)
+            yield seed, Network(topo, m), ge
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_scattered_pairs_and_the_full_broadcast_equal_the_oracle(self, n):
+        for seed, net, ge in self.networks(n):
+            every = np.arange(n)
+            full = estimated_gain_matrix(net, every[:, None], every)
+            assert full.shape == (n, n) and full.tobytes() == ge.tobytes()
+            tx, rx = np.random.default_rng(seed).integers(n, size=(2, 4 * n + 3))
+            tx[::5] = rx[::5]  # self pairs among them
+            got = estimated_gain_matrix(net, tx, rx)
+            assert got.tobytes() == ge[tx, rx].tobytes()
+            assert np.all(got[tx == rx] == 0) and np.all(got[tx != rx] > 0)
+            # one transmitter against every receiver, as a row of the matrix
+            assert estimated_gain_matrix(net, n - 1, every).tobytes() == ge[n - 1].tobytes()
+            assert net.gains_est.tobytes() == ge.tobytes()
+
+    def test_gains_est_is_built_once_on_its_first_read(self):
+        net = next(self.networks(65))[1]
+        assert "gains_est" not in vars(net)
+        gains = net.gains_est
+        assert net.gains_est is gains and vars(net)["gains_est"] is gains
+        assert gains.flags.c_contiguous and not gains.flags.writeable
+        with pytest.raises(ValueError):
+            gains[0, 1] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            net.gains_est = gains.copy()
+
+    def test_a_run_builds_no_estimated_gain_matrix(self):
+        # the game's track reads the estimated gains of its known pairs, and the
+        # baselines none: neither builds the N x N matrix at 1,000 APs
+        cfg = ScenarioConfig(num_aps=1000, duration=10.0, seed=1)
+        network, kb, dstate, streams = harness._setup(cfg)
+        game_rows = harness._game_rows(network, kb, dstate, streams[0], cfg, math.inf)
+        baseline_rows = harness._baseline_rows(network, streams, cfg)
+        assert len(game_rows) == len(baseline_rows) > 1 and kb.known.any()
+        assert "gains_est" not in vars(network)
 
 
 class TestInterference:

@@ -563,14 +563,20 @@ class TestTracerSeam:
 
 
 class CountingKnowledge(KnowledgeBase):
-    """Knowledge that counts the reads of ``known``, each an unpack of every row."""
+    """Knowledge that counts the rows it unpacks and the reads of ``known``,
+    each an unpack of every row."""
 
     reads = 0
+    unpacked = 0
 
     @property
     def known(self):
         self.reads += 1
         return super().known
+
+    def known_rows(self, ids):
+        self.unpacked += len(ids)
+        return super().known_rows(ids)
 
 
 class TestKnownReads:
@@ -578,6 +584,8 @@ class TestKnownReads:
     @pytest.mark.parametrize("active", [None, set(range(0, 40, 3))])
     @pytest.mark.parametrize("enforce_sufficiency", [False, True])
     def test_one_read_per_call(self, timing, active, enforce_sufficiency):
+        # each mover's row is unpacked once per call, and only when it has a
+        # bit set or the cover set joins it; the N x N ``known`` is never read
         net, start, kb, _ = TestSufficiencyEnforcement.instance()
         counting = CountingKnowledge(kb.candidates, known=kb.known)
         plain, state = start.copy(), start.copy()
@@ -585,7 +593,11 @@ class TestKnownReads:
                                 enforce_sufficiency=enforce_sufficiency, **timing)
         result = run_dynamics(net, state, 30, knowledge=counting, active=active,
                               enforce_sufficiency=enforce_sufficiency, **timing)
-        assert result.iterations > 1 and counting.reads == 1
+        ids = sorted(active) if active is not None else range(len(net.players))
+        rows = len(ids) if enforce_sufficiency else sum(bool(kb.known[i].any()) for i in ids)
+        assert result.iterations > 1 and counting.reads == 0
+        assert 0 < rows < len(ids) or enforce_sufficiency
+        assert counting.unpacked == rows
         assert repr(result) == repr(expected)
         assert state.powers.tobytes() == plain.powers.tobytes()
 
@@ -764,6 +776,7 @@ class TestFullKnowledgeMemory:
         n = 1000
         network, _, _, streams = harness._setup(ScenarioConfig(num_aps=n, seed=1))
         state = random_allocation(network, streams[0])
+        network.gains_est  # the dense rows' matrix, built on its first read and kept
         tracemalloc.start()
         try:
             is_nash_equilibrium(network, state)
