@@ -16,12 +16,12 @@ from itertools import repeat
 import numpy as np
 
 from .model import (
-    BLOCK,
     AccessPoint,
     AllocationState,
     ap_positions,
-    candidate_matrix,
+    candidate_blocks,
     pairwise_distances,
+    symmetric,
 )
 
 
@@ -53,9 +53,7 @@ class KnowledgeBase:
             raise ValueError(f"candidates has shape {candidates.shape}, which is not square")
         if candidates.diagonal().any():
             raise ValueError("candidates is True on the diagonal: an AP would be its own candidate")
-        # each block of rows from its diagonal on against the columns below: no N x N temporary
-        if any((candidates[i0:i0 + BLOCK, i0:] != candidates[i0:, i0:i0 + BLOCK].T).any()
-               for i0 in range(0, len(candidates), BLOCK)):
+        if not symmetric(candidates):
             raise ValueError("candidates is not symmetric")
         self.candidates = np.ascontiguousarray(candidates)
         self._cand = _bits(candidates)
@@ -97,8 +95,11 @@ class KnowledgeBase:
 
     @classmethod
     def from_topology(cls, topology: list[AccessPoint]) -> "KnowledgeBase":
-        pos = ap_positions(topology)
-        return cls(candidate_matrix(topology, pairwise_distances(pos, pos)))
+        n = len(topology)
+        candidates = np.empty((n, n), dtype=bool)
+        for _ in candidate_blocks(topology, ap_positions(topology), candidates):
+            pass
+        return cls(candidates)
 
     @classmethod
     def complete(cls, topology: list[AccessPoint]) -> "KnowledgeBase":

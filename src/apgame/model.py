@@ -11,7 +11,7 @@ estimated gains have one kernel, ``estimated_gain_matrix``, over any pairs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -25,18 +25,11 @@ OFF = -1
 BLOCK = 64
 
 
-def _mirrored(m: np.ndarray, fill: Callable[[int, int], object]) -> np.ndarray:
-    """Square ``m`` made symmetric with each unordered pair computed once.
-
-    Per block of rows ``i0:i1``, ``fill(i0, i1)`` writes ``m[i0:i1, i0:]`` with
-    a symmetric corner ``m[i0:i1, i0:i1]``, and the rest is mirrored below it.
-    """
-    n = len(m)
-    for i0 in range(0, n, BLOCK):
-        i1 = min(i0 + BLOCK, n)
-        fill(i0, i1)
-        m[i1:, i0:i1] = m[i0:i1, i1:].T
-    return m
+def symmetric(m: np.ndarray) -> bool:
+    """Whether square ``m`` equals its transpose: each block of ``BLOCK`` rows, from its
+    diagonal on, against the columns below it, so no N x N temporary is made."""
+    return not any((m[i0:i0 + BLOCK, i0:] != m[i0:, i0:i0 + BLOCK].T).any()
+                   for i0 in range(0, len(m), BLOCK))
 
 
 @dataclass(frozen=True)
@@ -107,13 +100,17 @@ class PropagationModel:
         z = np.asarray(self.shadow_samples, dtype=float)
         if z.ndim != 2 or z.shape[0] != z.shape[1]:
             raise ValueError("shadow_samples must be a square matrix")
-        if not np.array_equal(z, z.T):
-            raise ValueError("shadow_samples must be symmetric")
-        if np.any(z <= 0):
+        if z.size and not math.isfinite(z.max()):  # a NaN is the max, as is an inf
+            raise ValueError(f"shadow_samples must be finite, got {z.max()}")
+        if z.size and not z.min() > 0:
             raise ValueError("shadow gains must be positive")
-        for name in ("path_loss_exponent", "noise_power", "min_separation"):
+        if not symmetric(z):
+            raise ValueError("shadow_samples must be symmetric")
+        for name in ("path_loss_exponent", "mean_linear_gain", "noise_power", "min_separation"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.mean_linear_gain <= 0:
+            raise ValueError(f"mean_linear_gain must be positive, got {self.mean_linear_gain}")
         if self.min_separation <= 0:
             raise ValueError("min_separation must be positive")
         if self.path_loss_exponent < 2:
@@ -135,15 +132,15 @@ class PropagationModel:
     ) -> "PropagationModel":
         """Draw one symmetric shadowing matrix and bundle the parameters."""
         z = shadowing_db(num_aps, rng, shadow_mean_db, shadow_std_db)
-
-        def fill(i0: int, i1: int) -> None:
+        for i0 in range(0, num_aps, BLOCK):  # convert each block's rows from its diagonal on
+            i1 = min(i0 + BLOCK, num_aps)
             block = z[i0:i1, i0:]
             block /= 10.0
             np.power(10.0, block, out=block)
             corner = block[:, :i1 - i0]
             np.copyto(corner, corner.T, where=np.tri(i1 - i0, k=-1, dtype=bool))
-
-        np.fill_diagonal(_mirrored(z, fill), 1.0)
+            z[i1:, i0:i1] = block[:, i1 - i0:].T
+        np.fill_diagonal(z, 1.0)
         return cls(
             path_loss_exponent=path_loss_exponent,
             mean_linear_gain=lognormal_mean_linear(shadow_mean_db, shadow_std_db),
@@ -206,33 +203,45 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix D with D[r, j] the distance in meters from point a[r] to point b[j].
 
     The one distance kernel: each entry is the same elementwise hypot, so a
-    row computed alone equals that row of the whole matrix bit for bit.
-    When ``b is a``, each unordered pair is computed once and mirrored, with
-    the same bits: fl(x_i - x_j) = -fl(x_j - x_i), and hypot ignores signs.
+    row computed alone equals that row of the whole matrix bit for bit, and
+    swapping a pair's ends keeps its bits: fl(x_i - x_j) = -fl(x_j - x_i),
+    and hypot ignores signs.
     """
-    if b is not a:
-        dx = a[:, 0:1] - b[:, 0]
-        return np.hypot(dx, a[:, 1:2] - b[:, 1], out=dx)
-    x, y = a.T
-    d = np.empty((len(a), len(a)))
-
-    def fill(i0: int, i1: int) -> None:
-        dx = np.subtract(x[i0:i1, None], x[i0:], out=d[i0:i1, i0:])
-        np.hypot(dx, y[i0:i1, None] - y[i0:], out=dx)
-
-    return _mirrored(d, fill)
+    dx = a[:, 0:1] - b[:, 0]
+    return np.hypot(dx, a[:, 1:2] - b[:, 1], out=dx)
 
 
-def path_loss(distances: np.ndarray, radii: np.ndarray, model: PropagationModel) -> np.ndarray:
+def candidate_blocks(topology: list[AccessPoint], positions: np.ndarray,
+                     candidates: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The one candidate pass: whether the coordination areas of distinct APs overlap,
+    into the N x N ``candidates``, which is whole once the pass is exhausted.
+
+    Per block of ``BLOCK`` rows i0:i1 it tests the distances from the block's diagonal on,
+    ``pairwise_distances(positions[i0:i1], positions[i0:])``, into the candidate rows,
+    mirrors them below the block (r_i + r_j = r_j + r_i) and yields ``(i0, i1, distances)``.
+    """
+    n = len(topology)
+    reach = np.array([ap.coordination_radius for ap in topology])
+    for i0 in range(0, n, BLOCK):
+        i1 = min(i0 + BLOCK, n)
+        d = pairwise_distances(positions[i0:i1], positions[i0:])
+        rows = np.less(d, reach[i0:i1, None] + reach[i0:], out=candidates[i0:i1, i0:])
+        np.fill_diagonal(rows, False)
+        candidates[i1:, i0:i1] = rows[:, i1 - i0:].T
+        yield i0, i1, d
+
+
+def path_loss(distances: np.ndarray, radii: np.ndarray,
+              network: Network | PropagationModel) -> np.ndarray:
     """Receiver-major path loss: entry [r, c] from transmitter c to the coverage edge,
-    ``radii[r]`` meters out, of the receiver ``distances[r, c]`` away.
+    ``radii[r, c]`` meters out (``radii`` broadcast), of the receiver ``distances[r, c]`` away.
 
-    A fresh array in the layout of ``distances``: one subtract, clip and power
-    pass. Self pairs are not zeroed; the caller knows where they are.
+    A fresh array in the layout of ``distances``: one subtract, clip and power pass, with
+    ``network``'s ``min_separation`` and ``path_loss_exponent``. Self pairs are not zeroed.
     """
-    loss = np.subtract(distances, radii[:, None])
-    np.maximum(loss, model.min_separation, out=loss)
-    loss **= -model.path_loss_exponent
+    loss = np.subtract(distances, radii)
+    np.maximum(loss, network.min_separation, out=loss)
+    loss **= -network.path_loss_exponent
     return loss
 
 
@@ -243,21 +252,6 @@ def true_gain_matrix(shadow: np.ndarray, loss: np.ndarray) -> np.ndarray:
     transmitter i at receiver j, has each receiver's incoming gains contiguous.
     """
     return np.multiply(shadow, loss, out=shadow)
-
-
-def candidate_matrix(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
-    """Whether the coordination areas of distinct APs, ``distances`` apart, overlap.
-
-    ``distances`` must be symmetric: each pair is tested once, r_i + r_j = r_j + r_i.
-    """
-    r = np.array([ap.coordination_radius for ap in topology])
-    candidates = np.empty(distances.shape, dtype=bool)
-
-    def fill(i0: int, i1: int) -> None:
-        np.less(distances[i0:i1, i0:], r[i0:i1, None] + r[i0:], out=candidates[i0:i1, i0:])
-
-    np.fill_diagonal(_mirrored(candidates, fill), False)
-    return candidates
 
 
 class Player(NamedTuple):
@@ -292,18 +286,20 @@ class Network:
     target and power cap, which ``players[i]`` holds too, with its channels,
     for scalar loops.
     ``candidates`` and ``gains_true`` are built in one pass over blocks of
-    ``BLOCK`` rows: each block's distances, from its diagonal on, give its
-    candidate rows and two fresh ``path_loss`` blocks, the block's receiver
-    rows and, through the distances' transpose, its transmitter columns below
-    the corner. Both multiply into the shadowing sample. No N x N distance or
-    loss matrix is made, so set-up holds one N x N float matrix, and keeps it.
+    ``BLOCK`` rows, ``candidate_blocks``: each block's distances, from its
+    diagonal on, give its candidate rows and two fresh ``path_loss`` blocks,
+    the block's receiver rows and, through the distances' transpose, its
+    transmitter columns below the corner. Both multiply into the shadowing
+    sample. No N x N distance or loss matrix is made, so set-up holds one
+    N x N float matrix, and keeps it.
     The estimated gains come from ``estimated_gain_matrix`` over the pairs a
     caller needs; ``gains_est``, all N x N of them, is built on its first read.
     The model's sample is consumed: its buffer becomes ``gains_true``'s
     C-ordered base, ``model.shadow_samples`` is None from then on, and a second
     Network from that model raises ValueError. Of ``model`` the Network keeps
     ``noise_power`` and the estimated gains' ``path_loss_exponent``,
-    ``min_separation`` and ``mean_gain`` (its ``mean_linear_gain``). Every
+    ``min_separation`` and ``mean_gain`` (its ``mean_linear_gain``), copied
+    before the pass, whose ``path_loss`` reads them from the Network. Every
     array is read-only. ``num_channels`` is one more than the highest channel
     id. A topology whose powers times gains, or demands, can overflow raises
     ValueError.
@@ -343,23 +339,16 @@ class Network:
             object.__setattr__(self, name, value)
         positions = ap_positions(topology)
         radii = np.array([ap.coverage_radius for ap in topology])
-        reach = np.array([ap.coordination_radius for ap in topology])
         candidates = np.empty((n, n), dtype=bool)
         most_loss = 0.0
-
-        def fill(i0: int, i1: int) -> None:
+        for i0, i1, d in candidate_blocks(topology, positions, candidates):
             # later blocks read only rows and columns from i1 on, which this one leaves
-            nonlocal most_loss
-            d = pairwise_distances(positions[i0:i1], positions[i0:])
-            np.less(d, reach[i0:i1, None] + reach[i0:], out=candidates[i0:i1, i0:])
-            rows = path_loss(d, radii[i0:i1], model)
+            rows = path_loss(d, radii[i0:i1, None], self)
             np.fill_diagonal(rows, 0.0)
-            columns = path_loss(d[:, i1 - i0:].T, radii[i1:], model)
+            columns = path_loss(d[:, i1 - i0:].T, radii[i1:, None], self)
             most_loss = max(most_loss, float(rows.max()), float(columns.max(initial=0.0)))
             true_gain_matrix(gains[i0:i1, i0:], rows)
             true_gain_matrix(gains[i1:, i0:i1], columns)
-
-        np.fill_diagonal(_mirrored(candidates, fill), False)
         players = tuple(Player(tuple(sorted(ap.channels)), ap.sinr_target, model.noise_power,
                                float(edge_gain(ap, model)), ap.max_power) for ap in topology)
         object.__setattr__(self, "players", players)
@@ -408,17 +397,15 @@ def estimated_gain_matrix(network: Network, tx: np.ndarray, rx: np.ndarray) -> n
     """Estimated gains from transmitters ``tx`` at receivers ``rx``, elementwise over the
     broadcast of the two index arrays; 0 where ``tx == rx``.
 
-    The mean shadowing gain times the path loss to the receiver's coverage
-    edge: the steps of ``pairwise_distances`` and ``path_loss``, in their
-    order, on fresh contiguous arrays, so each entry has the bits that the
-    whole-matrix formula gives it, whichever pairs are asked for.
+    The mean shadowing gain times the ``path_loss`` to the receiver's coverage
+    edge, of distances computed as ``pairwise_distances`` does, on fresh
+    contiguous arrays, so each entry has the bits that the whole-matrix
+    formula gives it, whichever pairs are asked for.
     """
     x, y = network.positions.T
-    g = np.subtract(x[tx], x[rx])
-    np.hypot(g, y[tx] - y[rx], out=g)
-    g -= network.radii[rx]
-    np.maximum(g, network.min_separation, out=g)
-    g **= -network.path_loss_exponent
+    d = np.subtract(x[tx], x[rx])
+    np.hypot(d, y[tx] - y[rx], out=d)
+    g = path_loss(d, network.radii[rx], network)
     g *= network.mean_gain
     g[tx == rx] = 0.0
     return g

@@ -16,6 +16,8 @@ coupling, against which the bound's kept per-channel I - M is held.
 and ``gain_matrices`` are the set-up formulas over whole N x N matrices, and
 ``unique_cover_set`` is the cover set by ``np.unique``; the package's
 in-place, per-block and sort-free forms must return the same bits.
+``one_sided_pair`` breaks the symmetry of a matrix at one entry, for the
+per-block symmetry check, on both sides of the ``BLOCK_EDGE_PAIRS`` edges.
 ``Network`` takes its model's shadowing sample, so a test that reads the
 model after building a Network builds it with ``network_of_copy``.
 ``discovery_missing`` is ``knowledge.discovery_complete``'s count on the
@@ -77,11 +79,27 @@ def distances_out_of_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def candidates_out_of_place(topology: list[AccessPoint], distances: np.ndarray) -> np.ndarray:
-    """``candidate_matrix`` as one broadcast test over every ordered pair."""
+    """``model.candidate_blocks``'s candidates as one broadcast test over every ordered pair."""
     r = np.array([ap.coordination_radius for ap in topology])
     candidates = distances < r[:, None] + r[None, :]
     np.fill_diagonal(candidates, False)
     return candidates
+
+
+# (n, i, j, memory order) of a one-sided entry on either side of a model.BLOCK = 64 edge
+BLOCK_EDGE_PAIRS = {
+    "first-block-to-last": (129, 0, 128, "C"),
+    "last-block": (129, 128, 127, "C"),
+    "second-block-F": (129, 64, 128, "F"),
+    "last-block-to-first-F": (129, 128, 0, "F"),
+}
+
+
+def one_sided_pair(n: int, i: int, j: int, order: str) -> np.ndarray:
+    """An n x n boolean matrix, in the given memory order, whose only True entry is [i, j]."""
+    m = np.zeros((n, n), dtype=bool, order=order)
+    m[i, j] = True
+    return m
 
 
 def loss_out_of_place(topology: list[AccessPoint], model: PropagationModel,

@@ -17,7 +17,14 @@ from apgame.knowledge import (
     neighbour_order,
 )
 from apgame.model import OFF, AccessPoint, AllocationState, ap_positions, pairwise_distances
-from oracles import candidate_test, discovery_missing, sufficiency_check, unique_cover_set
+from oracles import (
+    BLOCK_EDGE_PAIRS,
+    candidate_test,
+    discovery_missing,
+    one_sided_pair,
+    sufficiency_check,
+    unique_cover_set,
+)
 from oracles import nearest_cover_set as oracle_cover_set
 
 
@@ -261,13 +268,6 @@ class TestSufficiency:
         assert hits / total >= 0.95
 
 
-def one_sided_pair(n, i, j, order):
-    """An n x n candidate matrix, in the given memory order, whose only True entry is [i, j]."""
-    candidates = np.zeros((n, n), dtype=bool, order=order)
-    candidates[i, j] = True
-    return candidates
-
-
 class TestDiscovery:
     def test_single_ap_never_changes(self):
         topo = [make_ap(0, 0.0, 0.0)]
@@ -383,12 +383,8 @@ class TestDiscovery:
         (np.eye(3, dtype=bool), "diagonal"),
         (np.triu(~np.eye(3, dtype=bool)), "not symmetric"),
         # the check compares blocks of model.BLOCK = 64 rows with the columns below them
-        (one_sided_pair(129, 0, 128, "C"), "not symmetric"),
-        (one_sided_pair(129, 128, 127, "C"), "not symmetric"),
-        (one_sided_pair(129, 64, 128, "F"), "not symmetric"),
-        (one_sided_pair(129, 128, 0, "F"), "not symmetric"),
-    ], ids=["2x3", "vector", "diagonal", "one-sided", "first-block-to-last", "last-block",
-            "second-block-F", "last-block-to-first-F"])
+        *[(one_sided_pair(*case), "not symmetric") for case in BLOCK_EDGE_PAIRS.values()],
+    ], ids=["2x3", "vector", "diagonal", "one-sided", *BLOCK_EDGE_PAIRS])
     def test_malformed_candidates_are_rejected(self, candidates, check):
         with pytest.raises(ValueError, match=check):
             KnowledgeBase(candidates)

@@ -24,7 +24,6 @@ from apgame.model import (
     Player,
     PropagationModel,
     ap_positions,
-    candidate_matrix,
     co_channel_mask,
     edge_gain,
     estimated_gain_matrix,
@@ -35,6 +34,7 @@ from apgame.model import (
     satisfied_mask,
 )
 from oracles import (
+    BLOCK_EDGE_PAIRS,
     candidates_out_of_place,
     distances_out_of_place,
     estimated_gain,
@@ -44,6 +44,7 @@ from oracles import (
     loss_out_of_place,
     necessary_power,
     network_of_copy,
+    one_sided_pair,
     shadow_out_of_place,
     sinr,
     true_gain,
@@ -60,6 +61,22 @@ def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1), coord=Non
         max_power=pmax,
         channels=frozenset(channels),
     )
+
+
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """The (rows, columns) of each ``pairwise_distances`` call from the package."""
+    calls = []
+    original = model_module.pairwise_distances
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return original(a, b)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("apgame") and getattr(mod, "pairwise_distances", None) is original:
+            monkeypatch.setattr(mod, "pairwise_distances", counted)
+    return calls
 
 
 def make_model(n, alpha=3.0, noise=1e-8, z=None, mu=1.0):
@@ -139,6 +156,52 @@ class TestPropagationModel:
                       shadow_samples=np.ones((2, 2)), noise_power=1e-8)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PropagationModel(**{**params, **changes})
+
+
+    @pytest.mark.parametrize("mu, message", [
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (0.0, "must be positive, got 0.0"),
+        (-1.0, "must be positive, got -1.0"),
+    ])
+    def test_mean_gain_that_is_not_finite_and_positive_is_rejected(self, mu, message):
+        # the model says which field is wrong, before a Network's overflow check would
+        with pytest.raises(ValueError, match=f"^mean_linear_gain {message}$"):
+            make_model(2, mu=mu)
+
+    @pytest.mark.parametrize("entry, message", [
+        (math.inf, "shadow_samples must be finite, got inf"),
+        (math.nan, "shadow_samples must be finite, got nan"),
+        (-math.inf, "shadow gains must be positive"),
+    ])
+    def test_shadow_entry_that_is_not_finite_and_positive_is_rejected(self, entry, message):
+        z = np.ones((3, 3))
+        z[0, 2] = z[2, 0] = entry
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_model(3, z=z)
+
+    def test_no_aps_are_accepted(self):
+        assert make_model(0, z=np.ones((0, 0))).shadow_samples.shape == (0, 0)
+        assert PropagationModel.sample(0, np.random.default_rng(0)).shadow_samples.shape == (0, 0)
+
+    @pytest.mark.parametrize("case", BLOCK_EDGE_PAIRS.values(), ids=list(BLOCK_EDGE_PAIRS))
+    def test_one_sided_entry_at_a_block_edge_is_rejected(self, case):
+        # the per-block check that KnowledgeBase shares, on both sides of each edge
+        z = 1.0 + one_sided_pair(*case)
+        assert z.flags.f_contiguous == (case[-1] == "F")
+        with pytest.raises(ValueError, match="^shadow_samples must be symmetric$"):
+            make_model(len(z), z=z)
+
+    def test_checks_make_no_square_temporary(self):
+        n = 1000
+        z = PropagationModel.sample(n, np.random.default_rng(4)).shadow_samples
+        tracemalloc.start()
+        try:
+            make_model(n, z=z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n / 2  # an N x N bool temporary takes n * n bytes
 
 
 class TestAllocationState:
@@ -325,19 +388,10 @@ class TestNetwork:
         net = Network(topo, make_model(2, z=np.full((2, 2), 1e-10), mu=1e302))
         assert 1e304 < net.gains_est.max() < 1e306 and net.gains_true.max() < 1e-6
 
-    def test_one_distance_matrix_per_network_and_per_experiment_setup(self, monkeypatch):
+    def test_one_distance_matrix_per_network_and_per_experiment_setup(self, distance_calls):
         # each AP pair's distance once: one distance block per block of
         # model.BLOCK rows, from the block's diagonal on; 40 APs are one block
-        calls = []
-        original = model_module.pairwise_distances
-
-        def counted(a, b):
-            calls.append((len(a), len(b)))
-            return original(a, b)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("apgame") and getattr(mod, "pairwise_distances", None) is original:
-                monkeypatch.setattr(mod, "pairwise_distances", counted)
+        calls = distance_calls
         once = [(40, 40)]
         cfg = ScenarioConfig(num_aps=40, num_channels=4, area_width=300.0, area_height=300.0,
                              duration=20.0, seed=4)
@@ -354,6 +408,13 @@ class TestNetwork:
         n, b = 150, model_module.BLOCK
         Network(*generate_topology(replace(cfg, num_aps=n), np.random.default_rng(4)))
         assert calls == [(min(b, n - i0), n - i0) for i0 in range(0, n, b)]
+
+    def test_one_distance_block_per_block_of_knowledge_from_topology(self, distance_calls):
+        # the candidate pass that Network runs, with the same distance blocks
+        n, b = 150, model_module.BLOCK
+        topo, _ = generate_topology(ScenarioConfig(num_aps=n, seed=4), np.random.default_rng(4))
+        KnowledgeBase.from_topology(topo)
+        assert distance_calls == [(min(b, n - i0), n - i0) for i0 in range(0, n, b)]
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_receiver_major_build_is_the_exact_transpose(self, clustered):
@@ -412,7 +473,7 @@ class TestSetUpInPlace:
             assert np.array_equal(pairwise_distances(pos[:1], pos),
                                   distances_out_of_place(pos[:1], pos))
             expected = loss_out_of_place(topo, m, d)
-            loss = path_loss(d, np.array([ap.coverage_radius for ap in topo]), m)
+            loss = path_loss(d, np.array([ap.coverage_radius for ap in topo])[:, None], m)
             np.fill_diagonal(loss, 0.0)
             assert np.array_equal(d, distances_out_of_place(pos, pos))  # left as it was
             assert np.array_equal(loss, expected)
@@ -429,19 +490,21 @@ class TestSetUpInPlace:
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_candidates_equal_the_broadcast_test(self, n):
-        # per-AP coordination radii, so that r_i + r_j is not one number
+        # per-AP coordination radii, so that r_i + r_j is not one number; the
+        # knowledge and the Network come from the one candidate pass
         for seed in range(3):
             rng = np.random.default_rng(seed)
             cfg = ScenarioConfig(num_aps=n, clustered=seed == 2, num_clusters=2, seed=seed)
-            topo, _ = generate_topology(cfg, rng)
+            topo, m = generate_topology(cfg, rng)
             topo = [replace(ap, coordination_radius=ap.coverage_radius * f)
                     for ap, f in zip(topo, rng.uniform(1.0, 8.0, size=n))]
             pos = ap_positions(topo)
             d = pairwise_distances(pos, pos)
-            got = candidate_matrix(topo, d)
+            got = KnowledgeBase.from_topology(topo).candidates
             expected = candidates_out_of_place(topo, d)
             assert got.dtype == bool and got.flags.c_contiguous
             assert got.tobytes() == expected.tobytes()
+            assert Network(topo, m).candidates.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", BLOCK_EDGES)
     def test_network_equals_the_out_of_place_forms(self, n):
