@@ -9,7 +9,6 @@ uses mean-shadowing gain estimates restricted to the known set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -109,34 +108,13 @@ class TraceRecord(NamedTuple):
     potential_after: float | None = None
 
 
-@dataclass(frozen=True)
-class Finding:
-    mover: int
-    delta_u: float
-    delta_potential: float
-    verdict: str  # "ok" or "violation"
-
-
-@dataclass
-class VerificationReport:
-    findings: list[Finding] = field(default_factory=list)
-    max_violation: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(f.verdict == "ok" for f in self.findings)
-
-    def violations(self) -> list[Finding]:
-        return [f for f in self.findings if f.verdict != "ok"]
-
-
 def verify_exact_potential(
     network: Network,
     *,
     trials: int,
     tol: float,
     rng: np.random.Generator,
-) -> VerificationReport:
+) -> tuple[int, float]:
     """Sweep random unilateral channel deviations, every AP at 0.05 W.
 
     Compares each mover's change in altered selfish utility (its measured
@@ -144,7 +122,8 @@ def verify_exact_potential(
     summed-utility potential. The sum counts every co-channel pair twice, so
     the exact comparison uses half of it. With equal coverage radii the two
     changes agree to rounding; with unequal radii violations are expected and
-    reported rather than raised.
+    counted rather than raised. Returns the number of trials whose two changes
+    differ by more than ``tol`` and the largest difference.
     """
     players, gt = network.players, network.gains_true
     n, power = len(players), 0.05  # watts
@@ -156,7 +135,7 @@ def verify_exact_potential(
         on_k[i] = False
         return power * float(np.sum(state.powers[on_k] * gt[on_k, i]))
 
-    report = VerificationReport()
+    violations, worst = 0, 0.0
     p_new = appendixB_potential(network, state)
     for _ in range(trials):
         i = int(rng.integers(n))
@@ -169,33 +148,26 @@ def verify_exact_potential(
         p_new = appendixB_potential(network, state)
         d_phi = 0.5 * (p_new - p_old)
         gap = abs(du - d_phi)
-        report.max_violation = max(report.max_violation, gap)
-        report.findings.append(
-            Finding(mover=i, delta_u=du, delta_potential=d_phi,
-                    verdict="ok" if gap <= tol else "violation")
-        )
-    return report
+        worst = max(worst, gap)
+        violations += not gap <= tol  # a NaN gap counts as a violation
+    return violations, worst
 
 
-def verify_ordinal_improvement(trace: list[TraceRecord]) -> VerificationReport:
-    """Check that every strict utility improvement strictly raised the potential."""
-    report = VerificationReport()
+def verify_ordinal_improvement(trace: list[TraceRecord]) -> tuple[int, int, float]:
+    """Check that every strict utility improvement strictly raised the potential.
+
+    Returns the number of strict improvements, how many of them did not raise
+    the potential, and the largest drop among those.
+    """
+    improvements = violations = 0
+    worst = 0.0
     for rec in trace:
         if rec.u_after <= rec.u_before:
             continue
         if rec.potential_before is None or rec.potential_after is None:
             raise ValueError("trace lacks potential values; rerun with potential recording")
-        ok = rec.potential_after > rec.potential_before
-        if not ok:
-            report.max_violation = max(
-                report.max_violation, rec.potential_before - rec.potential_after
-            )
-        report.findings.append(
-            Finding(
-                mover=rec.mover,
-                delta_u=rec.u_after - rec.u_before,
-                delta_potential=rec.potential_after - rec.potential_before,
-                verdict="ok" if ok else "violation",
-            )
-        )
-    return report
+        improvements += 1
+        if not rec.potential_after > rec.potential_before:
+            violations += 1
+            worst = max(worst, rec.potential_before - rec.potential_after)
+    return improvements, violations, worst

@@ -223,10 +223,6 @@ class MetricsSeries:
     columns: list[str]
     rows: list[list[float]] = field(default_factory=list)
 
-    def column(self, name: str) -> list[float]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     def to_csv_text(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:
@@ -411,12 +407,12 @@ def _game_rows(
         if on < total and t >= insert_time:
             _draw_allocation(state, range(on, total), network, rng)
             on = total
-        active = set(range(on)) if on < total else None
+        active = on if on < total else None
         if t > 0:
             for _ in range(int(config.allocation_period)):
                 discovery_tick(dstate, kb, network.topology, active=active)
         run = run_dynamics(network, state, config.max_iterations, knowledge=kb, active=active)
-        _, missing = discovery_complete(kb, active=active)
+        missing = discovery_complete(kb, active=active)
         changes = int(np.sum(state.channels[:prev_on] != prev_channels[:prev_on]))
         prev_on, prev_channels = on, state.channels.copy()
         rows.append([t, _satisfied(network, state), float(run.iterations), float(missing),

@@ -86,10 +86,10 @@ class KnowledgeBase:
         rows = self._rows
         return [rows[i].bit_count() for i in ids]
 
-    def missing(self, ids: Iterable[int], among: list[int] | None = None) -> list[int]:
+    def missing(self, ids: Iterable[int], below: int | None = None) -> list[int]:
         """The APs of ``ids`` that have yet to discover a candidate, counting
-        only the candidates in ``among`` (distinct ids) when it is given."""
-        mask = -1 if among is None else sum(1 << i for i in among)  # -1: every bit set
+        only the candidates with an id below ``below`` when it is given."""
+        mask = -1 if below is None else (1 << below) - 1  # -1: every bit set
         rows, cand = self._rows, self._cand
         return [i for i in ids if cand[i] & mask & ~rows[i]]
 
@@ -149,18 +149,19 @@ def nearest_cover_set(order: np.ndarray, state: AllocationState) -> np.ndarray:
     return order[:on[first[first < len(on)].max()] + 1]
 
 
-def sorted_ids(active: set[int], n: int) -> list[int]:
-    """The AP ids in ``active`` in ascending order; one outside [0, n) raises ValueError."""
-    ids = sorted(active)
-    for i in ids[:1] + ids[-1:]:
-        if not 0 <= i < n:  # as an index, -1 would wrap to the last AP
-            raise ValueError(f"active id {i} is not an AP of the {n}-AP network")
-    return ids
+def active_count(active: int | None, n: int) -> int:
+    """How many of ``n`` APs are on, the ids ``0..active-1``: all of them for
+    None; a count outside [0, n] raises ValueError."""
+    if active is None:
+        return n
+    if not 0 <= active <= n:
+        raise ValueError(f"active count {active} is outside [0, {n}] for the {n}-AP network")
+    return active
 
 
 @lru_cache(maxsize=4)
 def _probe_owners(n: int, samples: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each probe's owner, ``samples`` per position of ``n`` in turn, and the
+    """Each probe's owner, ``samples`` for each of the APs ``0..n-1`` in turn, and the
     offset of the owner's row in a flat ``size`` x ``size`` matrix. Read-only:
     every tick of one shape shares them."""
     owners = np.arange(n).repeat(samples)
@@ -173,9 +174,10 @@ def discovery_tick(
     dstate: DiscoveryState,
     knowledge: KnowledgeBase,
     topology: list[AccessPoint],
-    active: set[int] | None = None,
+    active: int | None = None,
 ) -> tuple[list[int], list[int]]:
-    """One second of sampling: every active AP probes random peers.
+    """One second of sampling: each of the first ``active`` APs (every AP for
+    None) probes random peers among them.
 
     A probe that hits a candidate makes the pair mutually known and triggers
     an exchange of their current known lists; received entries are kept when
@@ -184,18 +186,14 @@ def discovery_tick(
     ``(his, hjs)`` in probe order, the only known rows the tick changed;
     with fewer than two APs probing, two empty lists.
     """
-    ids = None if active is None else np.array(sorted_ids(active, len(topology)))
-    n = len(topology) if ids is None else len(ids)
+    n = active_count(active, len(topology))
     if n > 1:
         # numpy draws bounded integers one element at a time, so this equals
         # one scalar draw per probe in probe order (tests/golden pins it)
         peers = dstate.rng.integers(n - 1, size=n * dstate.samples_per_tick)
         candidates = knowledge.candidates
         owners, offsets = _probe_owners(n, dstate.samples_per_tick, len(candidates))
-        peers += peers >= owners  # a draw indexes the others: skip the owner's position
-        if ids is not None:
-            owners, peers = ids[owners], ids[peers]
-            offsets = owners * len(candidates)
+        peers += peers >= owners  # a draw indexes the others: skip the owner's id
         # one gather from the C-ordered matrix, read flat in place: the hits, in probe order
         hits = candidates.take(offsets + peers).nonzero()[0]
         his, hjs = owners[hits].tolist(), peers[hits].tolist()
@@ -211,16 +209,11 @@ def discovery_tick(
     return his, hjs
 
 
-def discovery_complete(
-    knowledge: KnowledgeBase,
-    active: set[int] | None = None,
-) -> tuple[bool, int]:
-    """Whether every AP knows all its candidates, plus the count still missing.
+def discovery_complete(knowledge: KnowledgeBase, active: int | None = None) -> int:
+    """How many APs have yet to discover a candidate: 0 once discovery is complete.
 
-    With ``active`` only active APs and their active candidates count. APs
-    without candidates never count as missing.
+    With ``active`` only the first ``active`` APs and their candidates among
+    them count. APs without candidates never count as missing.
     """
-    n = len(knowledge.candidates)
-    ids = None if active is None else sorted_ids(active, n)
-    missing = len(knowledge.missing(range(n) if ids is None else ids, among=ids))
-    return missing == 0, missing
+    n = active_count(active, len(knowledge.candidates))
+    return len(knowledge.missing(range(n), below=active))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import game
 from .game import TraceRecord, exact_potential_full, utility
-from .knowledge import KnowledgeBase, nearest_cover_set, neighbour_order, sorted_ids
+from .knowledge import KnowledgeBase, active_count, nearest_cover_set, neighbour_order
 from .model import BLOCK, OFF, AllocationState, Network, estimated_gain_matrix, necessary_power
 
 POWER_TOLERANCE = 1e-12  # watts
@@ -44,16 +44,17 @@ def run_dynamics(
     synchronous: bool = False,
     enforce_sufficiency: bool = False,
     record_potential: bool = False,
-    active: set[int] | None = None,
+    active: int | None = None,
 ) -> RunResult:
     """Iterate best response until convergence or the round cap.
 
-    Movers act one at a time in ascending id order or, when ``synchronous``,
-    all at once, each responding to the profile as it was before the
-    activation. Mutates ``state`` in place. Non-convergence is a result, not
-    an error. A state, channels and powers byte for byte, that recurs at the
-    end of a round marks a cycle: each round is a deterministic map of the
-    state, so every exact cycle shows as such a repeat and never converges.
+    The movers are the first ``active`` APs, or every AP for None. They act
+    one at a time in ascending id order or, when ``synchronous``, all at
+    once, each responding to the profile as it was before the activation.
+    Mutates ``state`` in place. Non-convergence is a result, not an error. A
+    state, channels and powers byte for byte, that recurs at the end of a
+    round marks a cycle: each round is a deterministic map of the state, so
+    every exact cycle shows as such a repeat and never converges.
     With ``record_potential`` every move records ``exact_potential_full``.
 
     ``knowledge`` is what each mover knows of its neighbours: its ``known``
@@ -62,11 +63,11 @@ def run_dynamics(
     ``enforce_sufficiency`` adds the mover's nearest cover set at the
     current profile. A move's ``u_before``/``u_after`` are the game utility
     under that knowledge. An AP, mover or not, on a channel outside its own
-    set, or OFF with a nonzero power, or an ``active`` id that is no AP, raises
-    ValueError before anything is written.
+    set, or OFF with a nonzero power, or an ``active`` count outside [0, N],
+    raises ValueError before anything is written.
     """
     players = network.players
-    ids = sorted_ids(active, len(players)) if active is not None else list(range(len(players)))
+    ids = range(active_count(active, len(players)))
     chl, pl = state.channels.tolist(), state.powers.tolist()
     for i, (k, p, player) in enumerate(zip(chl, pl, players)):
         if k == OFF and p != 0:

@@ -21,7 +21,8 @@ per-block symmetry check, on both sides of the ``BLOCK_EDGE_PAIRS`` edges.
 ``Network`` takes its model's shadowing sample, so a test that reads the
 model after building a Network builds it with ``network_of_copy``.
 ``discovery_missing`` is ``knowledge.discovery_complete``'s count on the
-boolean matrices, which the package counts on its bit rows.
+boolean matrices, which the package counts on its bit rows. ``column`` reads
+one column of an experiment's ``MetricsSeries``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from apgame.baselines import _POWER_PAD
-from apgame.harness import ScenarioConfig, generate_topology
+from apgame.harness import MetricsSeries, ScenarioConfig, generate_topology
 from apgame.knowledge import KnowledgeBase
 from apgame.model import (
     OFF,
@@ -393,3 +394,9 @@ def sufficiency_check(
 def discovery_missing(candidates: np.ndarray, known: np.ndarray, ids: list[int]) -> int:
     """APs of ``ids`` with a candidate among ``ids`` that they have not discovered."""
     return int((candidates & ~known)[np.ix_(ids, ids)].any(axis=1).sum())
+
+
+def column(series: MetricsSeries, name: str) -> list[float]:
+    """The values of the column ``name`` of ``series``, row by row."""
+    idx = series.columns.index(name)
+    return [row[idx] for row in series.rows]

@@ -20,6 +20,7 @@ from apgame.harness import (
     run_experiment,
 )
 from apgame.knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
+from oracles import column
 
 
 def small_config(**overrides):
@@ -134,12 +135,12 @@ class TestRunExperiment:
         cfg = small_config()
         series = run_experiment(cfg)
         n = cfg.num_aps
-        times = series.column("time")
+        times = column(series, "time")
         assert times == sorted(times)
         for name in ("satisfied_game", "satisfied_selfish", "satisfied_random",
                      "satisfied_bound"):
-            assert all(0 <= v <= n for v in series.column(name))
-        missing = series.column("missing_candidates")
+            assert all(0 <= v <= n for v in column(series, name))
+        missing = column(series, "missing_candidates")
         assert all(a >= b for a, b in zip(missing, missing[1:]))
 
     def test_end_to_end_determinism(self):
@@ -158,15 +159,15 @@ class TestDominoExperiment:
     def test_insertion_adds_active_aps(self):
         cfg = small_config(duration=100.0)
         series = domino_experiment(cfg, 5, 50.0)
-        active = series.column("active_aps")
+        active = column(series, "active_aps")
         assert active[0] == 25
         assert active[-1] == 30
 
     def test_zero_insertions_changes_settle_to_zero(self):
         cfg = small_config(duration=100.0)
         series = domino_experiment(cfg, 0, 50.0)
-        changes = series.column("channel_changes")
-        times = series.column("time")
+        changes = column(series, "channel_changes")
+        times = column(series, "time")
         post = [c for t, c in zip(times, changes) if t >= 50.0]
         assert all(c == 0 for c in post)
 
@@ -188,8 +189,8 @@ class TestDominoExperiment:
         run = run_experiment(cfg)
         domino = domino_experiment(cfg, 0, cfg.duration / 2)
         for name in game:
-            assert run.column(name) == domino.column(name)
-        assert domino.column("active_aps") == [cfg.num_aps] * len(domino.rows)
+            assert column(run, name) == column(domino, name)
+        assert column(domino, "active_aps") == [cfg.num_aps] * len(domino.rows)
 
 
 def full_scan_completion_ticks(config, num_aps, rep, max_ticks):
@@ -198,7 +199,7 @@ def full_scan_completion_ticks(config, num_aps, rep, max_ticks):
     topology, _ = generate_topology(replace(config, num_aps=num_aps), rng)
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
-    while not discovery_complete(kb)[0]:
+    while discovery_complete(kb):
         discovery_tick(dstate, kb, topology)
         if dstate.tick > max_ticks:
             break

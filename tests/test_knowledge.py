@@ -1,6 +1,7 @@
 """Neighbor knowledge sets, sufficiency condition and peer discovery."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ class TestDiscovery:
             topo = line_topology([0, 30])
             kb = KnowledgeBase.from_topology(topo)
             ds = DiscoveryState(rng=np.random.default_rng(seed))
-            while not discovery_complete(kb)[0]:
+            while discovery_complete(kb):
                 discovery_tick(ds, kb, topo)
             assert kb.known.tolist() == [[False, True], [True, False]]
             ticks_needed.append(ds.tick)
@@ -328,9 +329,9 @@ class TestDiscovery:
         kb = KnowledgeBase.from_topology(topo)
         ds = DiscoveryState(rng=rng)
         counts = []
-        while not discovery_complete(kb)[0]:
+        while discovery_complete(kb):
             discovery_tick(ds, kb, topo)
-            counts.append(discovery_complete(kb)[1])
+            counts.append(discovery_complete(kb))
             assert ds.tick < 10_000
         assert counts[-1] == 0
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -339,12 +340,11 @@ class TestDiscovery:
         topo = line_topology([0, 30, 5000])  # third AP has no candidates
         kb = KnowledgeBase.from_topology(topo)
         assert not kb.candidates[2].any()
-        complete, missing = discovery_complete(kb)
-        assert not complete and missing == 2  # only the near pair is missing
+        assert discovery_complete(kb) == 2  # only the near pair is missing
         known = np.zeros((3, 3), dtype=bool)
         known[0, 1] = known[1, 0] = True
         kb = KnowledgeBase(kb.candidates, known=known)
-        assert discovery_complete(kb) == (True, 0)
+        assert discovery_complete(kb) == 0
 
     def test_known_is_read_only(self):
         topo = line_topology([0, 30])
@@ -405,34 +405,48 @@ class TestDiscovery:
     def test_no_aps(self):
         kb = KnowledgeBase(np.zeros((0, 0), dtype=bool))
         assert kb.known.shape == (0, 0)
-        assert discovery_complete(kb) == (True, 0)
+        assert discovery_complete(kb) == discovery_complete(kb, active=0) == 0
 
-    def test_active_subset_restricts_sampling(self):
+    def test_active_prefix_restricts_sampling(self):
         topo = line_topology([0, 20, 40])
         kb = KnowledgeBase.from_topology(topo)
         ds = DiscoveryState(rng=np.random.default_rng(0))
         for _ in range(30):
-            discovery_tick(ds, kb, topo, active={0, 1})
+            discovery_tick(ds, kb, topo, active=2)
         assert not kb.known[0, 2] and not kb.known[1, 2]
         assert not kb.known[2].any()
 
-    @pytest.mark.parametrize("bad", [-1, 20])
-    def test_active_id_outside_the_network_is_rejected_before_any_draw(self, bad):
-        # as an index, -1 would wrap to AP 19 and 20 would raise IndexError
+    @pytest.mark.parametrize("active", [0, 1])
+    def test_fewer_than_two_active_aps_draw_nothing(self, active):
         topo, _ = generate_topology(ScenarioConfig(num_aps=20, seed=1), np.random.default_rng(1))
         kb = KnowledgeBase.from_topology(topo)
         ds = DiscoveryState(rng=np.random.default_rng(0))
         drawn = ds.rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"active id {bad} is not an AP"):
-            discovery_tick(ds, kb, topo, active={bad, 0, 5})
+        for _ in range(3):
+            assert discovery_tick(ds, kb, topo, active=active) == ([], [])
         assert ds.rng.bit_generator.state == drawn
-        assert ds.tick == 0 and not kb.known.any() and not ds.exchange_log
+        assert ds.tick == 3 and not kb.known.any() and not ds.exchange_log
+        assert discovery_complete(kb, active=active) == 0  # no candidate among them
 
-    @pytest.mark.parametrize("bad", [-1, 20])
-    def test_active_id_outside_the_network_fails_the_completion_check(self, bad):
+    @pytest.mark.parametrize("bad", [-1, 21])
+    def test_active_count_outside_the_network_is_rejected_before_any_draw(self, bad):
+        # unchecked, -1 would silently probe nothing and 21 would draw before indexing past
+        # the matrix
         topo, _ = generate_topology(ScenarioConfig(num_aps=20, seed=1), np.random.default_rng(1))
-        with pytest.raises(ValueError, match=f"active id {bad} is not an AP"):
-            discovery_complete(KnowledgeBase.from_topology(topo), active={bad, 0})
+        kb = KnowledgeBase.from_topology(topo)
+        ds = DiscoveryState(rng=np.random.default_rng(0))
+        drawn = ds.rng.bit_generator.state
+        known = kb.known.tobytes()
+        with pytest.raises(ValueError, match=rf"active count {bad} is outside \[0, 20\]"):
+            discovery_tick(ds, kb, topo, active=bad)
+        assert ds.rng.bit_generator.state == drawn
+        assert ds.tick == 0 and kb.known.tobytes() == known and not ds.exchange_log
+
+    @pytest.mark.parametrize("bad", [-1, 21])
+    def test_active_count_outside_the_network_fails_the_completion_check(self, bad):
+        topo, _ = generate_topology(ScenarioConfig(num_aps=20, seed=1), np.random.default_rng(1))
+        with pytest.raises(ValueError, match=rf"active count {bad} is outside \[0, 20\]"):
+            discovery_complete(KnowledgeBase.from_topology(topo), active=bad)
 
 
 def hit_ends(log):
@@ -440,16 +454,15 @@ def hit_ends(log):
     return [i for _, i, _ in log], [j for _, _, j in log]
 
 
-def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, ids, log):
-    """The tick on per-AP known and candidate sets that the matrix tick must
-    reproduce: the same draws, then per hit a mutual add and a two-way
-    exchange that keeps the receiver's candidates."""
-    n = len(ids)
+def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, n, log):
+    """The tick of the first ``n`` APs on per-AP known and candidate sets that
+    the matrix tick must reproduce: the same draws, then per hit a mutual add
+    and a two-way exchange that keeps the receiver's candidates."""
     if n > 1:
         draws = rng.integers(n - 1, size=(n, samples_per_tick)).tolist()
-        for pos, i in enumerate(ids):
-            for draw in draws[pos]:
-                j = ids[draw if draw < pos else draw + 1]
+        for i in range(n):
+            for draw in draws[i]:
+                j = draw if draw < i else draw + 1
                 if j not in candidates[i]:
                     continue
                 known[i].add(j)
@@ -469,11 +482,11 @@ def assert_tick_equals_set_tick(kb, topo, active, samples, seed, ticks):
     candidates = [set(np.flatnonzero(row).tolist()) for row in kb.candidates]
     known = [set() for _ in topo]
     ref_rng, ref_log = np.random.default_rng(seed), []
-    ids = sorted(active) if active is not None else list(range(len(topo)))
+    on = len(topo) if active is None else active
     for t in range(ticks):
         start = len(ref_log)
         hits = discovery_tick(ds, kb, topo, active)
-        set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
+        set_discovery_tick(ref_rng, t, samples, known, candidates, on, ref_log)
         assert hits == hit_ends(ref_log[start:])  # the rows it changed, in probe order
     assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
     assert ds.exchange_log == ref_log
@@ -483,14 +496,14 @@ def assert_tick_equals_set_tick(kb, topo, active, samples, seed, ticks):
 
 @st.composite
 def discovery_cases(draw):
-    """A dense uniform or clustered topology, an optional active subset and
+    """A dense uniform or clustered topology, an optional active count and
     a short run of ticks."""
     n = draw(st.integers(1, 40))
     cfg = ScenarioConfig(num_aps=n, area_width=draw(st.sampled_from([100.0, 250.0, 500.0])),
                          area_height=250.0, clustered=draw(st.booleans()), num_clusters=3,
                          cluster_std=30.0, seed=0)
     topo, _ = generate_topology(cfg, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-    active = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    active = draw(st.none() | st.integers(0, n))
     return topo, active, draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 12))
 
 
@@ -506,18 +519,18 @@ class TestMatrixTickOracle:
                       for i in range(n)]
         known = [set() for _ in range(n)]
         ref_rng, ref_log = np.random.default_rng(seed), []
-        ids = sorted(active) if active is not None else list(range(n))
+        on = n if active is None else active
         for t in range(ticks):
             start = len(ref_log)
             hits = discovery_tick(ds, kb, topo, active)
-            set_discovery_tick(ref_rng, t, samples, known, candidates, ids, ref_log)
+            set_discovery_tick(ref_rng, t, samples, known, candidates, on, ref_log)
             assert hits == hit_ends(ref_log[start:])  # the rows it changed, in probe order
         assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
         assert ds.exchange_log == ref_log
         assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("samples", [1, 3])
-    @pytest.mark.parametrize("active", [None, set(range(200))], ids=["all", "prefix"])
+    @pytest.mark.parametrize("active", [None, 200], ids=["all", "prefix"])
     @pytest.mark.parametrize("clustered", [False, True], ids=["uniform", "clustered"])
     def test_matrix_tick_equals_set_tick_at_300_aps(self, clustered, active, samples):
         # the paper's scale, 100 ticks: 5 to 55 hits per tick, and gossip
@@ -540,15 +553,20 @@ class TestMatrixTickOracle:
 
     @pytest.mark.parametrize("samples", [1, 3])
     def test_two_active_aps_in_a_300_ap_network(self, samples):
+        # the topology reordered so that the two APs on, ids 0 and 1, are
+        # candidates of each other or far apart
         topo, _ = generate_topology(ScenarioConfig(num_aps=300, seed=0), np.random.default_rng(5))
         kb = KnowledgeBase.from_topology(topo)
         i = int(np.flatnonzero(kb.candidates.any(axis=1))[-1])
         j = int(np.flatnonzero(kb.candidates[i])[0])
-        far = int(np.flatnonzero(~kb.candidates[i])[-1])
-        for active in ({j, i}, {i, far}):
-            kb = KnowledgeBase.from_topology(topo)
-            log = assert_tick_equals_set_tick(kb, topo, active, samples, 11, 4)
-            assert len(log) == (4 * 2 * samples if active == {j, i} else 0)
+        apart = np.flatnonzero(~kb.candidates[i])
+        far = int(apart[apart != i][-1])  # not i itself, whose diagonal entry is False
+        for first in ([i, j], [i, far]):
+            order = first + [k for k in range(len(topo)) if k not in first]
+            reordered = [replace(topo[k], id=new) for new, k in enumerate(order)]
+            kb = KnowledgeBase.from_topology(reordered)
+            log = assert_tick_equals_set_tick(kb, reordered, 2, samples, 11, 4)
+            assert len(log) == (4 * 2 * samples if first[1] == j else 0)
 
     @pytest.mark.parametrize("samples", [1, 3])
     def test_fortran_ordered_candidates(self, samples):
@@ -606,7 +624,6 @@ class TestBitRows:
         known = candidates & (rng.random((n, n)) < data.draw(st.sampled_from([0.0, 0.5, 0.9])))
         kb = KnowledgeBase(candidates, known=known)
         ids = list(range(n))
-        drawn = data.draw(st.none() | st.sets(st.sampled_from(ids)) if n else st.none())
-        for active in [drawn, set(), *({i} for i in ids)]:  # the empty set and every singleton
-            want = discovery_missing(candidates, known, ids if active is None else sorted(active))
-            assert discovery_complete(kb, active) == (want == 0, want)
+        for active in [None, *range(n + 1)]:  # every AP, then every prefix
+            want = discovery_missing(candidates, known, ids[:active])
+            assert discovery_complete(kb, active) == want

@@ -71,11 +71,11 @@ SYNCHRONOUS = {"synchronous": True}
 
 
 class TestRunDynamics:
-    def test_empty_active_set_converges_after_zero_rounds(self):
+    def test_no_active_ap_converges_after_zero_rounds(self):
         topo, model, state = symmetric_pair()
         before = state.copy()
         result = run_dynamics(Network(topo, model), state, 10, knowledge=KnowledgeBase.full(2),
-                              active=set())
+                              active=0)
         assert result == schedulers.RunResult(converged=True, iterations=0, trace=[],
                                               cycle_detected=False)
         assert state.channels.tobytes() == before.channels.tobytes()
@@ -162,7 +162,7 @@ class TestRunDynamics:
         assert (state.channels.tobytes(), state.powers.tobytes()) == before
         # nor may AP 4 hold the channel while it does not move
         with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
-            run_dynamics(net, state, 5, knowledge=None, active={0, 1, 2, 3, 5}, **timing)
+            run_dynamics(net, state, 5, knowledge=None, active=4, **timing)
         assert (state.channels.tobytes(), state.powers.tobytes()) == before
 
     @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
@@ -174,8 +174,7 @@ class TestRunDynamics:
         state = AllocationState(np.array([1, 1, 2, 2, 7, 0]), np.full(6, 0.01))
         before = state.channels.tobytes(), state.powers.tobytes()
         with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
-            run_dynamics(net, state, 5, knowledge=KnowledgeBase.full(6),
-                         active={0, 1, 2, 3, 5}, **timing)
+            run_dynamics(net, state, 5, knowledge=KnowledgeBase.full(6), active=4, **timing)
         assert (state.channels.tobytes(), state.powers.tobytes()) == before
 
     @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
@@ -187,20 +186,20 @@ class TestRunDynamics:
         state = AllocationState(np.array([1, 1, 2, 0, 0]), np.full(5, 0.01))
         state.channels[3] = OFF
         before = state.channels.tobytes(), state.powers.tobytes()
-        for active in (None, {0, 1, 2, 4}):
+        for active in (None, 3):
             with pytest.raises(ValueError, match="AP 3 is OFF but has power 0.01"):
                 run_dynamics(net, state, 5, knowledge=KnowledgeBase.full(5), active=active,
                              **timing)
             assert (state.channels.tobytes(), state.powers.tobytes()) == before
 
-    @pytest.mark.parametrize("bad", [-1, 20])
-    def test_active_id_outside_the_network_is_rejected_before_any_write(self, bad):
-        # as an index, -1 would move AP 19 and 20 would raise IndexError
+    @pytest.mark.parametrize("bad", [-1, 21])
+    def test_active_count_outside_the_network_is_rejected_before_any_write(self, bad):
+        # unchecked, -1 would silently move no AP and 21 would look up a 21st player
         network, kb, _, streams = harness._setup(ScenarioConfig(num_aps=20, seed=1))
         state = random_allocation(network, streams[0])
         start = state.copy()
-        with pytest.raises(ValueError, match=f"active id {bad} is not an AP"):
-            run_dynamics(network, state, 5, knowledge=kb, active={bad})
+        with pytest.raises(ValueError, match=rf"active count {bad} is outside \[0, 20\]"):
+            run_dynamics(network, state, 5, knowledge=kb, active=bad)
         assert state.channels.tobytes() == start.channels.tobytes()
         assert state.powers.tobytes() == start.powers.tobytes()
 
@@ -289,7 +288,7 @@ class TestRunDynamics:
         assert np.array_equal(p_a, p_b)
         assert it_a == it_b
 
-    def test_active_subset_leaves_others_untouched(self):
+    def test_active_prefix_leaves_others_untouched(self):
         rng = np.random.default_rng(65)
         cfg = ScenarioConfig(num_aps=10, num_channels=3, area_width=200.0,
                              area_height=200.0, seed=65)
@@ -299,7 +298,7 @@ class TestRunDynamics:
         state.powers[:5] = 0.01
         before = state.channels[5:].copy()
         run_dynamics(Network(topo, model), state, 20, knowledge=KnowledgeBase.full(10),
-                     active=set(range(5)))
+                     active=5)
         assert np.array_equal(state.channels[5:], before)
         assert np.all(state.powers[5:] == 0.0)
 
@@ -447,8 +446,8 @@ class TestEngineContexts:
         topo, model = generate_topology(cfg, rng)
         net = network_of_copy(topo, model)
         state = random_allocation(net, rng)
-        state.channels[[3, 11, 20]] = OFF  # silent, two of them never move
-        state.powers[[3, 11, 20, 25]] = 0.0  # AP 25 keeps a channel at zero power
+        state.channels[[3, 28, 29]] = OFF  # silent, the last two never move
+        state.powers[[3, 25, 28, 29]] = 0.0  # AP 25 keeps a channel at zero power
         kb = KnowledgeBase.full(30)
         if mode != "full":
             kb = KnowledgeBase.from_topology(topo)
@@ -456,7 +455,7 @@ class TestEngineContexts:
             for _ in range(3):
                 discovery_tick(dstate, kb, topo)
         ge, gt = gain_matrices(topo, model)
-        movers = sorted(set(range(30)) - {11, 20})
+        movers = list(range(28))
         seen = []
 
         def checked(respond):
@@ -481,10 +480,10 @@ class TestEngineContexts:
         monkeypatch.setattr(game, "best_response", checked(game.best_response))
         result = run_dynamics(net, state, 4, knowledge=kb, **timing,
                               enforce_sufficiency=mode == "sufficiency",
-                              active=set(range(30)) - {11, 20})
+                              active=28)
         assert result.trace
         assert len(seen) == 28 * result.iterations
-        assert 3 in seen and 25 in seen
+        assert 3 in seen and 25 in seen and max(seen) == 27
 
 
 class TestListContextsBitEqual:
@@ -539,7 +538,7 @@ class TestTracerSeam:
     tracer installs, sees every response: movers times rounds."""
 
     @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
-    @pytest.mark.parametrize("active", [None, set(range(0, 40, 3))])
+    @pytest.mark.parametrize("active", [None, 14])
     @pytest.mark.parametrize("informed", [True, False])
     def test_counting_wrapper_sees_every_activation(self, monkeypatch, timing, active, informed):
         net, start, kb, _ = TestSufficiencyEnforcement.instance()
@@ -555,7 +554,7 @@ class TestTracerSeam:
         monkeypatch.setattr(game, "best_response", counting)
         state = start.copy()
         result = run_dynamics(net, state, 30, knowledge=knowledge, active=active, **timing)
-        movers = len(active) if active is not None else len(net.topology)
+        movers = active if active is not None else len(net.topology)
         assert result.iterations > 1
         assert len(calls) == result.iterations * movers
         assert repr(result) == repr(expected)
@@ -581,7 +580,7 @@ class CountingKnowledge(KnowledgeBase):
 
 class TestKnownReads:
     @pytest.mark.parametrize("timing", [SEQUENTIAL, SYNCHRONOUS])
-    @pytest.mark.parametrize("active", [None, set(range(0, 40, 3))])
+    @pytest.mark.parametrize("active", [None, 14])
     @pytest.mark.parametrize("enforce_sufficiency", [False, True])
     def test_one_read_per_call(self, timing, active, enforce_sufficiency):
         # each mover's row is unpacked once per call, and only when it has a
@@ -593,7 +592,7 @@ class TestKnownReads:
                                 enforce_sufficiency=enforce_sufficiency, **timing)
         result = run_dynamics(net, state, 30, knowledge=counting, active=active,
                               enforce_sufficiency=enforce_sufficiency, **timing)
-        ids = sorted(active) if active is not None else range(len(net.players))
+        ids = range(len(net.players) if active is None else active)
         rows = len(ids) if enforce_sufficiency else sum(bool(kb.known[i].any()) for i in ids)
         assert result.iterations > 1 and counting.reads == 0
         assert 0 < rows < len(ids) or enforce_sufficiency
@@ -663,13 +662,13 @@ class TestWeightForms:
     @settings(max_examples=150, deadline=None)
     @given(case=weight_cases(), data=st.data(), enforce_sufficiency=st.booleans(),
            synchronous=st.booleans())
-    def test_mixed_forms_and_active_subsets_equal_the_pair_loop(self, case, data,
-                                                                enforce_sufficiency, synchronous):
+    def test_mixed_forms_and_active_prefixes_equal_the_pair_loop(self, case, data,
+                                                                 enforce_sufficiency, synchronous):
         topo, model, start, kb = case
         network = Network(topo, model)
         n, ge = len(topo), network.gains_est
-        active = data.draw(st.none() | st.sets(st.integers(0, n - 1), min_size=1))
-        ids = sorted(active) if active is not None else list(range(n))
+        active = data.draw(st.none() | st.integers(1, n))
+        ids = list(range(n if active is None else active))
         # rows of more than ``split`` known APs are dense, the rest short, in one call
         split = data.draw(st.integers(0, n - 2))
         respond, runs = game.best_response, []
@@ -722,8 +721,8 @@ class TestWeightForms:
 
         lengths = set()
         for call in range(10):
-            active = set(range(50)) if call < 5 else None
-            ids = sorted(active) if active is not None else list(range(80))
+            active = 50 if call < 5 else None
+            ids = list(range(80 if active is None else active))
             for _ in range(2):
                 discovery_tick(dstate, kb, network.topology, active=active)
             lengths |= set(np.count_nonzero(kb.known[ids], axis=1).tolist())
