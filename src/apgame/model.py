@@ -24,6 +24,9 @@ OFF = -1
 # Rows per block of the symmetric set-up matrices: 64 timed no slower than 32, 128 or 256.
 BLOCK = 64
 
+# Meters: path loss is taken at no less than this distance past the receiver's coverage edge.
+MIN_SEPARATION = 0.1
+
 
 def symmetric(m: np.ndarray) -> bool:
     """Whether square ``m`` equals its transpose: each block of ``BLOCK`` rows, from its
@@ -94,7 +97,6 @@ class PropagationModel:
     mean_linear_gain: float
     shadow_samples: np.ndarray | None
     noise_power: float
-    min_separation: float = 0.1
 
     def __post_init__(self) -> None:
         z = np.asarray(self.shadow_samples, dtype=float)
@@ -106,13 +108,11 @@ class PropagationModel:
             raise ValueError("shadow gains must be positive")
         if not symmetric(z):
             raise ValueError("shadow_samples must be symmetric")
-        for name in ("path_loss_exponent", "mean_linear_gain", "noise_power", "min_separation"):
+        for name in ("path_loss_exponent", "mean_linear_gain", "noise_power"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mean_linear_gain <= 0:
             raise ValueError(f"mean_linear_gain must be positive, got {self.mean_linear_gain}")
-        if self.min_separation <= 0:
-            raise ValueError("min_separation must be positive")
         if self.path_loss_exponent < 2:
             raise ValueError("path_loss_exponent must be >= 2")
         if self.noise_power <= 0:
@@ -231,17 +231,16 @@ def candidate_blocks(topology: list[AccessPoint], positions: np.ndarray,
         yield i0, i1, d
 
 
-def path_loss(distances: np.ndarray, radii: np.ndarray,
-              network: Network | PropagationModel) -> np.ndarray:
+def path_loss(distances: np.ndarray, radii: np.ndarray, exponent: float) -> np.ndarray:
     """Receiver-major path loss: entry [r, c] from transmitter c to the coverage edge,
     ``radii[r, c]`` meters out (``radii`` broadcast), of the receiver ``distances[r, c]`` away.
 
-    A fresh array in the layout of ``distances``: one subtract, clip and power pass, with
-    ``network``'s ``min_separation`` and ``path_loss_exponent``. Self pairs are not zeroed.
+    A fresh array in the layout of ``distances``: one subtract, clip at ``MIN_SEPARATION``
+    and power pass, with the path-loss ``exponent``. Self pairs are not zeroed.
     """
     loss = np.subtract(distances, radii)
-    np.maximum(loss, network.min_separation, out=loss)
-    loss **= -network.path_loss_exponent
+    np.maximum(loss, MIN_SEPARATION, out=loss)
+    loss **= -exponent
     return loss
 
 
@@ -297,19 +296,16 @@ class Network:
     The model's sample is consumed: its buffer becomes ``gains_true``'s
     C-ordered base, ``model.shadow_samples`` is None from then on, and a second
     Network from that model raises ValueError. Of ``model`` the Network keeps
-    ``noise_power`` and the estimated gains' ``path_loss_exponent``,
-    ``min_separation`` and ``mean_gain`` (its ``mean_linear_gain``), copied
-    before the pass, whose ``path_loss`` reads them from the Network. Every
-    array is read-only. ``num_channels`` is one more than the highest channel
-    id. A topology whose powers times gains, or demands, can overflow raises
-    ValueError.
+    ``noise_power`` and the estimated gains' ``path_loss_exponent`` and
+    ``mean_gain`` (its ``mean_linear_gain``). Every array is read-only.
+    ``num_channels`` is one more than the highest channel id. A topology whose
+    powers times gains, or demands, can overflow raises ValueError.
     """
 
     topology: list[AccessPoint]
     model: InitVar[PropagationModel]
     noise_power: float = field(init=False)
     path_loss_exponent: float = field(init=False)
-    min_separation: float = field(init=False)
     mean_gain: float = field(init=False)
     positions: np.ndarray = field(init=False, repr=False)
     radii: np.ndarray = field(init=False, repr=False)
@@ -334,7 +330,6 @@ class Network:
         gains = np.require(shadow, requirements="CW")  # receiver-major, in the sample's buffer
         for name, value in (("noise_power", model.noise_power),
                             ("path_loss_exponent", model.path_loss_exponent),
-                            ("min_separation", model.min_separation),
                             ("mean_gain", model.mean_linear_gain)):
             object.__setattr__(self, name, value)
         positions = ap_positions(topology)
@@ -343,9 +338,9 @@ class Network:
         most_loss = 0.0
         for i0, i1, d in candidate_blocks(topology, positions, candidates):
             # later blocks read only rows and columns from i1 on, which this one leaves
-            rows = path_loss(d, radii[i0:i1, None], self)
+            rows = path_loss(d, radii[i0:i1, None], model.path_loss_exponent)
             np.fill_diagonal(rows, 0.0)
-            columns = path_loss(d[:, i1 - i0:].T, radii[i1:, None], self)
+            columns = path_loss(d[:, i1 - i0:].T, radii[i1:, None], model.path_loss_exponent)
             most_loss = max(most_loss, float(rows.max()), float(columns.max(initial=0.0)))
             true_gain_matrix(gains[i0:i1, i0:], rows)
             true_gain_matrix(gains[i1:, i0:i1], columns)
@@ -405,7 +400,7 @@ def estimated_gain_matrix(network: Network, tx: np.ndarray, rx: np.ndarray) -> n
     x, y = network.positions.T
     d = np.subtract(x[tx], x[rx])
     np.hypot(d, y[tx] - y[rx], out=d)
-    g = path_loss(d, network.radii[rx], network)
+    g = path_loss(d, network.radii[rx], network.path_loss_exponent)
     g *= network.mean_gain
     g[tx == rx] = 0.0
     return g

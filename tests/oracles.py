@@ -22,7 +22,8 @@ per-block symmetry check, on both sides of the ``BLOCK_EDGE_PAIRS`` edges.
 model after building a Network builds it with ``network_of_copy``.
 ``discovery_missing`` is ``knowledge.discovery_complete``'s count on the
 boolean matrices, which the package counts on its bit rows. ``column`` reads
-one column of an experiment's ``MetricsSeries``.
+one column of an experiment's ``MetricsSeries``. ``make_ap`` and ``make_model``
+build the tests' hand-placed APs and flat or given shadowing models.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from apgame.baselines import _POWER_PAD
 from apgame.harness import MetricsSeries, ScenarioConfig, generate_topology
 from apgame.knowledge import KnowledgeBase
 from apgame.model import (
+    MIN_SEPARATION,
     OFF,
     AccessPoint,
     AllocationState,
@@ -48,6 +50,29 @@ from apgame.model import (
 )
 
 Context = tuple[np.ndarray | list[float], np.ndarray | list[float], Player]
+
+
+def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1), coord=None):
+    """AP ``i`` at (x, y); its coordination radius is ``coord``, else 4 x ``radius``."""
+    return AccessPoint(
+        id=i,
+        position=(x, y),
+        coverage_radius=radius,
+        coordination_radius=coord if coord is not None else 4 * radius,
+        sinr_target=beta,
+        max_power=pmax,
+        channels=frozenset(channels),
+    )
+
+
+def make_model(n, alpha=3.0, noise=1e-8, z=None, mu=1.0):
+    """A model of ``n`` APs with shadowing sample ``z``, all ones (no shadowing) by default."""
+    return PropagationModel(
+        path_loss_exponent=alpha,
+        mean_linear_gain=mu,
+        shadow_samples=z if z is not None else np.ones((n, n)),
+        noise_power=noise,
+    )
 
 
 def network_of_copy(topology: list[AccessPoint], model: PropagationModel) -> Network:
@@ -108,7 +133,7 @@ def loss_out_of_place(topology: list[AccessPoint], model: PropagationModel,
     """Receiver-major path loss over the whole ``distances`` matrix, zero diagonal."""
     r = np.array([ap.coverage_radius for ap in topology])
     loss = np.subtract(distances, r[:, None])
-    np.maximum(loss, model.min_separation, out=loss)
+    np.maximum(loss, MIN_SEPARATION, out=loss)
     loss **= -model.path_loss_exponent
     np.fill_diagonal(loss, 0.0)
     return loss
@@ -135,12 +160,12 @@ def distance(a: AccessPoint, b: AccessPoint) -> float:
 
 
 def _loss(d: float, model: PropagationModel) -> float:
-    """Path loss at ``d`` meters past the receiver's coverage edge, clipped at ``min_separation``.
+    """Path loss at ``d`` meters past the receiver's coverage edge, clipped at ``MIN_SEPARATION``.
 
     ``np.power`` on a scalar runs the elementwise routine of the array kernel,
     which can differ from Python's ``**`` in the last bit.
     """
-    return float(np.power(max(d, model.min_separation), -model.path_loss_exponent))
+    return float(np.power(max(d, MIN_SEPARATION), -model.path_loss_exponent))
 
 
 def estimated_gain(i: AccessPoint, j: AccessPoint, model: PropagationModel) -> float:

@@ -28,40 +28,27 @@ from apgame.model import (
     satisfied_mask,
 )
 from apgame.schedulers import run_dynamics
-from oracles import gain_matrices, network_of_copy, player, setup_topology, solve_channel_powers
-
-
-def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
-    return AccessPoint(
-        id=i,
-        position=(x, y),
-        coverage_radius=radius,
-        coordination_radius=4 * radius,
-        sinr_target=beta,
-        max_power=pmax,
-        channels=frozenset(channels),
-    )
-
-
-def flat_model(n):
-    return PropagationModel(
-        path_loss_exponent=3.0,
-        mean_linear_gain=1.0,
-        shadow_samples=np.ones((n, n)),
-        noise_power=1e-8,
-    )
+from oracles import (
+    gain_matrices,
+    make_ap,
+    make_model,
+    network_of_copy,
+    player,
+    setup_topology,
+    solve_channel_powers,
+)
 
 
 class TestRandomAllocation:
     def test_singleton_channel_set(self):
         topo = [make_ap(0, 0.0, 0.0, channels=(4,))]
-        state = random_allocation(Network(topo, flat_model(1)), np.random.default_rng(0))
+        state = random_allocation(Network(topo, make_model(1)), np.random.default_rng(0))
         assert state.channels[0] == 4
 
     def test_channel_distribution_uniform(self):
         # 1e4 draws over 13 channels; chi-square goodness of fit
         topo = [make_ap(0, 0.0, 0.0, channels=tuple(range(13)))]
-        net = Network(topo, flat_model(1))
+        net = Network(topo, make_model(1))
         rng = np.random.default_rng(42)
         counts = np.zeros(13)
         for _ in range(10_000):
@@ -161,14 +148,14 @@ def brute_force_admission_optimum(topo, model):
 
 class TestGreedyAdmissionBound:
     def test_single_ap_admitted(self):
-        net = Network([make_ap(0, 0.0, 0.0)], flat_model(1))
+        net = Network([make_ap(0, 0.0, 0.0)], make_model(1))
         state, count = greedy_admission_bound(net, np.random.default_rng(0))
         assert count == 1
         assert satisfied_mask(net, state)[0]
 
     def test_two_aps_get_orthogonal_channels(self):
         topo = [make_ap(0, 0.0, 0.0), make_ap(1, 25.0, 0.0)]
-        model = flat_model(2)
+        model = make_model(2)
         state, count = greedy_admission_bound(Network(topo, model), np.random.default_rng(1))
         assert count == 2
         assert state.channels[0] != state.channels[1]
@@ -193,7 +180,7 @@ class TestGreedyAdmissionBound:
         topo = [make_ap(0, -30.0, 0.0, channels=(left_channel,)),
                 make_ap(1, 30.0, 0.0, channels=(1 - left_channel,)),
                 make_ap(2, 0.0, 0.0)]
-        model = flat_model(3)
+        model = make_model(3)
         net = Network(topo, model)
         seed = next(s for s in range(100) if np.random.default_rng(s).permutation(3)[2] == 2)
         state, count = greedy_admission_bound(net, np.random.default_rng(seed))

@@ -21,7 +21,6 @@ from apgame.game import (
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.model import (
     OFF,
-    AccessPoint,
     AllocationState,
     Network,
     Player,
@@ -39,6 +38,8 @@ from oracles import (
     gain_matrices,
     generated_weight,
     local_optimality_check,
+    make_ap,
+    make_model,
     necessary_power,
     network_of_copy,
     true_gain,
@@ -47,33 +48,11 @@ from oracles import (
 from test_engine_oracle import RefContext, ref_best_response
 
 
-def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1)):
-    return AccessPoint(
-        id=i,
-        position=(x, y),
-        coverage_radius=radius,
-        coordination_radius=4 * radius,
-        sinr_target=beta,
-        max_power=pmax,
-        channels=frozenset(channels),
-    )
-
-
 def make_context(ap, interference, weight, edge_gain, noise_power):
     """The ``(interference, weight, player)`` triple of ``ap`` with the given constants."""
     player = Player(tuple(sorted(ap.channels)), ap.sinr_target, noise_power, edge_gain,
                     ap.max_power)
     return interference, weight, player
-
-
-def make_model(n, alpha=3.0, noise=1e-8, z=None, mu=1.0):
-    samples = z if z is not None else np.ones((n, n))
-    return PropagationModel(
-        path_loss_exponent=alpha,
-        mean_linear_gain=mu,
-        shadow_samples=samples,
-        noise_power=noise,
-    )
 
 
 def random_instance(rng, n=6, k=2, area=200.0, shadow=True):

@@ -17,28 +17,17 @@ from apgame.knowledge import (
     nearest_cover_set,
     neighbour_order,
 )
-from apgame.model import OFF, AccessPoint, AllocationState, ap_positions, pairwise_distances
+from apgame.model import OFF, AllocationState, ap_positions, pairwise_distances
 from oracles import (
     BLOCK_EDGE_PAIRS,
     candidate_test,
     discovery_missing,
+    make_ap,
     one_sided_pair,
     sufficiency_check,
     unique_cover_set,
 )
 from oracles import nearest_cover_set as oracle_cover_set
-
-
-def make_ap(i, x, y, radius=10.0, coord=40.0, channels=(0, 1)):
-    return AccessPoint(
-        id=i,
-        position=(x, y),
-        coverage_radius=radius,
-        coordination_radius=coord,
-        sinr_target=2.0,
-        max_power=0.1,
-        channels=frozenset(channels),
-    )
 
 
 def line_topology(xs, coord=40.0):

@@ -17,8 +17,8 @@ from apgame import model as model_module
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.knowledge import KnowledgeBase
 from apgame.model import (
+    MIN_SEPARATION,
     OFF,
-    AccessPoint,
     AllocationState,
     Network,
     Player,
@@ -42,6 +42,8 @@ from oracles import (
     interference_at,
     is_satisfied,
     loss_out_of_place,
+    make_ap,
+    make_model,
     necessary_power,
     network_of_copy,
     one_sided_pair,
@@ -49,18 +51,6 @@ from oracles import (
     sinr,
     true_gain,
 )
-
-
-def make_ap(i, x, y, radius=10.0, beta=2.0, pmax=0.1, channels=(0, 1), coord=None):
-    return AccessPoint(
-        id=i,
-        position=(x, y),
-        coverage_radius=radius,
-        coordination_radius=coord if coord is not None else 4 * radius,
-        sinr_target=beta,
-        max_power=pmax,
-        channels=frozenset(channels),
-    )
 
 
 @pytest.fixture
@@ -77,16 +67,6 @@ def distance_calls(monkeypatch):
         if name.startswith("apgame") and getattr(mod, "pairwise_distances", None) is original:
             monkeypatch.setattr(mod, "pairwise_distances", counted)
     return calls
-
-
-def make_model(n, alpha=3.0, noise=1e-8, z=None, mu=1.0):
-    samples = z if z is not None else np.ones((n, n))
-    return PropagationModel(
-        path_loss_exponent=alpha,
-        mean_linear_gain=mu,
-        shadow_samples=samples,
-        noise_power=noise,
-    )
 
 
 class TestAccessPoint:
@@ -134,7 +114,7 @@ class TestPropagationModel:
     def test_zero_std_means_unit_gain(self):
         assert lognormal_mean_linear(0.0, 0.0) == 1.0
 
-    @pytest.mark.parametrize("name", ["noise_power", "path_loss_exponent", "min_separation"])
+    @pytest.mark.parametrize("name", ["noise_power", "path_loss_exponent"])
     def test_non_finite_parameter_rejected(self, name):
         params = dict(path_loss_exponent=3.0, mean_linear_gain=1.0,
                       shadow_samples=np.ones((2, 2)), noise_power=1e-8)
@@ -147,7 +127,6 @@ class TestPropagationModel:
         (dict(shadow_samples=np.ones(4)), "shadow_samples must be a square matrix"),
         (dict(shadow_samples=np.array([[1.0, 0.0], [0.0, 1.0]])),
          "shadow gains must be positive"),
-        (dict(min_separation=0.0), "min_separation must be positive"),
         (dict(path_loss_exponent=1.5), "path_loss_exponent must be >= 2"),
         (dict(noise_power=0.0), "noise_power must be positive"),
     ])
@@ -156,6 +135,25 @@ class TestPropagationModel:
                       shadow_samples=np.ones((2, 2)), noise_power=1e-8)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PropagationModel(**{**params, **changes})
+
+    def test_min_separation_is_not_a_field(self):
+        # the clip distance is the module constant; a caller that still passes it learns at once
+        params = dict(path_loss_exponent=3.0, mean_linear_gain=1.0,
+                      shadow_samples=np.ones((2, 2)), noise_power=1e-8)
+        with pytest.raises(TypeError, match="min_separation"):
+            PropagationModel(**params, min_separation=0.5)
+
+    def test_path_loss_clips_at_min_separation(self):
+        # a receiver inside, at or just past the transmitter's coverage edge is held at
+        # MIN_SEPARATION (0.1 m); beyond it the loss is the plain power of the gap
+        distances = np.array([[0.0, 10.0, 10.05, 10.5, 12.0]])
+        loss = path_loss(distances, np.full((1, 1), 10.0), 3.0)
+        assert MIN_SEPARATION == 0.1
+        assert loss.shape == distances.shape
+        assert np.array_equal(loss[0, :3], np.full(3, np.power(MIN_SEPARATION, -3.0)))
+        assert loss[0, 3] == 0.5 ** -3.0
+        assert loss[0, 4] == 2.0 ** -3.0
+        assert np.array_equal(distances, [[0.0, 10.0, 10.05, 10.5, 12.0]])  # left as it was
 
 
     @pytest.mark.parametrize("mu, message", [
@@ -285,7 +283,7 @@ class TestGains:
 
     def test_gain_matrices_match_scalar_functions(self):
         # both gain layouts of a Network equal the scalar forms bit for bit;
-        # AP 11 sits on AP 0, so the clip at min_separation is taken
+        # AP 11 sits on AP 0, so the clip at MIN_SEPARATION is taken
         for seed in (9, 10, 11):
             rng = np.random.default_rng(seed)
             m = PropagationModel.sample(12, rng)
@@ -426,7 +424,7 @@ class TestNetwork:
         net = network_of_copy(topo, m)
         r = np.array([ap.coverage_radius for ap in topo])
         pos = ap_positions(topo)
-        eff = np.maximum(pairwise_distances(pos, pos) - r[None, :], m.min_separation)
+        eff = np.maximum(pairwise_distances(pos, pos) - r[None, :], MIN_SEPARATION)
         expected = eff ** -m.path_loss_exponent * m.shadow_samples
         np.fill_diagonal(expected, 0.0)
         assert net.gains_true.tobytes(order="C") == expected.tobytes()
@@ -473,7 +471,8 @@ class TestSetUpInPlace:
             assert np.array_equal(pairwise_distances(pos[:1], pos),
                                   distances_out_of_place(pos[:1], pos))
             expected = loss_out_of_place(topo, m, d)
-            loss = path_loss(d, np.array([ap.coverage_radius for ap in topo])[:, None], m)
+            loss = path_loss(d, np.array([ap.coverage_radius for ap in topo])[:, None],
+                             m.path_loss_exponent)
             np.fill_diagonal(loss, 0.0)
             assert np.array_equal(d, distances_out_of_place(pos, pos))  # left as it was
             assert np.array_equal(loss, expected)

@@ -19,7 +19,6 @@ from apgame.knowledge import (
 )
 from apgame.model import (
     OFF,
-    AccessPoint,
     AllocationState,
     Network,
     PropagationModel,
@@ -28,6 +27,8 @@ from apgame.schedulers import is_nash_equilibrium, run_dynamics
 from oracles import (
     gain_matrices,
     generated_weight,
+    make_ap,
+    make_model,
     necessary_power,
     network_of_copy,
     utility_context,
@@ -35,31 +36,10 @@ from oracles import (
 from test_engine_oracle import instances
 
 
-def make_ap(i, x, y, radius=10.0, beta=2.0, channels=(0, 1)):
-    return AccessPoint(
-        id=i,
-        position=(x, y),
-        coverage_radius=radius,
-        coordination_radius=4 * radius,
-        sinr_target=beta,
-        max_power=0.1,
-        channels=frozenset(channels),
-    )
-
-
-def flat_model(n, noise=1e-8):
-    return PropagationModel(
-        path_loss_exponent=3.0,
-        mean_linear_gain=1.0,
-        shadow_samples=np.ones((n, n)),
-        noise_power=noise,
-    )
-
-
 def symmetric_pair():
     """Two equal APs, two channels, both starting co-channel."""
     topo = [make_ap(0, 0.0, 0.0), make_ap(1, 40.0, 0.0)]
-    model = flat_model(2)
+    model = make_model(2)
     blank = AllocationState.all_off(2)
     p = necessary_power(topo[0], 0, topo, blank, model)
     state = AllocationState(np.array([0, 0]), np.array([p, p]))
@@ -83,7 +63,7 @@ class TestRunDynamics:
 
     def test_single_ap_converges_immediately(self):
         topo = [make_ap(0, 0.0, 0.0)]
-        model = flat_model(1)
+        model = make_model(1)
         state = AllocationState(np.array([1]), np.array([2e-5]))
         result = run_dynamics(Network(topo, model), state, 50, knowledge=KnowledgeBase.full(1))
         assert result.converged
@@ -104,7 +84,7 @@ class TestRunDynamics:
         # a cycle among the largest channel ids the CLI accepts
         topo = [make_ap(0, 0.0, 0.0, channels=(998, 999)),
                 make_ap(1, 40.0, 0.0, channels=(998, 999))]
-        model = flat_model(2)
+        model = make_model(2)
         p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
         state = AllocationState(np.array([999, 999]), np.array([p, p]))
         result = run_dynamics(Network(topo, model), state, 10, synchronous=True,
@@ -117,7 +97,7 @@ class TestRunDynamics:
         # 743 and 999 differ by 256, so their low bytes are equal: a key of one
         # byte per channel would take the move for a return to the entry state
         topo = [make_ap(0, 0.0, 0.0, channels=(743, 999)), make_ap(1, 40.0, 0.0, channels=(999,))]
-        model = flat_model(2)
+        model = make_model(2)
         p = necessary_power(topo[0], 999, topo, AllocationState.all_off(2), model)
         state = AllocationState(np.array([999, 999]), np.array([p, p]))
         result = run_dynamics(Network(topo, model), state, 1, knowledge=KnowledgeBase.full(2))
@@ -154,7 +134,7 @@ class TestRunDynamics:
     def test_a_mover_on_a_channel_it_lacks_is_rejected_before_any_write(self, timing):
         # APs 0 and 1 share channel 1 and would move before AP 4, which sits on channel 7
         topo = [make_ap(i, 30.0 * i, 0.0, channels=(0, 1, 2)) for i in range(6)]
-        net = Network(topo, flat_model(6))
+        net = Network(topo, make_model(6))
         state = AllocationState(np.array([1, 1, 2, 2, 7, 0]), np.full(6, 0.01))
         before = state.channels.tobytes(), state.powers.tobytes()
         with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
@@ -170,7 +150,7 @@ class TestRunDynamics:
         # AP 4 sits on channel 7 of a 3-channel network and does not move; the
         # movers know it, so its channel would index their per-channel weight
         topo = [make_ap(i, 30.0 * i, 0.0, channels=(0, 1, 2)) for i in range(6)]
-        net = Network(topo, flat_model(6))
+        net = Network(topo, make_model(6))
         state = AllocationState(np.array([1, 1, 2, 2, 7, 0]), np.full(6, 0.01))
         before = state.channels.tobytes(), state.powers.tobytes()
         with pytest.raises(ValueError, match="channel 7 is not available to AP 4"):
@@ -182,7 +162,7 @@ class TestRunDynamics:
         # AP 3's arrays were mutated after construction: OFF at a positive
         # power, which the engine's per-channel sums would count on channel 0
         topo = [make_ap(i, 30.0 * i, 0.0, channels=(0, 1, 2)) for i in range(5)]
-        net = Network(topo, flat_model(5))
+        net = Network(topo, make_model(5))
         state = AllocationState(np.array([1, 1, 2, 0, 0]), np.full(5, 0.01))
         state.channels[3] = OFF
         before = state.channels.tobytes(), state.powers.tobytes()
@@ -611,7 +591,7 @@ def weight_cases(draw):
     grid = st.sampled_from([0.0, 30.0, 60.0])
     topo = [make_ap(i, draw(grid), draw(grid), channels=tuple(range(k))) for i in range(n)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    model = flat_model(n) if draw(st.booleans()) else PropagationModel.sample(n, rng)
+    model = make_model(n) if draw(st.booleans()) else PropagationModel.sample(n, rng)
     channels = np.array([draw(st.sampled_from([OFF, *range(k)])) for _ in range(n)])
     powers = np.array([draw(st.sampled_from([0.0, 1e-4, 0.01])) for _ in range(n)])
     powers[channels == OFF] = 0.0
