@@ -28,6 +28,7 @@ from .knowledge import (
     KnowledgeBase,
     discovery_complete,
     discovery_tick,
+    discovery_ticks,
     nearest_cover_set,
     neighbour_order,
 )

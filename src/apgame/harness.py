@@ -23,7 +23,13 @@ from typing import Any, TypeVar
 import numpy as np
 
 from .baselines import _draw_allocation, greedy_admission_bound, random_allocation
-from .knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
+from .knowledge import (
+    DiscoveryState,
+    KnowledgeBase,
+    discovery_complete,
+    discovery_tick,
+    discovery_ticks,
+)
 from .model import (
     AccessPoint,
     AllocationState,
@@ -247,12 +253,12 @@ def discovery_completion_ticks(
     kb = KnowledgeBase.from_topology(topology)
     dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
     incomplete = set(kb.missing(range(num_aps)))
-    while incomplete:
-        his, hjs = discovery_tick(dstate, kb, topology)
-        touched = incomplete.intersection(his + hjs)  # either end, not both
-        incomplete -= touched.difference(kb.missing(touched))
-        if dstate.tick > max_ticks:
-            break
+    if incomplete:
+        for his, hjs in discovery_ticks(dstate, kb, topology, max_ticks + 1):
+            touched = incomplete.intersection(his + hjs)  # either end, not both
+            incomplete -= touched.difference(kb.missing(touched))
+            if not incomplete:
+                break
     return dstate.tick
 
 

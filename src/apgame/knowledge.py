@@ -8,10 +8,10 @@ tick models one second of protocol time.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .model import (
     pairwise_distances,
     symmetric,
 )
+
+# Probes per block of discovery ticks, and at least one tick's: each block takes one draw,
+# one gather and one nonzero.
+PROBE_BLOCK = 1 << 14
 
 
 def _bits(rows: np.ndarray) -> list[int]:
@@ -170,11 +174,59 @@ def _probe_owners(n: int, samples: int, size: int) -> tuple[np.ndarray, np.ndarr
     return owners, offsets
 
 
+def _block_hits(
+    dstate: DiscoveryState, candidates: np.ndarray, n: int, ticks: int
+) -> list[tuple[list[int], list[int]]]:
+    """The hits' two ends ``(his, hjs)`` of each of ``ticks`` ticks in which the
+    APs ``0..n-1`` probe, in probe order, from one draw, one gather and one
+    nonzero; with fewer than two APs probing, no draw and no hits.
+
+    numpy draws bounded integers one element at a time and keeps the spare
+    half of a 64-bit word in the bit generator, so one draw for the block
+    gives the values and the final stream state of one draw per tick, and of
+    one scalar draw per probe in probe order (tests/golden pins it).
+    """
+    if n < 2:
+        return [([], []) for _ in range(ticks)]
+    owners, offsets = _probe_owners(n, dstate.samples_per_tick, len(candidates))
+    peers = dstate.rng.integers(n - 1, size=(ticks, len(owners)))
+    peers += peers >= owners  # a draw indexes the others: skip the owner's id
+    # one gather from the C-ordered matrix, read flat in place: the hits, tick by tick
+    # and in probe order within a tick
+    tick_of, probe_of = candidates.take(offsets + peers).nonzero()
+    his, hjs = owners[probe_of].tolist(), peers[tick_of, probe_of].tolist()
+    ends = list(accumulate(np.bincount(tick_of, minlength=ticks).tolist()))
+    return [(his[begin:end], hjs[begin:end]) for begin, end in zip([0] + ends, ends)]
+
+
+def discovery_ticks(
+    dstate: DiscoveryState,
+    knowledge: KnowledgeBase,
+    topology: list[AccessPoint],
+    count: int,
+    active: int | None = None,
+) -> Iterator[tuple[list[int], list[int]]]:
+    """``count`` calls of ``discovery_tick``, one item each, with the probes drawn
+    a block of ticks at a time: ``PROBE_BLOCK`` probes, or one tick's.
+
+    Each tick yields what ``discovery_tick`` returns, once its exchanges are
+    made and ``dstate.tick`` counts it. The draws and the stream state after
+    the last tick are those of ``count`` single ticks; a caller that stops
+    inside a block leaves the stream past the whole block.
+    """
+    n = active_count(active, len(topology))
+    per_block = max(1, PROBE_BLOCK // max(1, n * dstate.samples_per_tick))
+    for start in range(0, count, per_block):
+        for hits in _block_hits(dstate, knowledge.candidates, n, min(per_block, count - start)):
+            yield discovery_tick(dstate, knowledge, topology, active, hits)
+
+
 def discovery_tick(
     dstate: DiscoveryState,
     knowledge: KnowledgeBase,
     topology: list[AccessPoint],
     active: int | None = None,
+    hits: tuple[list[int], list[int]] | None = None,
 ) -> tuple[list[int], list[int]]:
     """One second of sampling: each of the first ``active`` APs (every AP for
     None) probes random peers among them.
@@ -184,27 +236,20 @@ def discovery_tick(
     they are candidates of the receiver. Hits are handled in probe order,
     each exchange seeing the ones before it. Returns the hits' two ends
     ``(his, hjs)`` in probe order, the only known rows the tick changed;
-    with fewer than two APs probing, two empty lists.
+    with fewer than two APs probing, two empty lists. ``hits`` are the
+    tick's hits when ``discovery_ticks`` has drawn them in its block; by
+    default the tick draws its own.
     """
-    n = active_count(active, len(topology))
-    if n > 1:
-        # numpy draws bounded integers one element at a time, so this equals
-        # one scalar draw per probe in probe order (tests/golden pins it)
-        peers = dstate.rng.integers(n - 1, size=n * dstate.samples_per_tick)
-        candidates = knowledge.candidates
-        owners, offsets = _probe_owners(n, dstate.samples_per_tick, len(candidates))
-        peers += peers >= owners  # a draw indexes the others: skip the owner's id
-        # one gather from the C-ordered matrix, read flat in place: the hits, in probe order
-        hits = candidates.take(offsets + peers).nonzero()[0]
-        his, hjs = owners[hits].tolist(), peers[hits].tolist()
-        rows, cand = knowledge._rows, knowledge._cand
-        for i, j in zip(his, hjs):
-            ki, kj = rows[i] | 1 << j, rows[j] | 1 << i
-            ki |= kj & cand[i]
-            rows[i], rows[j] = ki, kj | ki & cand[j]
-        dstate.exchange_log.extend(zip(repeat(dstate.tick), his, hjs))
-    else:
-        his, hjs = [], []
+    if hits is None:
+        n = active_count(active, len(topology))
+        hits = _block_hits(dstate, knowledge.candidates, n, 1)[0]
+    his, hjs = hits
+    rows, cand = knowledge._rows, knowledge._cand
+    for i, j in zip(his, hjs):
+        ki, kj = rows[i] | 1 << j, rows[j] | 1 << i
+        ki |= kj & cand[i]
+        rows[i], rows[j] = ki, kj | ki & cand[j]
+    dstate.exchange_log.extend(zip(repeat(dstate.tick), his, hjs))
     dstate.tick += 1
     return his, hjs
 

@@ -21,9 +21,12 @@ per-block symmetry check, on both sides of the ``BLOCK_EDGE_PAIRS`` edges.
 ``Network`` takes its model's shadowing sample, so a test that reads the
 model after building a Network builds it with ``network_of_copy``.
 ``discovery_missing`` is ``knowledge.discovery_complete``'s count on the
-boolean matrices, which the package counts on its bit rows. ``column`` reads
-one column of an experiment's ``MetricsSeries``. ``make_ap`` and ``make_model``
-build the tests' hand-placed APs and flat or given shadowing models.
+boolean matrices, which the package counts on its bit rows, and
+``one_tick_completion_ticks`` is the sweep's completion count taken one
+``discovery_tick`` call at a time, which the package takes from blocks of
+ticks. ``column`` reads one column of an experiment's ``MetricsSeries``.
+``make_ap`` and ``make_model`` build the tests' hand-placed APs and flat or
+given shadowing models.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from apgame.baselines import _POWER_PAD
 from apgame.harness import MetricsSeries, ScenarioConfig, generate_topology
-from apgame.knowledge import KnowledgeBase
+from apgame.knowledge import DiscoveryState, KnowledgeBase, discovery_tick
 from apgame.model import (
     MIN_SEPARATION,
     OFF,
@@ -419,6 +422,24 @@ def sufficiency_check(
 def discovery_missing(candidates: np.ndarray, known: np.ndarray, ids: list[int]) -> int:
     """APs of ``ids`` with a candidate among ``ids`` that they have not discovered."""
     return int((candidates & ~known)[np.ix_(ids, ids)].any(axis=1).sum())
+
+
+def one_tick_completion_ticks(config: ScenarioConfig, num_aps: int, rep: int,
+                              max_ticks: int) -> int:
+    """``harness.discovery_completion_ticks`` one ``discovery_tick`` call at a time,
+    checking again only the rows of each tick's hits."""
+    rng = np.random.default_rng((config.seed, num_aps, rep))
+    topology, _ = generate_topology(replace(config, num_aps=num_aps), rng)
+    kb = KnowledgeBase.from_topology(topology)
+    dstate = DiscoveryState(rng=rng, samples_per_tick=config.samples_per_tick)
+    incomplete = set(kb.missing(range(num_aps)))
+    while incomplete:
+        his, hjs = discovery_tick(dstate, kb, topology)
+        touched = incomplete.intersection(his + hjs)  # either end, not both
+        incomplete -= touched.difference(kb.missing(touched))
+        if dstate.tick > max_ticks:
+            break
+    return dstate.tick
 
 
 def column(series: MetricsSeries, name: str) -> list[float]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from apgame import harness
 from apgame.baselines import random_allocation
-from apgame.knowledge import KnowledgeBase, discovery_tick
+from apgame.knowledge import KnowledgeBase, discovery_ticks
 from apgame.schedulers import run_dynamics
 
 APGAME = (sys.executable, "-m", "apgame.cli")  # no installed console script needed
@@ -85,8 +85,8 @@ def seeded(n: int, enforce: bool) -> str:
     if enforce and n == 305:
         kb = KnowledgeBase.complete(network.topology)
     elif enforce:
-        for _ in range(30):
-            discovery_tick(discovery, kb, network.topology)
+        for _ in discovery_ticks(discovery, kb, network.topology, 30):
+            pass
     state = random_allocation(network, np.random.default_rng(5))
     if enforce:
         result = run_dynamics(network, state, 5, knowledge=kb, enforce_sufficiency=True)
@@ -169,6 +169,10 @@ PINS = [
     Pin("1,000-AP sweep", "three times the largest size of the benchmark's sweep",
         functools.partial(cli, "sweep --seed 2 --sizes 1000 --repeats 2"),
         "num_aps=1000 mean_completion_ticks=954.5\n"),
+    Pin("capped sweep", UNBENCHED + "2 of 3 repeats (1,168 and 602 ticks) stop at the cap, 601, "
+        "inside a block of discovery_ticks", functools.partial(
+            cli, "sweep --seed 2 --sizes 300 --repeats 3 --max-ticks 600"),
+        "num_aps=300 mean_completion_ticks=569.333333333\n"),
     Pin("multi-sample sweep", UNBENCHED + "3 probes per AP and tick chain through the bit rows",
         functools.partial(cli, "sweep --seed 2 --sizes 300,1000 --repeats 2 --samples-per-tick 3"),
         "num_aps=300 mean_completion_ticks=208.5\nnum_aps=1000 mean_completion_ticks=553.5\n"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgame import cli
+from apgame import cli, knowledge
 from apgame.harness import (
     MAX_COUNTS,
     MAX_DURATION,
@@ -20,7 +20,7 @@ from apgame.harness import (
     run_experiment,
 )
 from apgame.knowledge import DiscoveryState, KnowledgeBase, discovery_complete, discovery_tick
-from oracles import column
+from oracles import column, one_tick_completion_ticks
 
 
 def small_config(**overrides):
@@ -222,6 +222,28 @@ def test_completion_ticks_equal_the_full_scan_loop(num_aps, seed, rep, samples_p
                          samples_per_tick=samples_per_tick, clustered=clustered)
     assert discovery_completion_ticks(cfg, num_aps, rep, max_ticks) \
         == full_scan_completion_ticks(cfg, num_aps, rep, max_ticks)
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("num_aps", [1, 2, 50, 300])
+def test_completion_ticks_equal_the_one_tick_loop(num_aps, samples):
+    # caps of 0 and 1 tick, caps inside a block of discovery_ticks and past every run
+    cfg = ScenarioConfig(seed=2, samples_per_tick=samples)
+    block = max(1, knowledge.PROBE_BLOCK // (num_aps * samples))
+    for rep in range(3):
+        uncapped = one_tick_completion_ticks(cfg, num_aps, rep, 10_000)
+        for max_ticks in (0, 1, uncapped // 2, block + block // 2, 10_000):
+            assert discovery_completion_ticks(cfg, num_aps, rep, max_ticks) \
+                == one_tick_completion_ticks(cfg, num_aps, rep, max_ticks)
+
+
+@pytest.mark.parametrize("num_aps", [1, 3])
+def test_completion_without_candidates_takes_no_tick(num_aps):
+    cfg = ScenarioConfig(area_width=1e6, area_height=1e6, seed=2)
+    topology, _ = generate_topology(replace(cfg, num_aps=num_aps), np.random.default_rng(0))
+    assert not KnowledgeBase.from_topology(topology).candidates.any()
+    for max_ticks in (0, 1, 10_000):
+        assert discovery_completion_ticks(cfg, num_aps, 0, max_ticks) == 0
 
 
 class TestExportResults:

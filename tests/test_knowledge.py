@@ -2,18 +2,23 @@
 
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
+from itertools import islice
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apgame import knowledge
 from apgame.harness import ScenarioConfig, generate_topology
 from apgame.knowledge import (
     DiscoveryState,
     KnowledgeBase,
     discovery_complete,
     discovery_tick,
+    discovery_ticks,
     nearest_cover_set,
     neighbour_order,
 )
@@ -463,22 +468,24 @@ def set_discovery_tick(rng, tick, samples_per_tick, known, candidates, n, log):
                             known[owner].add(c)
 
 
-def assert_tick_equals_set_tick(kb, topo, active, samples, seed, ticks):
-    """Run ``ticks`` discovery ticks on ``kb`` and on per-AP sets of its
-    candidates from one seed: the returns, known rows, log and generator
-    state must agree. Returns the log."""
+def assert_ticks_equal_set_ticks(kb, topo, active, samples, seed, ticks):
+    """Consume ``discovery_ticks`` for ``ticks`` ticks on ``kb`` and run as many set
+    ticks on per-AP sets of its candidates from one seed: each tick's return and the
+    known counts it leaves, as it is yielded, then the known rows, log, tick and
+    generator state must agree. Returns the log."""
     ds = DiscoveryState(rng=np.random.default_rng(seed), samples_per_tick=samples)
     candidates = [set(np.flatnonzero(row).tolist()) for row in kb.candidates]
     known = [set() for _ in topo]
     ref_rng, ref_log = np.random.default_rng(seed), []
     on = len(topo) if active is None else active
-    for t in range(ticks):
+    for t, hits in enumerate(discovery_ticks(ds, kb, topo, ticks, active)):
         start = len(ref_log)
-        hits = discovery_tick(ds, kb, topo, active)
         set_discovery_tick(ref_rng, t, samples, known, candidates, on, ref_log)
         assert hits == hit_ends(ref_log[start:])  # the rows it changed, in probe order
+        assert kb.known_counts(range(on)) == [len(k) for k in known[:on]]
+        assert ds.tick == t + 1
     assert [set(np.flatnonzero(row).tolist()) for row in kb.known] == known
-    assert ds.exchange_log == ref_log
+    assert ds.exchange_log == ref_log and ds.tick == ticks
     assert ds.rng.bit_generator.state == ref_rng.bit_generator.state
     return ref_log
 
@@ -527,8 +534,8 @@ class TestMatrixTickOracle:
         cfg = ScenarioConfig(num_aps=300, clustered=clustered, seed=0)
         seed = 300 + 2 * samples + clustered
         topo, _ = generate_topology(cfg, np.random.default_rng(seed))
-        log = assert_tick_equals_set_tick(KnowledgeBase.from_topology(topo), topo, active,
-                                          samples, seed, 100)
+        log = assert_ticks_equal_set_ticks(KnowledgeBase.from_topology(topo), topo, active,
+                                           samples, seed, 100)
         assert len(log) > 100
 
     @pytest.mark.parametrize("samples", [1, 3])
@@ -536,8 +543,8 @@ class TestMatrixTickOracle:
     def test_two_aps(self, xs, samples):
         # each AP can only draw the other: one hit per probe, or none
         topo = line_topology(xs)
-        log = assert_tick_equals_set_tick(KnowledgeBase.from_topology(topo), topo, None,
-                                          samples, 7 + samples, 5)
+        log = assert_ticks_equal_set_ticks(KnowledgeBase.from_topology(topo), topo, None,
+                                           samples, 7 + samples, 5)
         assert len(log) == (5 * 2 * samples if xs[1] == 10 else 0)
 
     @pytest.mark.parametrize("samples", [1, 3])
@@ -554,7 +561,7 @@ class TestMatrixTickOracle:
             order = first + [k for k in range(len(topo)) if k not in first]
             reordered = [replace(topo[k], id=new) for new, k in enumerate(order)]
             kb = KnowledgeBase.from_topology(reordered)
-            log = assert_tick_equals_set_tick(kb, reordered, 2, samples, 11, 4)
+            log = assert_ticks_equal_set_ticks(kb, reordered, 2, samples, 11, 4)
             assert len(log) == (4 * 2 * samples if first[1] == j else 0)
 
     @pytest.mark.parametrize("samples", [1, 3])
@@ -564,8 +571,8 @@ class TestMatrixTickOracle:
         c_kb = KnowledgeBase.from_topology(topo)
         f_kb = KnowledgeBase(np.asfortranarray(c_kb.candidates))
         assert f_kb.candidates.flags.c_contiguous
-        c_log = assert_tick_equals_set_tick(c_kb, topo, None, samples, 13, 30)
-        f_log = assert_tick_equals_set_tick(f_kb, topo, None, samples, 13, 30)
+        c_log = assert_ticks_equal_set_ticks(c_kb, topo, None, samples, 13, 30)
+        f_log = assert_ticks_equal_set_ticks(f_kb, topo, None, samples, 13, 30)
         assert f_log == c_log and f_kb.known.tobytes() == c_kb.known.tobytes()
 
     def test_a_c_ordered_matrix_is_kept_as_given(self):
@@ -576,6 +583,75 @@ class TestMatrixTickOracle:
         view = padded[1:-1]
         assert KnowledgeBase(candidates).candidates is candidates
         assert KnowledgeBase(view).candidates is view
+
+
+def block_ticks(on, samples):
+    """The ticks in one block of ``discovery_ticks`` with ``on`` APs probing ``samples`` peers."""
+    return max(1, knowledge.PROBE_BLOCK // max(1, on * samples))
+
+
+@lru_cache(maxsize=1)
+def pair_first_topology():
+    """300 APs whose ids 0 and 1 are candidates of each other, so that two APs on hit."""
+    topo, _ = generate_topology(ScenarioConfig(num_aps=300, seed=0), np.random.default_rng(5))
+    candidates = KnowledgeBase.from_topology(topo).candidates
+    i = int(np.flatnonzero(candidates.any(axis=1))[0])
+    j = int(np.flatnonzero(candidates[i])[0])
+    order = [i, j] + [k for k in range(len(topo)) if k not in (i, j)]
+    return tuple(replace(topo[k], id=new) for new, k in enumerate(order))
+
+
+class TestDiscoveryTicks:
+    """Blocks of ticks against as many set ticks, one draw per tick."""
+
+    @pytest.mark.parametrize("count", ["1", "B-1", "B", "B+1", "3B+2"])
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("active", [0, 1, 2, None], ids=["0", "1", "2", "N"])
+    def test_block_equals_set_ticks(self, active, samples, count):
+        topo = list(pair_first_topology())
+        block = block_ticks(len(topo) if active is None else active, samples)
+        ticks = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
+                 "3B+2": 3 * block + 2}[count]
+        log = assert_ticks_equal_set_ticks(KnowledgeBase.from_topology(topo), topo, active,
+                                           samples, 17 + samples, ticks)
+        assert (len(log) > 0) == (active != 0 and active != 1)
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_stopping_inside_a_block(self, samples):
+        # the caller sees the state of k single ticks; the stream has moved past the block
+        topo = list(pair_first_topology())
+        n, block = len(topo), block_ticks(len(topo), samples)
+        stop = block + block // 2
+        kb, one = KnowledgeBase.from_topology(topo), KnowledgeBase.from_topology(topo)
+        ds = DiscoveryState(rng=np.random.default_rng(23), samples_per_tick=samples)
+        ref = DiscoveryState(rng=np.random.default_rng(23), samples_per_tick=samples)
+        ticks = discovery_ticks(ds, kb, topo, 3 * block)
+        for hits in islice(ticks, stop):
+            assert hits == discovery_tick(ref, one, topo)
+            assert kb.known_counts(range(n)) == one.known_counts(range(n))
+        ticks.close()
+        assert kb.known.tobytes() == one.known.tobytes()
+        assert ds.exchange_log == ref.exchange_log and ds.tick == ref.tick == stop
+        ref.rng.integers(n - 1, size=(2 * block - stop) * n * samples)  # the rest of block 2
+        assert ds.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_no_ticks(self):
+        topo = list(pair_first_topology())
+        kb = KnowledgeBase.from_topology(topo)
+        ds = DiscoveryState(rng=np.random.default_rng(0))
+        drawn = ds.rng.bit_generator.state
+        assert list(discovery_ticks(ds, kb, topo, 0)) == []
+        assert ds.rng.bit_generator.state == drawn
+        assert ds.tick == 0 and not kb.known.any() and not ds.exchange_log
+
+    @settings(max_examples=150, deadline=None)
+    @given(discovery_cases(), st.integers(0, 2**32 - 1), st.integers(1, 200))
+    def test_any_block_size_equals_set_ticks(self, case, seed, probe_block):
+        # blocks from one probe (one tick each) to several ticks, split anywhere
+        topo, active, samples, ticks = case
+        with patch.object(knowledge, "PROBE_BLOCK", probe_block):
+            assert_ticks_equal_set_ticks(KnowledgeBase.from_topology(topo), topo, active,
+                                         samples, seed, 3 * ticks)
 
 
 def run_reading_known(case, seed, read_every):
